@@ -137,6 +137,28 @@ def _phase_grid(phases_cfg: dict | None) -> np.ndarray:
     return start + (stop - start) * np.arange(count) / count
 
 
+def _iprime_grid(config: dict, default_count: int) -> np.ndarray:
+    """Exchange-symmetry values from ``iprimes``: a list, or ``{"count": n}``
+    for n evenly spaced values on [0, 1]."""
+    grid_cfg = config.get("iprimes", {"count": default_count})
+    if isinstance(grid_cfg, dict):
+        _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
+        try:
+            count = int(grid_cfg["count"])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("iprimes.count: must be an integer") from None
+        if count < 1:
+            raise ConfigError("iprimes.count: must be positive")
+        return np.linspace(0.0, 1.0, count)
+    try:
+        grid = np.array([float(v) for v in grid_cfg])
+    except (TypeError, ValueError):
+        raise ConfigError("iprimes: must be a list of numbers or {\"count\": n}") from None
+    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ConfigError("iprimes: need one or more values in [0, 1]")
+    return grid
+
+
 _EXPERIMENT_KEYS = {
     "probe",
     "zeta",
@@ -336,12 +358,7 @@ def cmd_predict(config: dict, out: Path) -> int:
     if mode == "two_photon_curve":
         _check_keys(config, {"mode", "zeta", "iprimes"}, {"zeta"}, "config")
         zeta = float(config["zeta"])
-        grid_cfg = config.get("iprimes", {"count": 51})
-        if isinstance(grid_cfg, dict):
-            _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
-            grid = np.linspace(0.0, 1.0, int(grid_cfg["count"]))
-        else:
-            grid = np.array([float(v) for v in grid_cfg])
+        grid = _iprime_grid(config, default_count=51)
         try:
             curve = metrology.predicted_fprime_curve(grid, zeta)
         except ValueError as exc:
@@ -373,12 +390,7 @@ def cmd_predict(config: dict, out: Path) -> int:
 
 def cmd_reproduce_fig3(config: dict, out: Path) -> int:
     cfg = _experiment_config(config, need_probe=False, extra={"iprimes"})
-    grid_cfg = config.get("iprimes", {"count": 6})
-    if isinstance(grid_cfg, dict):
-        _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
-        grid = np.linspace(0.0, 1.0, int(grid_cfg["count"]))
-    else:
-        grid = np.array([float(v) for v in grid_cfg])
+    grid = _iprime_grid(config, default_count=6)
     zeta = cfg["noise"].zeta
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import IllPosedError, SingularFisherError
-from .metrology import FisherReport, fisher_terms
+from .errors import IllPosedError
+from .metrology import FisherReport, _basis, _basis_derivative, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 
@@ -72,23 +72,6 @@ class FringeDataset:
         )
         eta = np.array([self.efficiencies[c] for c in classes])
         return thetas, counts, eta
-
-
-def _basis(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
-    """Rows [1, cos(k1 t), sin(k1 t), cos(k2 t), sin(k2 t), ...]."""
-    rows = [np.ones_like(thetas)]
-    for k in harmonics:
-        rows.append(np.cos(k * thetas))
-        rows.append(np.sin(k * thetas))
-    return np.array(rows)
-
-
-def _basis_derivative(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
-    rows = [np.zeros_like(thetas)]
-    for k in harmonics:
-        rows.append(-k * np.sin(k * thetas))
-        rows.append(k * np.cos(k * thetas))
-    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -489,60 +472,14 @@ def _project_feasible(
 
 
 def fisher_from_model(model: FourierFringeModel) -> FisherReport:
-    """Fisher information of a fitted model, maximized over phase.
+    """Fisher information of a fitted model, maximized over phase in (0, pi).
 
-    Uses the analytic derivative of the Fourier form; classes follow the
-    same vanishing-probability rule as the finite-difference evaluator.
-    The 256-point scan is refined by parabolic vertex steps over shrinking
-    stencils, which the smooth analytic form makes both cheap and accurate.
+    Uses the exact Fourier form through the same phase maximiser as
+    ``metrology.maximize_fisher``, with its guard against rounding next to a
+    vanishing class probability.
     """
-    n_photons = max(model.classes)
-
-    def fisher_scalar(theta: float) -> float:
-        arr = np.array([theta])
-        p = model.probs_at(arr)[:, 0]
-        d = model.derivs_at(arr)[:, 0]
-        return fisher_terms(
-            dict(zip(model.classes, p)), dict(zip(model.classes, d)),
-            context=f"at theta={theta}",
-        )
-
-    def safe(theta: float) -> float:
-        try:
-            return fisher_scalar(theta)
-        except SingularFisherError:
-            return 0.0
-
-    lo, hi = 0.0, math.pi
-    h = (hi - lo) / 256
-    grid = lo + (np.arange(256) + 0.5) * h
-    p = model.probs_at(grid)
-    d = model.derivs_at(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p >= 1e-14, d * d / np.where(p >= 1e-14, p, 1.0), 0.0)
-    values = terms.sum(axis=0)
-    i = int(np.argmax(values))
-    theta_star, f_star = float(grid[i]), float(values[i])
-    for ph in (h, 1e-3, 1e-4):
-        if not (lo + ph <= theta_star <= hi - ph):
-            continue
-        f_minus, f_plus = safe(theta_star - ph), safe(theta_star + ph)
-        curvature = f_plus - 2.0 * f_star + f_minus
-        if curvature >= 0.0:
-            continue
-        offset = -0.5 * ph * (f_plus - f_minus) / curvature
-        if abs(offset) > ph:
-            continue
-        candidate = theta_star + offset
-        f_candidate = safe(candidate)
-        if f_candidate >= f_star - 1e-9 * max(1.0, abs(f_star)):
-            theta_star, f_star = candidate, max(f_star, f_candidate)
-    return FisherReport(
-        theta_grid=tuple(float(t) for t in grid),
-        fisher_values=tuple(float(v) for v in values),
-        max_fisher=float(f_star),
-        argmax_theta=float(theta_star),
-        per_photon=float(f_star) / n_photons,
+    return _maximize_fourier_fisher(
+        model.coefficients, model.harmonics, max(model.classes), (0.0, math.pi)
     )
 
 

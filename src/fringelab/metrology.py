@@ -9,7 +9,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,12 +23,17 @@ from .fock import (
     two_distinct_pairs,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class FringeFamily:
-    """Counting-class probabilities as a function of the interferometer phase."""
+    """Counting-class probabilities as a function of the interferometer phase.
+
+    Each class probability must be a trigonometric polynomial of degree at
+    most ``n_photons`` in theta, as rotating an N-photon probe gives: the
+    half-angle rotation makes every amplitude a degree-N polynomial in
+    cos(theta/2) and sin(theta/2), and background mixing is linear.
+    ``maximize_fisher`` relies on this; ``fisher_at`` does not.
+    """
 
     evaluator: Callable[[float], Mapping[int, float]]
     classes: tuple[int, ...]
@@ -115,96 +119,119 @@ def fisher_at(
     return fine
 
 
-def _fisher_stable(family: FringeFamily, theta: float, step: float) -> float:
-    """Central-difference Fisher value with step halving until stable.
+# Computed class probabilities, by rotation or by Fourier sum, carry absolute
+# rounding of up to about 3e-15 (measured on dual-Fock n <= 4 and the
+# four-photon ensembles), which d^2/p magnifies next to a zero of p; a mere
+# liveness cut, even at p = 1e-8, overshoots the flat two-photon maximum of 4
+# by 8e-8.  Adding this bound to every denominator means rounding can only
+# lower the information, and a class within it of zero counts as dead.  Where
+# a maximum sits at a zero of a class probability, F = F0 - c theta^2 there,
+# and the bound costs at most 4 sqrt(c * bound), about 4e-7 for the two-photon
+# families.
+_ROUNDING = 1e-14
 
-    Near a quadratic zero of a class probability the O(step^2) derivative
-    bias divided by the tiny probability inflates the plain estimate; halving
-    the step until the value moves by less than 1e-4 relative removes the
-    inflation while costing one extra evaluation at ordinary phases.
+
+def _basis(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
+    """Rows [1, cos(k1 t), sin(k1 t), cos(k2 t), sin(k2 t), ...]."""
+    rows = [np.ones_like(thetas)]
+    for k in harmonics:
+        rows.append(np.cos(k * thetas))
+        rows.append(np.sin(k * thetas))
+    return np.array(rows)
+
+
+def _basis_derivative(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
+    rows = [np.zeros_like(thetas)]
+    for k in harmonics:
+        rows.append(-k * np.sin(k * thetas))
+        rows.append(k * np.cos(k * thetas))
+    return np.array(rows)
+
+
+def _fourier_fisher(
+    coeff: np.ndarray, harmonics: Sequence[int], thetas: np.ndarray
+) -> np.ndarray:
+    """Exact Fisher information sum d^2/p of Fourier class rows at each phase.
+
+    ``coeff`` rows are [c0, cos_k, sin_k, ...] in the order of ``harmonics``.
     """
-    coarse = _fisher_central(family, theta, step)
-    fine = coarse
-    for _ in range(6):
-        fine = _fisher_central(family, theta, step / 2.0)
-        if abs(coarse - fine) <= 1e-4 * max(abs(fine), 1e-12):
-            return fine
-        step /= 2.0
-        coarse = fine
-    return fine
+    k = np.asarray(harmonics, dtype=float)[:, None]
+    kt = k * thetas[None, :]
+    cos, sin = np.cos(kt), np.sin(kt)
+    a, b = coeff[:, 1::2], coeff[:, 2::2]
+    p = coeff[:, :1] + a @ cos + b @ sin
+    d = b @ (k * cos) - a @ (k * sin)
+    live = p > _ROUNDING
+    return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=0)
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
-def maximize_fisher(
-    family: FringeFamily,
-    step: float = 1e-4,
-    grid_points: int = 256,
-    refine_tol: float = 1e-8,
+def _maximize_fourier_fisher(
+    coeff: np.ndarray,
+    harmonics: Sequence[int],
+    n_photons: int,
+    theta_domain: tuple[float, float],
 ) -> FisherReport:
-    """Scan a phase grid and refine the best point by golden section.
+    """Maximum over phase of the exact information of Fourier class rows.
 
-    Phases where the information is singular (vanishing probability with a
-    live derivative) count as zero for the search; fringe families are smooth
-    with few maxima, so the grid-then-refine strategy is reliable.
+    A 256-cell midpoint scan locates the best cell; three nested 129-point
+    zooms, each spanning one spacing of the previous level on either side and
+    clipped to the domain, pin interior and end-of-domain maxima to a spacing
+    of 64^-3 cells.
     """
-    lo, hi = family.theta_domain
-
-    def safe(theta: float) -> float:
-        try:
-            return _fisher_stable(family, theta, step)
-        except SingularFisherError:
-            return 0.0
-
-    h = (hi - lo) / grid_points
-    grid = lo + (np.arange(grid_points) + 0.5) * h
-    values = np.array([safe(t) for t in grid])
+    lo, hi = theta_domain
+    h = (hi - lo) / 256
+    grid = lo + (np.arange(256) + 0.5) * h
+    values = _fourier_fisher(coeff, harmonics, grid)
     i = int(np.argmax(values))
-    a = max(lo, grid[i] - h)
-    b = min(hi, grid[i] + h)
-    theta_star, f_star = _golden_max(safe, a, b, refine_tol)
-    if values[i] > f_star:
-        theta_star, f_star = float(grid[i]), float(values[i])
-    # Golden section stalls once the fringe is flat to within evaluation
-    # noise; parabolic vertex polishing over shrinking stencils pins interior
-    # maxima to well below 1e-6 rad (the vertex bias scales as stencil^2).
-    for ph in (1e-3, 1e-4):
-        if not (lo + ph <= theta_star <= hi - ph):
-            continue
-        f_minus, f_plus = safe(theta_star - ph), safe(theta_star + ph)
-        curvature = f_plus - 2.0 * f_star + f_minus
-        if curvature >= 0.0:
-            continue
-        offset = -0.5 * ph * (f_plus - f_minus) / curvature
-        if abs(offset) > ph:
-            continue
-        candidate = theta_star + offset
-        f_candidate = safe(candidate)
-        # The stencil differences sit far above the pointwise cancellation
-        # noise, so trust the vertex even when the direct comparison ties.
-        if f_candidate >= f_star - 1e-9 * max(1.0, abs(f_star)):
-            theta_star, f_star = candidate, max(f_star, f_candidate)
+    theta_star, f_star = float(grid[i]), float(values[i])
+    half = h
+    for _ in range(3):
+        zoom = np.linspace(max(lo, theta_star - half), min(hi, theta_star + half), 129)
+        zoom_values = _fourier_fisher(coeff, harmonics, zoom)
+        j = int(np.argmax(zoom_values))
+        if zoom_values[j] > f_star:
+            theta_star, f_star = float(zoom[j]), float(zoom_values[j])
+        half /= 64.0
     return FisherReport(
         theta_grid=tuple(float(t) for t in grid),
         fisher_values=tuple(float(v) for v in values),
-        max_fisher=float(f_star),
-        argmax_theta=float(theta_star),
-        per_photon=float(f_star) / family.n_photons,
+        max_fisher=f_star,
+        argmax_theta=theta_star,
+        per_photon=f_star / n_photons,
+    )
+
+
+def _family_coefficients(family: FringeFamily) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Fourier rows of the class probabilities, exact from 2N + 1 phases.
+
+    Each class probability is a trigonometric polynomial of degree at most
+    N = ``family.n_photons``, so its samples at 2N + 1 equally spaced phases
+    fix its coefficients for harmonics 1..N without aliasing.
+    """
+    m = 2 * family.n_photons + 1
+    thetas = 2.0 * math.pi * np.arange(m) / m
+    rows = [family.evaluator(float(t)) for t in thetas]
+    probs = np.array([[row[c] for row in rows] for c in family.classes], dtype=float)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("non-finite class probability in the fringe family")
+    harmonics = tuple(range(1, family.n_photons + 1))
+    coeff = probs @ _basis(harmonics, thetas).T * (2.0 / m)
+    coeff[:, 0] /= 2.0
+    return coeff, harmonics
+
+
+def maximize_fisher(family: FringeFamily) -> FisherReport:
+    """Exact maximum over ``family.theta_domain`` of the Fisher information.
+
+    The class probabilities are rebuilt exactly as Fourier series from
+    2N + 1 evaluations, and the information sum d^2/p is evaluated with
+    analytic derivatives on a phase scan refined by nested zooms.  Rounding
+    is kept from inflating the information next to a zero of a class
+    probability (see ``_ROUNDING``).
+    """
+    coeff, harmonics = _family_coefficients(family)
+    return _maximize_fourier_fisher(
+        coeff, harmonics, family.n_photons, family.theta_domain
     )
 
 
@@ -255,7 +282,6 @@ def counting_family(
     n = components[0][1].total_photons
     classes = tuple(range(n % 2, n + 1, 2))
 
-    @lru_cache(maxsize=16384)
     def evaluate(theta: float) -> dict[int, float]:
         acc = {c: 0.0 for c in classes}
         for weight, state in components:
@@ -312,11 +338,12 @@ class OptimalFisherResult:
 def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult:
     """Maximum over phase of the two-photon Fisher information.
 
-    For zeta > 0 the maximum is interior and found numerically (256-point
-    scan plus golden-section refinement).  For zeta = 0 the supremum is the
-    zero-phase limit 2(1 + iprime), which finite differences cannot evaluate
-    at exactly zero phase; the analytic limit is returned and the numeric
-    route is exercised against it in the test suite.
+    For zeta > 0 the maximum is interior and found by ``maximize_fisher``
+    on (0, pi/2).  For zeta = 0 the supremum is the zero-phase limit
+    2(1 + iprime), where the distinguishable class probability vanishes, so
+    a numeric maximum stops short of it (by about 4e-7, see ``_ROUNDING``);
+    the analytic limit is returned and the numeric route is exercised
+    against it in the tests.
     """
     if not 0.0 <= iprime <= 1.0:
         raise ValueError(f"iprime {iprime} outside [0, 1]")

@@ -293,6 +293,23 @@ class TestPredictCommand:
         assert main(["predict", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "iprimes", [{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], []]
+)
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("predict", {"mode": "two_photon_curve", "zeta": 0.0}),
+        ("reproduce-fig3", {"expected_counts_per_point": 1000}),
+    ],
+)
+def test_bad_iprime_grid_is_config_error(tmp_path, capsys, command, config, iprimes):
+    cfg = write_config(tmp_path / "c.json", {**config, "iprimes": iprimes})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "iprimes" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 class TestTopLevel:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

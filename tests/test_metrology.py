@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fringelab.errors import SingularFisherError
-from fringelab.fock import dual_fock_mismatched, spdc_two_photon
+from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_photon
 from fringelab.metrology import (
     FringeFamily,
+    _basis,
+    _family_coefficients,
     counting_family,
     fisher_at,
     four_photon_pair_ensemble,
@@ -48,11 +50,15 @@ class TestFisherAt:
         )
         assert fisher_at(family, 1.0) == 0.0
 
-    def test_distinguishable_maximum_is_shot_noise(self):
-        family = two_photon_family(0.0, 0.0, theta_domain=(0.0, math.pi))
+    @pytest.mark.parametrize("iprime", [0.0, 0.3, 0.7, 1.0])
+    def test_distinguishable_maximum_is_shot_noise(self, iprime):
+        # The supremum 2(1 + I') sits where a class probability vanishes, so
+        # rounding there must not push the maximum above it.
+        family = two_photon_family(iprime, 0.0, theta_domain=(0.0, math.pi))
         report = maximize_fisher(family)
-        assert report.max_fisher == pytest.approx(2.0, abs=1e-6)
-        assert report.per_photon == pytest.approx(1.0, abs=1e-6)
+        assert report.max_fisher == pytest.approx(2.0 * (1.0 + iprime), abs=1e-6)
+        assert report.max_fisher <= 2.0 * (1.0 + iprime) + 1e-9
+        assert report.per_photon == pytest.approx(1.0 + iprime, abs=1e-6)
 
     def test_matches_analytic_on_grid(self):
         family = two_photon_family(0.7, 0.0119)
@@ -276,6 +282,26 @@ class TestReports:
             pc = closed.evaluator(float(theta))
             for key in (0, 2):
                 assert ps[key] == pytest.approx(pc[key], abs=1e-12)
+
+    def test_fourier_samples_reproduce_rotation(self):
+        thetas = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 20)
+        a5 = [
+            counting_family(four_photon_pair_ensemble(0.4790, tau), zeta, (0.0, math.pi))
+            for tau in (0.0, 1.0)
+            for zeta in (0.0, 0.0282)
+        ]
+        probes = [dual_fock_mismatched(n, 0.6) for n in (1, 2, 3, 4)]
+        probes.append(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7))
+        for family in [counting_family(p) for p in probes] + a5:
+            coeff, harmonics = _family_coefficients(family)
+            fourier = coeff @ _basis(harmonics, thetas)
+            direct = [[family.evaluator(float(t))[c] for t in thetas] for c in family.classes]
+            assert np.max(np.abs(fourier - np.array(direct))) < 1e-12
+        for family in a5:
+            report = maximize_fisher(family)
+            assert report.max_fisher == pytest.approx(
+                fisher_at(family, report.argmax_theta), rel=1e-6
+            )
 
     def test_fisher_report_json(self):
         family = two_photon_family(0.5, 0.0119, theta_domain=(0.0, math.pi))
