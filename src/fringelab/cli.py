@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detection, estimation, fock, metrology, spectral
-from .errors import IllPosedError
+from .errors import IllPosedError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,20 +118,33 @@ def _build_probe(probe_cfg: dict):
         if kind == "dual_fock":
             _check_keys(probe_cfg, {"type", "n", "indist"}, {"n", "indist"}, "probe")
             return fock.dual_fock_mismatched(int(probe_cfg["n"]), float(probe_cfg["indist"]))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
     raise ConfigError(f"probe.type: unknown probe type '{kind}'")
+
+
+def _number(
+    data: dict, key: str, default, *, above: float, integer: bool = True, where: str = ""
+) -> int | float:
+    """``data[key]`` (``default`` when absent), which must be a finite number
+    greater than ``above`` and, if ``integer``, integral; anything else is a
+    config error that names the field."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}{key}: must be a number, got {value!r}")
+    if not math.isfinite(value) or value <= above or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}{key}: must be {kind} greater than {above}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _phase_grid(phases_cfg: dict | None) -> np.ndarray:
     if phases_cfg is None:
         phases_cfg = {}
     _check_keys(phases_cfg, {"count", "start", "stop"}, set(), "phases")
-    count = int(phases_cfg.get("count", 32))
-    if count < 1:
-        raise ConfigError("phases.count: must be positive")
-    start = float(phases_cfg.get("start", 0.0))
-    stop = float(phases_cfg.get("stop", 2.0 * math.pi))
+    count = _number(phases_cfg, "count", 32, above=0, where="phases.")
+    start = _number(phases_cfg, "start", 0.0, above=-math.inf, integer=False, where="phases.")
+    stop = _number(phases_cfg, "stop", 2 * math.pi, above=-math.inf, integer=False, where="phases.")
     if stop <= start:
         raise ConfigError("phases.stop: must exceed phases.start")
     return start + (stop - start) * np.arange(count) / count
@@ -143,12 +156,7 @@ def _iprime_grid(config: dict, default_count: int) -> np.ndarray:
     grid_cfg = config.get("iprimes", {"count": default_count})
     if isinstance(grid_cfg, dict):
         _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
-        try:
-            count = int(grid_cfg["count"])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("iprimes.count: must be an integer") from None
-        if count < 1:
-            raise ConfigError("iprimes.count: must be positive")
+        count = _number(grid_cfg, "count", None, above=0, where="iprimes.")
         return np.linspace(0.0, 1.0, count)
     try:
         grid = np.array([float(v) for v in grid_cfg])
@@ -180,19 +188,16 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
             zeta=float(data.get("zeta", 0.0)),
             bins_per_arm=int(data.get("bins_per_arm", 4)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"zeta/bins_per_arm: {exc}") from exc
-    expected = float(data["expected_counts_per_point"])
-    if expected <= 0:
-        raise ConfigError("expected_counts_per_point: must be positive")
     return {
         "probe": _build_probe(data["probe"]) if need_probe else None,
         "noise": noise,
         "phases": _phase_grid(data.get("phases")),
-        "expected": expected,
-        "seed": int(data.get("seed", 0)),
-        "restarts": int(data.get("restarts", 8)),
-        "bootstrap_trials": int(data.get("bootstrap_trials", 100)),
+        "expected": _number(data, "expected_counts_per_point", None, above=0, integer=False),
+        "seed": _number(data, "seed", 0, above=-1),
+        "restarts": _number(data, "restarts", 8, above=0),
+        "bootstrap_trials": _number(data, "bootstrap_trials", 100, above=1),
     }
 
 
@@ -250,7 +255,6 @@ def _fit_report_payload(fit, fisher, boot) -> dict:
             "model": json.loads(fit.model.to_json()),
             "log_likelihood": fit.log_likelihood,
             "converged": fit.converged,
-            "restarts_used": fit.restarts_used,
         },
         "fisher": json.loads(fisher.to_json()),
         "bootstrap": json.loads(boot.to_json()),
@@ -291,6 +295,8 @@ def cmd_hom(config: dict, out: Path) -> int:
     print(f"wrote {out / 'hom_fit.json'} and {out / 'iprime_curve.csv'}")
     if fit.ill_posed:
         raise NonConvergence("dip fit is ill-posed (sigma unidentifiable)")
+    if not fit.converged:
+        raise NonConvergence("dip fit did not converge")
     return EXIT_OK
 
 
@@ -310,6 +316,14 @@ def cmd_simulate(config: dict, out: Path) -> int:
 def cmd_fit(config: dict, out: Path) -> int:
     allowed = {"fringe_csv", "efficiency_json", "harmonics", "restarts", "bootstrap_trials", "seed"}
     _check_keys(config, allowed, {"fringe_csv", "efficiency_json", "harmonics"}, "config")
+    harmonics = config["harmonics"]
+    if isinstance(harmonics, list):
+        harmonics = [_number({"harmonics": k}, "harmonics", None, above=0) for k in harmonics]
+    if not isinstance(harmonics, list) or not harmonics or len(set(harmonics)) < len(harmonics):
+        raise ConfigError(f"harmonics: must be unique positive integers, got {harmonics!r}")
+    restarts = _number(config, "restarts", 50, above=0)
+    trials = _number(config, "bootstrap_trials", 200, above=1)
+    seed = _number(config, "seed", 0, above=-1)
     rows = _read_csv(str(config["fringe_csv"]), "theta,class,count")
     by_theta: dict[float, dict[int, int]] = {}
     for line, (ts, cs, xs) in rows:
@@ -332,13 +346,7 @@ def cmd_fit(config: dict, out: Path) -> int:
         dataset = estimation.FringeDataset(
             tuple((t, by_theta[t]) for t in sorted(by_theta)), eff
         )
-        fit, fisher, boot = _fit_pipeline(
-            dataset,
-            [int(k) for k in config["harmonics"]],
-            int(config.get("restarts", 50)),
-            int(config.get("bootstrap_trials", 200)),
-            int(config.get("seed", 0)),
-        )
+        fit, fisher, boot = _fit_pipeline(dataset, harmonics, restarts, trials, seed)
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
     (out / "fit_report.json").write_text(
@@ -357,7 +365,7 @@ def cmd_predict(config: dict, out: Path) -> int:
     path = out / "prediction.csv"
     if mode == "two_photon_curve":
         _check_keys(config, {"mode", "zeta", "iprimes"}, {"zeta"}, "config")
-        zeta = float(config["zeta"])
+        zeta = _number(config, "zeta", None, above=-math.inf, integer=False)
         grid = _iprime_grid(config, default_count=51)
         try:
             curve = metrology.predicted_fprime_curve(grid, zeta)
@@ -367,20 +375,22 @@ def cmd_predict(config: dict, out: Path) -> int:
         lines += [f"{_fmt(ip)},{_fmt(fp)}" for ip, fp in zip(grid, curve)]
     elif mode == "four_photon_extremes":
         _check_keys(config, {"mode", "lambda4", "zeta"}, {"lambda4", "zeta"}, "config")
+        lambda4 = _number(config, "lambda4", None, above=-math.inf, integer=False)
+        zeta = _number(config, "zeta", None, above=-math.inf, integer=False)
         try:
-            full, zero = metrology.predict_four_photon_extremes(
-                float(config["lambda4"]), float(config["zeta"])
-            )
+            full, zero = metrology.predict_four_photon_extremes(lambda4, zeta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         lines = ["iprime,fprime", f"1,{_fmt(full)}", f"0,{_fmt(zero)}"]
     elif mode == "small_angle":
         _check_keys(config, {"mode", "n", "indist"}, {"n", "indist"}, "config")
+        n = _number(config, "n", None, above=0)
+        indist = _number(config, "indist", None, above=-math.inf, integer=False)
         try:
-            value = metrology.small_angle_fisher(int(config["n"]), float(config["indist"]))
+            value = metrology.small_angle_fisher(n, indist)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        lines = ["n,indist,fisher", f"{int(config['n'])},{_fmt(config['indist'])},{_fmt(value)}"]
+        lines = ["n,indist,fisher", f"{n},{_fmt(indist)},{_fmt(value)}"]
     else:
         raise ConfigError(f"mode: unknown prediction mode '{mode}'")
     path.write_text("\n".join(lines) + "\n")

@@ -1,5 +1,5 @@
 """Poisson maximum-likelihood fitting of Fourier fringe models with
-per-outcome detection efficiencies, multi-start gradient ascent, and
+per-outcome detection efficiencies, one damped Newton solve per fit, and
 parametric-bootstrap error bars.
 
 The observed counts x of outcome class d at phase theta are modeled as
@@ -7,7 +7,11 @@ Poisson with mean lambda = lambda_t * p(d|theta) * eta_d, where lambda_t is
 the efficiency-corrected total-event estimate sum_d x_d/eta_d and p(d|theta)
 is a truncated Fourier series per class.  Normalization over classes is
 enforced exactly by eliminating one class's coefficients; nonnegativity is
-enforced by a quadratic penalty on a dense phase grid.
+enforced by a quadratic penalty on a dense phase grid and, at cells with no
+counts, by linear constraints.  The log-likelihood is concave in the
+remaining coefficients and the penalty is too, so every local maximum is
+global, and Newton's method with an active set for those constraints
+reaches one from the uniform model.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import IllPosedError
-from .metrology import FisherReport, _basis, _basis_derivative, _maximize_fourier_fisher
+from .metrology import FisherReport, _basis, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 
@@ -113,11 +117,6 @@ class FourierFringeModel:
     def probs_at(self, thetas: np.ndarray) -> np.ndarray:
         return self.coefficients @ _basis(self.harmonics, np.asarray(thetas, dtype=float))
 
-    def derivs_at(self, thetas: np.ndarray) -> np.ndarray:
-        return self.coefficients @ _basis_derivative(
-            self.harmonics, np.asarray(thetas, dtype=float)
-        )
-
     def evaluate(self, theta: float) -> dict[int, float]:
         col = self.probs_at(np.array([theta]))[:, 0]
         return dict(zip(self.classes, col.tolist()))
@@ -163,7 +162,6 @@ class FitResult:
     model: FourierFringeModel
     log_likelihood: float
     converged: bool
-    restarts_used: int
 
 
 def total_rate_estimate(dataset: FringeDataset, theta: float) -> float:
@@ -216,9 +214,13 @@ def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
 class _FitProblem:
     """Precomputed arrays and the penalized objective for one dataset.
 
-    ``extra_penalty_thetas`` lets the fit loop densify the nonnegativity
-    penalty where a violation was found between the base grid points
-    (cutting-plane style).
+    Class probabilities are affine in the free coefficients (the rows of
+    every class but the last): ``rows @ free.ravel() + offset``, with
+    ``cell_rows`` at the data cells and ``grid_rows`` on the penalty grid.
+    A zero-count cell with a nonzero total adds only -lambda, so the optimum
+    may sit on its wall lambda >= 0; ``walls`` marks one cell per distinct
+    wall.  ``extra_penalty_thetas`` lets the fit loop densify the penalty
+    where a violation was found between the base grid points.
     """
 
     def __init__(
@@ -229,108 +231,135 @@ class _FitProblem:
     ):
         self.classes = dataset.classes
         self.harmonics = harmonics
-        self.thetas, self.counts, self.eta = dataset.arrays()
-        distinct = np.unique(self.thetas)
+        thetas, counts, eta = dataset.arrays()
+        distinct = np.unique(thetas)
         if distinct.size < 8:
             raise IllPosedError(
                 f"{distinct.size} distinct phases cannot identify a fringe model"
             )
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
-        self.basis = _basis(harmonics, self.thetas)
-        self.lam_t = (self.counts / self.eta[:, None]).sum(axis=0)
-        self.rate_scale = self.eta[:, None] * self.lam_t[None, :]
-        self.positive = self.counts > 0
-        self.x_positive = self.counts[self.positive]
+        lam_t = (counts / eta[:, None]).sum(axis=0)
+        self.counts = counts.ravel()
+        self.rate_scale = (eta[:, None] * lam_t[None, :]).ravel()
+        self.seen = self.counts > 0
         self.lgamma_const = float(gammaln(self.counts + 1.0).sum())
-        grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-        if extra_penalty_thetas:
-            grid = np.concatenate([grid, np.array(extra_penalty_thetas)])
-        self.grid_basis = _basis(harmonics, grid)
-        self.mu = 10.0 * (1.0 + float(self.counts.sum()))
+        # A dip below zero at the optimum shrinks as 1/mu.  At 10 per count
+        # the exact maximum of a zero-count fit dipped by up to 7e-5, which
+        # the final nonnegativity check rejects.
+        self.mu = 1e4 * (1.0 + float(self.counts.sum()))
         self.n_free = len(self.classes) - 1
         self.n_coef = 1 + 2 * len(harmonics)
         self.target = np.zeros(self.n_coef)
         self.target[0] = 1.0
+        grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        if extra_penalty_thetas:
+            grid = np.concatenate([grid, np.array(extra_penalty_thetas)])
+        self.cell_rows, self.cell_offset = self._affine(thetas)
+        self.grid_rows, self.grid_offset = self._affine(grid)
+        # Phases a period of the model apart give the same wall; keep one.
+        wall = np.flatnonzero(~self.seen & (self.rate_scale > 0))
+        _, first = np.unique(self.cell_rows[wall].round(12), axis=0, return_index=True)
+        self.walls = np.zeros_like(self.seen)
+        self.walls[wall[first]] = True
+
+    def _affine(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and offsets giving every class at ``thetas``, class-major: a
+        class is its own free row, the last is 1 minus the sum of them."""
+        mix = np.vstack([np.eye(self.n_free), -np.ones(self.n_free)])
+        offset = np.repeat(np.eye(self.n_free + 1)[-1], thetas.size)
+        return np.kron(mix, _basis(self.harmonics, thetas).T), offset
 
     def assemble(self, free: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.classes), self.n_coef))
-        out[:-1] = free
-        out[-1] = self.target - free.sum(axis=0)
-        return out
+        free = np.reshape(free, (self.n_free, self.n_coef))
+        return np.vstack([free, self.target - free.sum(axis=0)])
 
-    def objective(self, free: np.ndarray) -> tuple[float, np.ndarray | None]:
-        coeff = self.assemble(free)
-        probs = coeff @ self.basis
-        lam = self.rate_scale * probs
-        if lam.min() < 0.0:
-            return -np.inf, None
-        lam_pos = lam[self.positive]
-        if lam_pos.size and lam_pos.min() <= 0.0:
-            return -np.inf, None
-        ll = float((self.x_positive * np.log(lam_pos)).sum() - lam.sum()) - self.lgamma_const
-        grid_probs = coeff @ self.grid_basis
-        violation = np.minimum(grid_probs, 0.0)
-        value = ll - self.mu * float((violation**2).sum())
-        ratio = np.zeros_like(lam)
-        ratio[self.positive] = self.x_positive / lam_pos
-        dll = ((ratio - 1.0) * self.rate_scale) @ self.basis.T
-        dpen = 2.0 * self.mu * (violation @ self.grid_basis.T)
-        full_grad = dll - dpen
-        grad = full_grad[:-1] - full_grad[-1][None, :]
-        return value, grad
+    def objective(
+        self, free: np.ndarray
+    ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+        """Penalized log-likelihood with its gradient and Hessian in the
+        flattened free coefficients; (-inf, None, None) unless lambda > 0 where
+        a count was seen and lambda >= -_NEG_TOL (rounding) on the walls."""
+        z = np.ravel(free)
+        p = self.cell_rows @ z + self.cell_offset
+        if p[self.seen].min(initial=1.0) <= 0.0 or p[self.walls].min(initial=0.0) < -_NEG_TOL:
+            return -np.inf, None, None
+        x, lam = self.counts[self.seen], self.rate_scale * p
+        violation = np.minimum(self.grid_rows @ z + self.grid_offset, 0.0)
+        ll = float((x * np.log(lam[self.seen])).sum() - lam.sum()) - self.lgamma_const
+        value = ll - self.mu * float(violation @ violation)
+        dp = -self.rate_scale
+        dp[self.seen] += x / p[self.seen]
+        grad = self.cell_rows.T @ dp - 2.0 * self.mu * (self.grid_rows.T @ violation)
+        # Curvature -x/p^2 at each cell with counts and -2 mu at each grid
+        # point below zero.
+        seen = self.cell_rows[self.seen]
+        below = self.grid_rows[violation < 0.0]
+        hess = -(seen.T * (x / p[self.seen] ** 2)) @ seen - 2.0 * self.mu * (below.T @ below)
+        return value, grad, hess
 
 
-def _ascend(
-    problem: _FitProblem, free0: np.ndarray, max_iter: int = 500
+def _newton(
+    problem: _FitProblem, free0: np.ndarray, max_iter: int = 200
 ) -> tuple[np.ndarray, float, bool]:
-    """Backtracking gradient ascent; returns (free, objective, converged)."""
-    free = free0.copy()
-    value, grad = problem.objective(free)
+    """Damped Newton ascent from ``free0`` with an active set on the walls;
+    returns (free, objective, converged).
+
+    Each step maximizes the quadratic model with the active walls held at
+    zero, stops at the first other wall it would cross (which becomes
+    active), goes at most 0.9 of the way to the zero of a cell with counts,
+    and backtracks until the objective rises.  Once the Newton decrement is
+    below 1e-12 * (1 + sum of counts) (absolute: the objective's last digits
+    are rounding), the wall with the most negative multiplier is released;
+    with none negative the KKT conditions hold.  A ridge of 1e-12 of the
+    largest curvature lets a step run along a direction the data leave flat
+    until a wall stops it.
+    """
+    z = np.ravel(free0).astype(float)
+    value, grad, hess = problem.objective(z)
     if not np.isfinite(value):
-        return free, value, False
-    step = 1.0 / problem.mu
-    stalls = 0
+        return z, value, False
+    tol = 1e-12 * (1.0 + float(problem.counts.sum()))
+    rows, offset = problem.cell_rows, problem.cell_offset
+    row_norms = np.linalg.norm(rows, axis=1)
+    candidates = problem.seen | problem.walls
+    active: list[int] = []
     for _ in range(max_iter):
-        gnorm2 = float((grad**2).sum())
-        if math.sqrt(gnorm2) < 1e-9:
-            return free, value, True
-        step = min(step * 2.0, 1e6 / problem.mu)
-        accepted = False
+        a = rows[active]
+        curvature = hess - 1e-12 * (1.0 + np.abs(np.diag(hess)).max()) * np.eye(z.size)
+        kkt = np.block([[curvature, a.T], [a, np.zeros((len(active), len(active)))]])
+        try:
+            solution = np.linalg.solve(kkt, np.concatenate([-grad, -(a @ z + offset[active])]))
+        except np.linalg.LinAlgError:
+            return z, value, False
+        step, multipliers = solution[: z.size], solution[z.size :]
+        if -step @ curvature @ step <= tol:
+            if multipliers.min(initial=0.0) >= -tol:
+                return z, value, True
+            del active[int(np.argmin(multipliers))]
+            continue
+
+        slope = rows @ step
+        crossing = candidates & (slope < -1e-9 * np.linalg.norm(step) * row_norms)
+        crossing[active] = False
+        ratios = np.full(slope.shape, np.inf)
+        ratios[crossing] = np.maximum(rows[crossing] @ z + offset[crossing], 0.0) / -slope[crossing]
+        ratios[problem.seen] *= 0.9
+        r = int(np.argmin(ratios))
+        alpha = min(1.0, float(ratios[r]))
+        blocker = r if ratios[r] < 1.0 and problem.walls[r] else None
+        gain = float(grad @ step)
         for _ in range(60):
-            trial = free + step * grad
-            trial_value, trial_grad = problem.objective(trial)
-            if trial_value >= value + 1e-4 * step * gnorm2:
-                accepted = True
+            t_value, t_grad, t_hess = problem.objective(z + alpha * step)
+            if t_value >= value + 1e-4 * alpha * gain:
                 break
-            step *= 0.5
-        if not accepted:
-            return free, value, True
-        improvement = trial_value - value
-        assert improvement >= 0.0  # accepted steps never decrease the objective
-        free, value, grad = trial, trial_value, trial_grad
-        if improvement < 1e-10 * (1.0 + abs(value)):
-            stalls += 1
-            if stalls >= 2:
-                return free, value, True
+            alpha, blocker = 0.5 * alpha, None
         else:
-            stalls = 0
-    return free, value, False
-
-
-def _least_squares_init(problem: _FitProblem) -> np.ndarray:
-    """Project efficiency-corrected empirical frequencies onto the basis."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        freq = (problem.counts / problem.eta[:, None]) / problem.lam_t[None, :]
-    keep = problem.lam_t > 0
-    if not np.any(keep):
-        return np.tile(problem.target / len(problem.classes), (problem.n_free, 1))
-    b = problem.basis[:, keep]
-    coeff, *_ = np.linalg.lstsq(b.T, freq[:, keep].T, rcond=None)
-    coeff = coeff.T
-    correction = (coeff.sum(axis=0) - problem.target) / len(problem.classes)
-    coeff = coeff - correction[None, :]
-    return coeff[:-1]
+            return z, value, False
+        z, value, grad, hess = z + alpha * step, t_value, t_grad, t_hess
+        if blocker is not None:
+            active.append(blocker)
+    return z, value, False
 
 
 def fit_mle(
@@ -338,65 +367,31 @@ def fit_mle(
     harmonics: Sequence[int],
     restarts: int = 50,
     seed: int | None = None,
-    warm_start: FourierFringeModel | None = None,
 ) -> FitResult:
-    """Maximum-likelihood Fourier fringe fit with random restarts.
+    """Maximum-likelihood Fourier fringe fit.
 
-    Each start runs backtracking gradient ascent on the penalized Poisson
-    log-likelihood (analytic gradients; one class eliminated to enforce
-    normalization exactly).  The first start projects the empirical
-    frequencies onto the basis; the rest draw harmonic coefficients uniformly
-    from [-0.2, 0.2] around uniform class weights.  The best result must pass
-    a final nonnegativity check or is returned with converged = False.
+    The penalized Poisson log-likelihood is concave in the free coefficients
+    (one class eliminated to enforce normalization exactly), so one damped
+    Newton solve from the uniform model finds the maximum (see ``_newton``).
+    A model dip that slips between the penalty grid points is added to the
+    grid and the solve repeated.  The result must then pass a final
+    nonnegativity check or is returned with converged = False.
+
+    ``restarts`` (at least 1) and ``seed`` are accepted for existing callers
+    and have no effect: there is one optimum and no random start.
     """
-    restarts = int(restarts)
-    if restarts < 1:
+    if int(restarts) < 1:
         raise ValueError("restarts must be at least 1")
     harmonics = tuple(sorted(int(k) for k in harmonics))
-    problem = _FitProblem(dataset, harmonics)
-    rng = np.random.default_rng(seed)
-
-    starts = [_least_squares_init(problem)]
-    if warm_start is not None:
-        if warm_start.classes != problem.classes or warm_start.harmonics != harmonics:
-            raise ValueError("warm start does not match the requested model family")
-        starts.append(np.array(warm_start.coefficients[:-1]))
-    for _ in range(restarts):
-        free = np.empty((problem.n_free, problem.n_coef))
-        free[:, 0] = 1.0 / len(problem.classes)
-        free[:, 1:] = rng.uniform(-0.2, 0.2, size=(problem.n_free, problem.n_coef - 1))
-        starts.append(free)
-
-    best: tuple[np.ndarray, float, bool] | None = None
-    for start in starts:
-        result = _ascend(problem, start)
-        if best is None:
-            best = result
-            continue
-        tie = 1e-6 * (1.0 + abs(best[1]))
-        if result[1] > best[1] + tie or (
-            abs(result[1] - best[1]) <= tie and result[2] and not best[2]
-        ):
-            best = result
-    assert best is not None
-    free, value, converged = best
-    if not converged and np.isfinite(value):
-        # A start that spent its iteration budget crawling along the
-        # nonnegativity boundary usually stalls immediately when continued.
-        free2, value2, converged2 = _ascend(problem, free)
-        if value2 >= value:
-            free, value, converged = free2, value2, converged2
-
-    # Narrow dips can slip between the penalty grid points; add the located
-    # dip to the penalty set and re-ascend until none survives.
     extra: list[float] = []
-    for _ in range(3):
+    for _ in range(4):
+        problem = _FitProblem(dataset, harmonics, extra_penalty_thetas=tuple(extra))
+        uniform = np.tile(problem.target / len(problem.classes), (problem.n_free, 1))
+        free, _value, converged = _newton(problem, uniform)
         worst, theta = _continuous_minimum(problem.assemble(free), harmonics)
         if worst >= -_NEG_TOL:
             break
         extra.extend([theta - 2e-3, theta, theta + 2e-3])
-        problem = _FitProblem(dataset, harmonics, extra_penalty_thetas=tuple(extra))
-        free, value, converged = _ascend(problem, free)
 
     coeff, shrink = _project_feasible(
         problem.assemble(free), harmonics, len(problem.classes)
@@ -411,7 +406,6 @@ def fit_mle(
         model=model,
         log_likelihood=ll,
         converged=bool(converged and np.isfinite(ll)),
-        restarts_used=len(starts),
     )
 
 
@@ -485,12 +479,15 @@ def fisher_from_model(model: FourierFringeModel) -> FisherReport:
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Spread of refitted quantities across parametric-bootstrap trials."""
+    """Spread of refitted quantities across parametric-bootstrap trials;
+    ``failed_refits`` counts the refits, still in the spread, that did not
+    converge."""
 
     sigma_max_fisher: float
     sigma_per_photon: float
     sigma_coefficients: np.ndarray
     trials: int
+    failed_refits: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -499,24 +496,21 @@ class BootstrapReport:
                 "sigma_per_photon": self.sigma_per_photon,
                 "sigma_coefficients": self.sigma_coefficients.tolist(),
                 "trials": self.trials,
+                "failed_refits": self.failed_refits,
             }
         )
 
 
 def bootstrap_errors(
-    fit: FitResult,
-    dataset: FringeDataset,
-    trials: int,
-    seed: int,
-    restarts: int = 1,
+    fit: FitResult, dataset: FringeDataset, trials: int, seed: int
 ) -> BootstrapReport:
     """Parametric bootstrap: resample counts from the fitted rates and refit.
 
     Each trial draws Poisson counts at the original phases with the original
-    per-phase totals and efficiencies, refits (warm-started at the parent
-    fit), and records the refitted coefficients and maximum Fisher
-    information.  Sub-seeds are spawned deterministically from ``seed`` so
-    results do not depend on evaluation order.
+    per-phase totals and efficiencies, refits, and records the refitted
+    coefficients and maximum Fisher information.  Each trial draws from its
+    own sub-seed spawned from ``seed``, so results do not depend on
+    evaluation order.
     """
     trials = int(trials)
     if trials < 2:
@@ -529,21 +523,15 @@ def bootstrap_errors(
     classes = dataset.classes
     max_fs = np.empty(trials)
     coefs = np.empty((trials,) + fit.model.coefficients.shape)
+    failed = 0
     for t in range(trials):
-        rng = np.random.default_rng(children[t])
-        fake = rng.poisson(lam)
+        fake = np.random.default_rng(children[t]).poisson(lam)
         points = tuple(
             (float(th), {c: int(fake[k, j]) for k, c in enumerate(classes)})
             for j, th in enumerate(thetas)
         )
-        fake_ds = FringeDataset(points, dataset.efficiencies)
-        refit = fit_mle(
-            fake_ds,
-            fit.model.harmonics,
-            restarts=restarts,
-            seed=children[t].spawn(1)[0].generate_state(1)[0],
-            warm_start=fit.model,
-        )
+        refit = fit_mle(FringeDataset(points, dataset.efficiencies), fit.model.harmonics)
+        failed += not refit.converged
         max_fs[t] = fisher_from_model(refit.model).max_fisher
         coefs[t] = refit.model.coefficients
     n_photons = max(classes)
@@ -552,4 +540,5 @@ def bootstrap_errors(
         sigma_per_photon=float(np.std(max_fs / n_photons, ddof=1)),
         sigma_coefficients=np.std(coefs, axis=0, ddof=1),
         trials=trials,
+        failed_refits=failed,
     )

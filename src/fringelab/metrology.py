@@ -85,16 +85,6 @@ def fisher_terms(
     return total
 
 
-def _fisher_central(family: FringeFamily, theta: float, step: float) -> float:
-    p0 = family.evaluator(theta)
-    pp = family.evaluator(theta + step)
-    pm = family.evaluator(theta - step)
-    derivs = {c: (pp[c] - pm[c]) / (2.0 * step) for c in family.classes}
-    return fisher_terms(
-        {c: p0[c] for c in family.classes}, derivs, context=f"at theta={theta}"
-    )
-
-
 def fisher_at(
     family: FringeFamily, theta: float, step: float = 1e-4, richardson: bool = True
 ) -> float:
@@ -106,10 +96,18 @@ def fisher_at(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    coarse = _fisher_central(family, theta, step)
+    centre = family.evaluator(theta)
+    probs = {c: centre[c] for c in family.classes}
+
+    def central(h: float) -> float:
+        pp, pm = family.evaluator(theta + h), family.evaluator(theta - h)
+        derivs = {c: (pp[c] - pm[c]) / (2.0 * h) for c in family.classes}
+        return fisher_terms(probs, derivs, context=f"at theta={theta}")
+
+    coarse = central(step)
     if not richardson:
         return coarse
-    fine = _fisher_central(family, theta, step / 2.0)
+    fine = central(step / 2.0)
     if abs(coarse - fine) > 1e-4 * max(abs(fine), 1e-12):
         warnings.warn(
             f"Fisher value moved from {coarse} to {fine} when halving the "
@@ -137,14 +135,6 @@ def _basis(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
     for k in harmonics:
         rows.append(np.cos(k * thetas))
         rows.append(np.sin(k * thetas))
-    return np.array(rows)
-
-
-def _basis_derivative(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
-    rows = [np.zeros_like(thetas)]
-    for k in harmonics:
-        rows.append(-k * np.sin(k * thetas))
-        rows.append(k * np.cos(k * thetas))
     return np.array(rows)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fringelab import cli
 from fringelab.cli import main
 from fringelab.spectral import quartic_gaussian_overlap
 
@@ -242,6 +244,26 @@ class TestHomCommand:
         )
         assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_non_converged_dip_fit_exits_4(self, tmp_path, monkeypatch):
+        self._dip_csv(tmp_path / "dip.csv", 0.5, -0.45, 2.0)
+        cfg = write_config(
+            tmp_path / "hom.json",
+            {"input": str(tmp_path / "dip.csv"), "init": {"a": 0.4, "b": -0.35, "sigma": 1.5}},
+        )
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        report = json.loads((tmp_path / "ok" / "hom_fit.json").read_text())
+        assert report["converged"] is True
+
+        real_fit = cli.spectral.fit_hom_dip
+        monkeypatch.setattr(
+            cli.spectral,
+            "fit_hom_dip",
+            lambda *args, **kwargs: dataclasses.replace(real_fit(*args, **kwargs), converged=False),
+        )
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path / "bad")]) == 4
+        report = json.loads((tmp_path / "bad" / "hom_fit.json").read_text())
+        assert report["converged"] is False
+
     def test_flat_data_exits_nonzero(self, tmp_path):
         xs = np.linspace(-5, 5, 20)
         (tmp_path / "dip.csv").write_text(
@@ -307,6 +329,46 @@ def test_bad_iprime_grid_is_config_error(tmp_path, capsys, command, config, ipri
     cfg = write_config(tmp_path / "c.json", {**config, "iprimes": iprimes})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "iprimes" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_SIMULATE = {"probe": {"type": "two_photon", "iprime": 0.5}, "expected_counts_per_point": 100}
+_FIT = {"fringe_csv": "fringe.csv", "efficiency_json": "eff.json", "harmonics": [2]}
+_FIG3 = {"expected_counts_per_point": 1000, "iprimes": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("simulate", {**_SIMULATE, "phases": {"count": "x"}}, "phases.count"),
+        ("simulate", {**_SIMULATE, "phases": {"count": 2.5}}, "phases.count"),
+        ("simulate", {**_SIMULATE, "phases": {"start": None}}, "phases.start"),
+        ("simulate", {**_SIMULATE, "restarts": "x"}, "restarts"),
+        ("simulate", {**_SIMULATE, "seed": -1}, "seed"),
+        ("simulate", {**_SIMULATE, "expected_counts_per_point": "abc"}, "expected_counts_per_point"),
+        ("simulate", {**_SIMULATE, "expected_counts_per_point": math.nan}, "expected_counts_per_point"),
+        ("simulate", {**_SIMULATE, "expected_counts_per_point": 0}, "expected_counts_per_point"),
+        ("simulate", {**_SIMULATE, "zeta": None}, "zeta"),
+        ("simulate", {**_SIMULATE, "probe": {"type": "dual_fock", "n": 5, "indist": 0.5}}, "probe"),
+        ("fit", {**_FIT, "bootstrap_trials": 1}, "bootstrap_trials"),
+        ("fit", {**_FIT, "restarts": "x"}, "restarts"),
+        ("fit", {**_FIT, "restarts": 0}, "restarts"),
+        ("fit", {**_FIT, "seed": "7"}, "seed"),
+        ("fit", {**_FIT, "harmonics": [0]}, "harmonics"),
+        ("fit", {**_FIT, "harmonics": [2, 2]}, "harmonics"),
+        ("fit", {**_FIT, "harmonics": [True]}, "harmonics"),
+        ("fit", {**_FIT, "harmonics": 2}, "harmonics"),
+        ("reproduce-fig3", {**_FIG3, "bootstrap_trials": 1}, "bootstrap_trials"),
+        ("reproduce-fig3", {**_FIG3, "restarts": 0}, "restarts"),
+        ("predict", {"mode": "two_photon_curve", "zeta": "x"}, "zeta"),
+        ("predict", {"mode": "four_photon_extremes", "lambda4": None, "zeta": 0.0}, "lambda4"),
+        ("predict", {"mode": "small_angle", "n": None, "indist": 1.0}, "n"),
+    ],
+)
+def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -1,21 +1,30 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.optimize import nnls
 
-from fringelab.detection import class_efficiencies
+from fringelab import estimation
+from fringelab.cli import _simulate_points
+from fringelab.detection import NoiseAndEfficiencyConfig, class_efficiencies
 from fringelab.errors import IllPosedError
 from fringelab.estimation import (
     FourierFringeModel,
     FringeDataset,
+    _FitProblem,
+    _newton,
     bootstrap_errors,
     fisher_from_model,
     fit_mle,
     log_likelihood,
     total_rate_estimate,
 )
+from fringelab.fock import four_photon_schmidt, spdc_two_photon
 from fringelab.metrology import optimal_fisher_two_photon, two_photon_family
+from fringelab.spectral import SchmidtSpectrum
 
 
 def two_photon_model(iprime, zeta=0.0):
@@ -39,6 +48,14 @@ def synth_dataset(iprime, zeta, total, n_phases, seed, bins_per_arm=4):
         probs = family.evaluator(float(theta))
         counts = {c: int(rng.poisson(total * probs[c] * etas[c])) for c in (0, 2)}
         points.append((float(theta), counts))
+    return FringeDataset(tuple(points), etas)
+
+
+def cli_dataset(probe, zeta, total, n_phases, seed):
+    """The dataset ``fringelab simulate`` writes: n phases from theta = 0."""
+    noise = NoiseAndEfficiencyConfig(zeta=zeta, bins_per_arm=4)
+    phases = 2 * math.pi * np.arange(n_phases) / n_phases
+    _, etas, points, _ = _simulate_points(probe, noise, phases, total, seed)
     return FringeDataset(tuple(points), etas)
 
 
@@ -210,6 +227,58 @@ class TestFitMle:
             direct = fit_merged.model.evaluate(float(theta))[2]
             assert aggregated == pytest.approx(direct, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "dataset,harmonics",
+        [
+            # Interior optimum: every class probability stays positive.
+            (synth_dataset(0.8, 0.0119, 10_000, 16, seed=77), (2,)),
+            # The fit CLI test's data: zero counts at theta = 0 and pi.
+            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,)),
+            # Four photons without background: zero counts next to class zeros.
+            (
+                cli_dataset(
+                    four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0, 3000, 32, seed=11
+                ),
+                (2, 4),
+            ),
+        ],
+        ids=["interior", "zero-counts", "four-photon"],
+    )
+    def test_one_optimum_from_any_start(self, dataset, harmonics):
+        problem = _FitProblem(dataset, harmonics)
+        tol = 1e-9 * (1.0 + problem.counts.sum())
+        uniform = np.tile(problem.target / len(problem.classes), (problem.n_free, 1))
+        rng = np.random.default_rng(5)
+        starts = [uniform]
+        for _ in range(6):
+            start = uniform.copy()
+            start[:, 1:] += rng.uniform(-0.3, 0.3, size=start[:, 1:].shape)
+            while not np.isfinite(problem.objective(start)[0]):
+                start = 0.5 * (start + uniform)
+            starts.append(start)
+        values = []
+        for start in starts:
+            free, value, converged = _newton(problem, start)
+            assert converged
+            values.append(value)
+            # KKT certificate, checked apart from the solver: on the cells at
+            # their wall the gradient must be a nonnegative combination of the
+            # outward constraint normals, and what is left along the face
+            # must promise no gain.
+            _, grad, hess = problem.objective(free)
+            walls = problem.cell_rows[problem.walls]
+            slack = walls @ free + problem.cell_offset[problem.walls]
+            assert np.all(slack >= -1e-9)
+            rows = walls[slack <= 1e-9]
+            multipliers = nnls(rows.T, -grad)[0] if rows.size else np.zeros(0)
+            residual = grad + rows.T @ multipliers
+            face = null_space(rows) if rows.size else np.eye(grad.size)
+            along = face.T @ residual
+            assert np.linalg.norm(residual - face @ along) <= tol
+            gain = along @ np.linalg.lstsq(-face.T @ hess @ face, along, rcond=None)[0]
+            assert gain <= tol
+        assert max(values) - min(values) <= tol
+
     def test_restart_count_validated(self):
         ds = synth_dataset(0.5, 0.0, total=100, n_phases=8, seed=1)
         with pytest.raises(ValueError):
@@ -301,6 +370,25 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_errors(fit, ds, trials=1, seed=0)
 
+    def test_failed_refits_counted(self, monkeypatch):
+        ds = synth_dataset(0.6, 0.0119, 5000, 16, seed=2)
+        fit = fit_mle(ds, [2])
+        real_fit = estimation.fit_mle
+        calls = []
+
+        def every_other_fails(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            calls.append(result)
+            return dataclasses.replace(result, converged=len(calls) % 2 == 0)
+
+        monkeypatch.setattr(estimation, "fit_mle", every_other_fails)
+        boot = bootstrap_errors(fit, ds, trials=10, seed=3)
+        assert len(calls) == 10
+        assert boot.failed_refits == 5
+        assert json.loads(boot.to_json())["failed_refits"] == 5
+        monkeypatch.undo()
+        assert bootstrap_errors(fit, ds, trials=10, seed=3).failed_refits == 0
+
     def test_report_json(self):
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
         fit = fit_mle(ds, [2], restarts=2, seed=1)
@@ -311,4 +399,5 @@ class TestBootstrap:
             "sigma_per_photon",
             "sigma_coefficients",
             "trials",
+            "failed_refits",
         }

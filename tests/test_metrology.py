@@ -12,6 +12,7 @@ from fringelab.metrology import (
     _family_coefficients,
     counting_family,
     fisher_at,
+    fisher_terms,
     four_photon_pair_ensemble,
     lambda4_from_p4,
     maximize_fisher,
@@ -74,6 +75,24 @@ class TestFisherAt:
         family = FringeFamily(evaluator=evaluator, classes=(0, 1), n_photons=1)
         with pytest.raises(SingularFisherError):
             fisher_at(family, 0.0)
+
+    def test_richardson_evaluates_each_phase_once(self):
+        family = counting_family(
+            four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.9), 0.0282
+        )
+        seen = []
+
+        def counted(theta):
+            seen.append(theta)
+            return family.evaluator(theta)
+
+        theta, step = 0.4, 1e-4
+        value = fisher_at(FringeFamily(counted, family.classes, family.n_photons), theta, step)
+        assert len(seen) == len(set(seen)) == 5
+        # The fine central difference, as fisher_at computed it before.
+        p0, pp, pm = (family.evaluator(t) for t in (theta, theta + step / 2, theta - step / 2))
+        derivs = {c: (pp[c] - pm[c]) / step for c in family.classes}
+        assert value == fisher_terms({c: p0[c] for c in family.classes}, derivs)
 
     def test_invalid_step(self):
         family = two_photon_family(1.0, 0.0)

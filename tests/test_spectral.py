@@ -273,7 +273,14 @@ class TestHomDipFit:
         import json
 
         fit = HomDipFit(a=0.5, b=-0.4, sigma=2.0, residual=0.0)
-        assert set(json.loads(fit.to_json())) == {"a", "b", "sigma", "residual", "ill_posed"}
+        assert set(json.loads(fit.to_json())) == {
+            "a",
+            "b",
+            "sigma",
+            "residual",
+            "ill_posed",
+            "converged",
+        }
 
     def test_unphysical_zero_delay_probability_rejected(self):
         with pytest.raises(ValueError):
