@@ -27,6 +27,12 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NONCONVERGENCE = 4
 
+# Upper bounds on sizes a config can ask for.  The bootstrap refits all of
+# its trials in one batch, with memory growing as trials times data cells.
+MAX_PHASES = 10_000
+MAX_IPRIMES = 1_000
+MAX_TRIALS = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -45,6 +51,8 @@ def _fmt(x: float) -> str:
 
 
 def _check_keys(data: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -118,23 +126,37 @@ def _build_probe(probe_cfg: dict):
         if kind == "dual_fock":
             _check_keys(probe_cfg, {"type", "n", "indist"}, {"n", "indist"}, "probe")
             return fock.dual_fock_mismatched(int(probe_cfg["n"]), float(probe_cfg["indist"]))
-    except (ValueError, TypeError, ResourceLimitError) as exc:
+    except (ValueError, TypeError, OverflowError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
     raise ConfigError(f"probe.type: unknown probe type '{kind}'")
 
 
 def _number(
-    data: dict, key: str, default, *, above: float, integer: bool = True, where: str = ""
+    data: dict,
+    key: str,
+    default,
+    *,
+    above: float,
+    at_most: float = math.inf,
+    integer: bool = True,
+    where: str = "",
 ) -> int | float:
     """``data[key]`` (``default`` when absent), which must be a finite number
-    greater than ``above`` and, if ``integer``, integral; anything else is a
-    config error that names the field."""
+    greater than ``above``, at most ``at_most`` and, if ``integer``,
+    integral; anything else is a config error that names the field."""
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}{key}: must be a number, got {value!r}")
-    if not math.isfinite(value) or value <= above or (integer and value != int(value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite or not above < value <= at_most or (integer and value != int(value)):
         kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{where}{key}: must be {kind} greater than {above}, got {value!r}")
+        limit = "" if at_most == math.inf else f" and at most {at_most:g}"
+        raise ConfigError(
+            f"{where}{key}: must be {kind} greater than {above}{limit}, got {value!r}"
+        )
     return int(value) if integer else float(value)
 
 
@@ -142,11 +164,11 @@ def _phase_grid(phases_cfg: dict | None) -> np.ndarray:
     if phases_cfg is None:
         phases_cfg = {}
     _check_keys(phases_cfg, {"count", "start", "stop"}, set(), "phases")
-    count = _number(phases_cfg, "count", 32, above=0, where="phases.")
+    count = _number(phases_cfg, "count", 32, above=0, at_most=MAX_PHASES, where="phases.")
     start = _number(phases_cfg, "start", 0.0, above=-math.inf, integer=False, where="phases.")
     stop = _number(phases_cfg, "stop", 2 * math.pi, above=-math.inf, integer=False, where="phases.")
-    if stop <= start:
-        raise ConfigError("phases.stop: must exceed phases.start")
+    if not (start < stop and math.isfinite(stop - start)):
+        raise ConfigError("phases.stop: must exceed phases.start by a finite span")
     return start + (stop - start) * np.arange(count) / count
 
 
@@ -156,11 +178,11 @@ def _iprime_grid(config: dict, default_count: int) -> np.ndarray:
     grid_cfg = config.get("iprimes", {"count": default_count})
     if isinstance(grid_cfg, dict):
         _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
-        count = _number(grid_cfg, "count", None, above=0, where="iprimes.")
+        count = _number(grid_cfg, "count", None, above=0, at_most=MAX_IPRIMES, where="iprimes.")
         return np.linspace(0.0, 1.0, count)
     try:
         grid = np.array([float(v) for v in grid_cfg])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("iprimes: must be a list of numbers or {\"count\": n}") from None
     if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise ConfigError("iprimes: need one or more values in [0, 1]")
@@ -183,21 +205,31 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
     allowed = _EXPERIMENT_KEYS | extra
     required = {"expected_counts_per_point"} | ({"probe"} if need_probe else set())
     _check_keys(data, allowed, required, "config")
+    zeta = _number(data, "zeta", 0.0, above=-math.inf, integer=False)
+    bins = _number(data, "bins_per_arm", 4, above=0)
     try:
-        noise = detection.NoiseAndEfficiencyConfig(
-            zeta=float(data.get("zeta", 0.0)),
-            bins_per_arm=int(data.get("bins_per_arm", 4)),
+        noise = detection.NoiseAndEfficiencyConfig(zeta=zeta, bins_per_arm=bins)
+    except ValueError as exc:
+        raise ConfigError(f"zeta: {exc}") from exc
+    probe = _build_probe(data["probe"]) if need_probe else None
+    # reproduce-fig3 simulates two-photon probes.
+    photons = probe.total_photons if need_probe else 2
+    if photons > noise.bins_per_arm:
+        raise ConfigError(
+            f"bins_per_arm: {photons} photons need at least {photons} bins per arm, "
+            f"got {noise.bins_per_arm}"
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"zeta/bins_per_arm: {exc}") from exc
     return {
-        "probe": _build_probe(data["probe"]) if need_probe else None,
+        "probe": probe,
         "noise": noise,
         "phases": _phase_grid(data.get("phases")),
-        "expected": _number(data, "expected_counts_per_point", None, above=0, integer=False),
+        # Counts stay below 2^53, exact as floats in the fit.
+        "expected": _number(
+            data, "expected_counts_per_point", None, above=0, at_most=1e15, integer=False
+        ),
         "seed": _number(data, "seed", 0, above=-1),
         "restarts": _number(data, "restarts", 8, above=0),
-        "bootstrap_trials": _number(data, "bootstrap_trials", 100, above=1),
+        "bootstrap_trials": _number(data, "bootstrap_trials", 100, above=1, at_most=MAX_TRIALS),
     }
 
 
@@ -322,7 +354,7 @@ def cmd_fit(config: dict, out: Path) -> int:
     if not isinstance(harmonics, list) or not harmonics or len(set(harmonics)) < len(harmonics):
         raise ConfigError(f"harmonics: must be unique positive integers, got {harmonics!r}")
     restarts = _number(config, "restarts", 50, above=0)
-    trials = _number(config, "bootstrap_trials", 200, above=1)
+    trials = _number(config, "bootstrap_trials", 200, above=1, at_most=MAX_TRIALS)
     seed = _number(config, "seed", 0, above=-1)
     rows = _read_csv(str(config["fringe_csv"]), "theta,class,count")
     by_theta: dict[float, dict[int, int]] = {}

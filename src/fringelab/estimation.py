@@ -1,6 +1,6 @@
 """Poisson maximum-likelihood fitting of Fourier fringe models with
 per-outcome detection efficiencies, one damped Newton solve per fit, and
-parametric-bootstrap error bars.
+parametric-bootstrap error bars whose refits are solved as one batch.
 
 The observed counts x of outcome class d at phase theta are modeled as
 Poisson with mean lambda = lambda_t * p(d|theta) * eta_d, where lambda_t is
@@ -11,7 +11,9 @@ enforced by a quadratic penalty on a dense phase grid and, at cells with no
 counts, by linear constraints.  The log-likelihood is concave in the
 remaining coefficients and the penalty is too, so every local maximum is
 global, and Newton's method with an active set for those constraints
-reaches one from the uniform model.
+reaches one from the uniform model.  The fitting code carries a leading
+trial axis, so a bootstrap refits all of its resamples in lockstep, and a
+single fit is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import IllPosedError
-from .metrology import FisherReport, _basis, _maximize_fourier_fisher
+from .metrology import FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -174,22 +177,21 @@ def total_rate_estimate(dataset: FringeDataset, theta: float) -> float:
     raise ValueError(f"phase {theta} is not in the dataset")
 
 
-def _poisson_loglik(x: np.ndarray, lam: np.ndarray) -> float:
-    """Sum of Poisson log-masses; impossible data (x > 0 at rate 0) gives -inf."""
-    if np.any(lam < 0):
-        return -np.inf
+def _poisson_loglik(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Sum of Poisson log-masses over the last two axes, (classes, phases);
+    impossible data (x > 0 at rate 0, or a negative rate) gives -inf."""
     positive = x > 0
-    if np.any(positive & (lam <= 0)):
-        return -np.inf
+    impossible = ((lam < 0) | (positive & (lam <= 0))).any(axis=(-2, -1))
     safe = np.where(lam > 0, lam, 1.0)
     terms = np.where(positive, x * np.log(safe), 0.0) - lam - gammaln(x + 1.0)
-    return float(terms.sum())
+    total = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    return np.where(impossible, -np.inf, total)
 
 
 def _rates(
     model_probs: np.ndarray, lam_t: np.ndarray, eta: np.ndarray
 ) -> np.ndarray:
-    return lam_t[None, :] * model_probs * eta[:, None]
+    return lam_t[..., None, :] * model_probs * eta[:, None]
 
 
 def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
@@ -204,34 +206,25 @@ def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
     thetas, counts, eta = dataset.arrays()
     lam_t = (counts / eta[:, None]).sum(axis=0)
     lam = _rates(model.probs_at(thetas), lam_t, eta)
-    return _poisson_loglik(counts, lam)
+    return float(_poisson_loglik(counts, lam))
 
 
 # ---------------------------------------------------------------------------
 # Fitting.
 
 
-class _FitProblem:
-    """Precomputed arrays and the penalized objective for one dataset.
+class _Geometry:
+    """What every trial of a batch shares: classes, harmonics, phases, and
+    the affine maps from the free coefficients to the class probabilities.
 
-    Class probabilities are affine in the free coefficients (the rows of
-    every class but the last): ``rows @ free.ravel() + offset``, with
-    ``cell_rows`` at the data cells and ``grid_rows`` on the penalty grid.
-    A zero-count cell with a nonzero total adds only -lambda, so the optimum
-    may sit on its wall lambda >= 0; ``walls`` marks one cell per distinct
-    wall.  ``extra_penalty_thetas`` lets the fit loop densify the penalty
-    where a violation was found between the base grid points.
+    The free coefficients are the rows of every class but the last,
+    flattened; a class probability is ``rows @ free + offset``, with
+    ``cell_rows`` at the data cells (class-major) and ``grid_rows`` on the
+    base penalty grid.  Phases a period of the model apart give the same
+    constraint row; cells with the same row share a ``row_group``.
     """
 
-    def __init__(
-        self,
-        dataset: FringeDataset,
-        harmonics: tuple[int, ...],
-        extra_penalty_thetas: tuple[float, ...] = (),
-    ):
-        self.classes = dataset.classes
-        self.harmonics = harmonics
-        thetas, counts, eta = dataset.arrays()
+    def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
         distinct = np.unique(thetas)
         if distinct.size < 8:
             raise IllPosedError(
@@ -239,127 +232,285 @@ class _FitProblem:
             )
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
-        lam_t = (counts / eta[:, None]).sum(axis=0)
-        self.counts = counts.ravel()
-        self.rate_scale = (eta[:, None] * lam_t[None, :]).ravel()
-        self.seen = self.counts > 0
-        self.lgamma_const = float(gammaln(self.counts + 1.0).sum())
-        # A dip below zero at the optimum shrinks as 1/mu.  At 10 per count
-        # the exact maximum of a zero-count fit dipped by up to 7e-5, which
-        # the final nonnegativity check rejects.
-        self.mu = 1e4 * (1.0 + float(self.counts.sum()))
-        self.n_free = len(self.classes) - 1
+        self.thetas = thetas
+        self.classes = classes
+        self.harmonics = harmonics
+        self.n_free = len(classes) - 1
         self.n_coef = 1 + 2 * len(harmonics)
         self.target = np.zeros(self.n_coef)
         self.target[0] = 1.0
-        grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-        if extra_penalty_thetas:
-            grid = np.concatenate([grid, np.array(extra_penalty_thetas)])
-        self.cell_rows, self.cell_offset = self._affine(thetas)
-        self.grid_rows, self.grid_offset = self._affine(grid)
-        # Phases a period of the model apart give the same wall; keep one.
-        wall = np.flatnonzero(~self.seen & (self.rate_scale > 0))
-        _, first = np.unique(self.cell_rows[wall].round(12), axis=0, return_index=True)
-        self.walls = np.zeros_like(self.seen)
-        self.walls[wall[first]] = True
+        self.cell_rows, self.cell_offset = self.affine(thetas)
+        self.grid_rows, self.grid_offset = self.affine(
+            np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        )
+        self.rows = np.vstack([self.cell_rows, self.grid_rows])
+        self.offset = np.concatenate([self.cell_offset, self.grid_offset])
+        self.row_norms = np.linalg.norm(self.cell_rows, axis=1)
+        self.row_group = np.unique(self.cell_rows.round(12), axis=0, return_inverse=True)[1]
 
-    def _affine(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and offsets giving every class at ``thetas``, class-major: a
-        class is its own free row, the last is 1 minus the sum of them."""
+    def affine(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (..., classes * phases, free) and offsets giving every class
+        at ``thetas`` (..., phases), class-major: a class is its own free row,
+        the last is 1 minus the sum of them."""
         mix = np.vstack([np.eye(self.n_free), -np.ones(self.n_free)])
-        offset = np.repeat(np.eye(self.n_free + 1)[-1], thetas.size)
-        return np.kron(mix, _basis(self.harmonics, thetas).T), offset
+        basis = np.moveaxis(_basis(self.harmonics, thetas), 0, -1)
+        rows = mix[:, None, :, None] * basis[..., None, :, None, :]
+        shape = thetas.shape[:-1] + (mix.shape[0] * thetas.shape[-1], mix.shape[1] * self.n_coef)
+        offset = np.repeat(np.eye(self.n_free + 1)[-1], thetas.shape[-1])
+        return rows.reshape(shape), offset
+
+    def uniform(self, trials: int) -> np.ndarray:
+        return np.tile(self.target / len(self.classes), (trials, self.n_free))
 
     def assemble(self, free: np.ndarray) -> np.ndarray:
-        free = np.reshape(free, (self.n_free, self.n_coef))
-        return np.vstack([free, self.target - free.sum(axis=0)])
+        """Coefficients (trials, classes, coefficients) from free (trials, free)."""
+        free = np.reshape(free, (len(free), self.n_free, self.n_coef))
+        return np.concatenate([free, (self.target - free.sum(axis=1))[:, None]], axis=1)
+
+
+class _FitProblem:
+    """The penalized objective of a batch of trials on one geometry.
+
+    Per-trial arrays lead with the trial axis: counts, rates per unit
+    probability, the penalty weight, and the walls.  A zero-count cell with
+    a nonzero total adds only -lambda, so the optimum may sit on its wall
+    lambda >= 0; ``walls`` marks one cell per distinct wall.  ``extra``
+    (trials, points) densifies each trial's penalty grid where its fit
+    dipped between the base grid points.
+    """
+
+    def __init__(self, geometry: _Geometry, counts: np.ndarray, eta: np.ndarray, extra: np.ndarray):
+        self.geometry = geometry
+        lam_t = (counts / eta[:, None]).sum(axis=-2)
+        self.counts = counts.reshape(len(counts), -1)
+        self.rate_scale = (eta[:, None] * lam_t[:, None, :]).reshape(self.counts.shape)
+        self.seen = self.counts > 0
+        self.lgamma_const = gammaln(self.counts + 1.0).sum(axis=1)
+        # A dip below zero at the optimum shrinks as 1/mu.  At 10 per count
+        # the exact maximum of a zero-count fit dipped by up to 7e-5, which
+        # the final nonnegativity check rejects.
+        self.mu = 1e4 * (1.0 + self.counts.sum(axis=1))
+        # Keep the first wall cell of each group.
+        trial, cell = np.nonzero(~self.seen & (self.rate_scale > 0))
+        key = trial * (geometry.row_group.max() + 1) + geometry.row_group[cell]
+        first = np.unique(key, return_index=True)[1]
+        self.walls = np.zeros_like(self.seen)
+        self.walls[trial[first], cell[first]] = True
+        self.extra_rows, self.extra_offset = geometry.affine(extra)
 
     def objective(
-        self, free: np.ndarray
-    ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-        """Penalized log-likelihood with its gradient and Hessian in the
-        flattened free coefficients; (-inf, None, None) unless lambda > 0 where
-        a count was seen and lambda >= -_NEG_TOL (rounding) on the walls."""
-        z = np.ravel(free)
-        p = self.cell_rows @ z + self.cell_offset
-        if p[self.seen].min(initial=1.0) <= 0.0 or p[self.walls].min(initial=0.0) < -_NEG_TOL:
-            return -np.inf, None, None
-        x, lam = self.counts[self.seen], self.rate_scale * p
-        violation = np.minimum(self.grid_rows @ z + self.grid_offset, 0.0)
-        ll = float((x * np.log(lam[self.seen])).sum() - lam.sum()) - self.lgamma_const
-        value = ll - self.mu * float(violation @ violation)
-        dp = -self.rate_scale
-        dp[self.seen] += x / p[self.seen]
-        grad = self.cell_rows.T @ dp - 2.0 * self.mu * (self.grid_rows.T @ violation)
-        # Curvature -x/p^2 at each cell with counts and -2 mu at each grid
+        self, free: np.ndarray, trials: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Penalized log-likelihood (b,) of ``trials`` at ``free`` (b, n),
+        with its gradient (b, n) and Hessian (b, n, n); the value is -inf,
+        and the derivatives meaningless, unless lambda > 0 where a count was
+        seen and lambda >= -_NEG_TOL (rounding) on the walls."""
+        g = self.geometry
+        x, scale, seen = self.counts[trials], self.rate_scale[trials], self.seen[trials]
+        mu = self.mu[trials]
+        values = _each(g.rows, free)
+        values += g.offset
+        p, grid = values[:, : x.shape[1]], values[:, x.shape[1] :]
+        feasible = ~((seen & (p <= 0.0)) | (self.walls[trials] & (p < -_NEG_TOL))).any(axis=1)
+        lam = scale * p
+        # log(tiny) only where no count was seen, so it is multiplied by 0.
+        ll = (x * np.log(np.maximum(lam, _TINY))).sum(axis=1) - lam.sum(axis=1)
+        p_seen = np.where(seen, p, 1.0)
+        grad = _each(g.cell_rows.T, np.where(seen, x / p_seen, 0.0) - scale)
+        # Curvature -x/p^2 at each cell with counts and -2 mu at each penalty
         # point below zero.
-        seen = self.cell_rows[self.seen]
-        below = self.grid_rows[violation < 0.0]
-        hess = -(seen.T * (x / p[self.seen] ** 2)) @ seen - 2.0 * self.mu * (below.T @ below)
+        weight = np.where(seen, x / p_seen**2, 0.0)
+        hess = -(g.cell_rows.T * weight[:, None, :]) @ g.cell_rows
+        penalty = np.zeros(len(free))
+        dips = np.flatnonzero((grid < 0.0).any(axis=1))
+        if dips.size:
+            below = grid[dips]
+            np.minimum(below, 0.0, out=below)
+            penalty[dips] = (below * below).sum(axis=1)
+            grad[dips] -= 2.0 * mu[dips, None] * _each(g.grid_rows.T, below)
+            trial, point = np.nonzero(below < 0.0)
+            count = np.bincount(trial, minlength=dips.size)
+            # Each trial sums its own points as one product of its own
+            # size, so its bits do not depend on the batch.
+            for size in np.unique(count[count > 0]):
+                group = np.flatnonzero(count == size)
+                r = g.grid_rows[point[np.isin(trial, group)]].reshape(group.size, size, -1)
+                curvature = r.transpose(0, 2, 1) @ r
+                hess[dips[group]] -= 2.0 * mu[dips[group], None, None] * curvature
+        if self.extra_rows.shape[1]:
+            rows = self.extra_rows[trials]
+            extra = np.minimum((rows @ free[:, :, None])[..., 0] + self.extra_offset, 0.0)
+            penalty += (extra * extra).sum(axis=1)
+            grad -= 2.0 * mu[:, None] * (extra[:, None, :] @ rows)[:, 0]
+            hess -= 2.0 * mu[:, None, None] * (
+                (rows.transpose(0, 2, 1) * (extra < 0.0)[:, None, :]) @ rows
+            )
+        value = np.where(feasible, ll - self.lgamma_const[trials] - mu * penalty, -np.inf)
         return value, grad, hess
+
+
+def _each(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for each row v of ``vectors``, one product per trial so
+    that a trial's bits do not depend on the batch (a 2-D product's do)."""
+    return (matrix @ vectors[:, :, None])[..., 0]
+
+
+def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of linear systems; NaN rows for singular ones."""
+    try:
+        return np.linalg.solve(kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i, (a, b) in enumerate(zip(kkt, rhs)):
+            try:
+                out[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _newton(
     problem: _FitProblem, free0: np.ndarray, max_iter: int = 200
-) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton ascent from ``free0`` with an active set on the walls;
-    returns (free, objective, converged).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton ascent of every trial from ``free0`` (trials, n) with an
+    active set on its walls; returns (free, objective, converged).
 
-    Each step maximizes the quadratic model with the active walls held at
-    zero, stops at the first other wall it would cross (which becomes
-    active), goes at most 0.9 of the way to the zero of a cell with counts,
-    and backtracks until the objective rises.  Once the Newton decrement is
-    below 1e-12 * (1 + sum of counts) (absolute: the objective's last digits
-    are rounding), the wall with the most negative multiplier is released;
-    with none negative the KKT conditions hold.  A ridge of 1e-12 of the
-    largest curvature lets a step run along a direction the data leave flat
-    until a wall stops it.
+    The trials run in lockstep, each deciding its own step: it maximizes the
+    quadratic model with its active walls held at zero, stops at the first
+    other wall it would cross (which becomes active), goes at most 0.9 of the
+    way to the zero of a cell with counts, and backtracks until the objective
+    rises.  Once the Newton decrement is below 1e-12 * (1 + sum of counts)
+    (absolute: the objective's last digits are rounding), the wall with the
+    most negative multiplier is released; with none negative the KKT
+    conditions hold and the trial stops.  A ridge of 1e-12 of the largest
+    curvature lets a step run along a direction the data leave flat until a
+    wall stops it.  The KKT systems of the running trials are solved as one
+    stack per active-set size.
     """
-    z = np.ravel(free0).astype(float)
-    value, grad, hess = problem.objective(z)
-    if not np.isfinite(value):
-        return z, value, False
-    tol = 1e-12 * (1.0 + float(problem.counts.sum()))
-    rows, offset = problem.cell_rows, problem.cell_offset
-    row_norms = np.linalg.norm(rows, axis=1)
+    g = problem.geometry
+    rows, offset = g.cell_rows, g.cell_offset
+    z = np.array(free0, dtype=float)
+    n_trials, n = z.shape
+    value, grad, hess = problem.objective(z, np.arange(n_trials))
+    tol = 1e-12 * (1.0 + problem.counts.sum(axis=1))
     candidates = problem.seen | problem.walls
-    active: list[int] = []
+    active = np.zeros(candidates.shape, dtype=bool)
+    converged = np.zeros(n_trials, dtype=bool)
+    running = np.isfinite(value)
     for _ in range(max_iter):
-        a = rows[active]
-        curvature = hess - 1e-12 * (1.0 + np.abs(np.diag(hess)).max()) * np.eye(z.size)
-        kkt = np.block([[curvature, a.T], [a, np.zeros((len(active), len(active)))]])
-        try:
-            solution = np.linalg.solve(kkt, np.concatenate([-grad, -(a @ z + offset[active])]))
-        except np.linalg.LinAlgError:
-            return z, value, False
-        step, multipliers = solution[: z.size], solution[z.size :]
-        if -step @ curvature @ step <= tol:
-            if multipliers.min(initial=0.0) >= -tol:
-                return z, value, True
-            del active[int(np.argmin(multipliers))]
-            continue
+        idx = np.flatnonzero(running)
+        if not idx.size:
+            break
+        order = np.argsort(~active[idx], axis=1, kind="stable")
+        size = active[idx].sum(axis=1)
+        h = hess[idx]
+        ridge = 1e-12 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
+        curvature = h - ridge[:, None, None] * np.eye(n)
+        solution = np.zeros((idx.size, n + size.max()))
+        # LAPACK's rounding depends on the size of a system, padding
+        # included, so each trial is solved at the size of its own active
+        # set: its steps are then the same bits in any batch.
+        for width in np.flatnonzero(np.bincount(size)):
+            group = np.flatnonzero(size == width)
+            kkt, rhs = curvature[group], -grad[idx[group]]
+            if width:
+                held = order[group, :width]
+                a = rows[held]
+                slack = (a @ z[idx[group], :, None])[..., 0] + offset[held]
+                kkt = np.block([[kkt, a.transpose(0, 2, 1)], [a, np.zeros((group.size, width, width))]])
+                rhs = np.concatenate([rhs, -slack], axis=1)
+            solution[group, : n + width] = _solve_stack(kkt, rhs)
+        step, multipliers = solution[:, :n], solution[:, n:]
+        solved = np.isfinite(solution).all(axis=1)
+        running[idx[~solved]] = False
+        decrement = -((curvature @ step[:, :, None])[..., 0] * step).sum(axis=1)
+        flat = solved & (decrement <= tol[idx])
+        done = flat & (multipliers.min(axis=1, initial=0.0) >= -tol[idx])
+        converged[idx[done]] = True
+        running[idx[done]] = False
+        release = np.flatnonzero(flat & ~done)
+        if release.size:
+            worst = np.argmin(multipliers[release], axis=1)
+            active[idx[release], order[release, worst]] = False
 
-        slope = rows @ step
-        crossing = candidates & (slope < -1e-9 * np.linalg.norm(step) * row_norms)
-        crossing[active] = False
+        move = np.flatnonzero(solved & ~flat)
+        if not move.size:
+            continue
+        trials, step = idx[move], step[move]
+        slope = _each(rows, step)
+        crossing = (
+            candidates[trials]
+            & ~active[trials]
+            & (slope < -1e-9 * np.sqrt((step * step).sum(axis=1))[:, None] * g.row_norms)
+        )
+        level = np.maximum(_each(rows, z[trials]) + offset, 0.0)
         ratios = np.full(slope.shape, np.inf)
-        ratios[crossing] = np.maximum(rows[crossing] @ z + offset[crossing], 0.0) / -slope[crossing]
-        ratios[problem.seen] *= 0.9
-        r = int(np.argmin(ratios))
-        alpha = min(1.0, float(ratios[r]))
-        blocker = r if ratios[r] < 1.0 and problem.walls[r] else None
-        gain = float(grad @ step)
+        ratios[crossing] = level[crossing] / -slope[crossing]
+        ratios[problem.seen[trials]] *= 0.9
+        r = np.argmin(ratios, axis=1)
+        nearest = ratios[np.arange(move.size), r]
+        alpha = np.minimum(1.0, nearest)
+        blocker = (nearest < 1.0) & problem.walls[trials, r]
+        gain = (grad[trials] * step).sum(axis=1)
+        searching = np.arange(move.size)
         for _ in range(60):
-            t_value, t_grad, t_hess = problem.objective(z + alpha * step)
-            if t_value >= value + 1e-4 * alpha * gain:
+            t = trials[searching]
+            t_value, t_grad, t_hess = problem.objective(
+                z[t] + alpha[searching, None] * step[searching], t
+            )
+            ok = t_value >= value[t] + 1e-4 * alpha[searching] * gain[searching]
+            accept, t = searching[ok], t[ok]
+            z[t] += alpha[accept, None] * step[accept]
+            value[t], grad[t], hess[t] = t_value[ok], t_grad[ok], t_hess[ok]
+            active[t[blocker[accept]], r[accept][blocker[accept]]] = True
+            searching = searching[~ok]
+            if not searching.size:
                 break
-            alpha, blocker = 0.5 * alpha, None
+            alpha[searching] *= 0.5
+            blocker[searching] = False
         else:
-            return z, value, False
-        z, value, grad, hess = z + alpha * step, t_value, t_grad, t_hess
-        if blocker is not None:
-            active.append(blocker)
-    return z, value, False
+            running[trials[searching]] = False
+    return z, value, converged
+
+
+def _fit_batch(
+    geometry: _Geometry, counts: np.ndarray, eta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every trial of ``counts`` (trials, classes, phases) as ``fit_mle``
+    fits one; returns the coefficients (trials, classes, coefficients), the
+    log-likelihoods and the converged flags.
+
+    Each round re-solves, as a smaller batch, only the trials whose
+    continuous minimum still dips below zero, with three more penalty points
+    around each one's dip; every trial's arithmetic is its own, so a trial
+    gets the same bits in any batch.
+    """
+    n_trials = len(counts)
+    coeff = np.empty((n_trials, len(geometry.classes), geometry.n_coef))
+    converged = np.empty(n_trials, dtype=bool)
+    worst = np.empty(n_trials)
+    todo, extra = np.arange(n_trials), np.zeros((n_trials, 0))
+    for _ in range(4):
+        problem = _FitProblem(geometry, counts[todo], eta, extra)
+        free, _value, converged[todo] = _newton(problem, geometry.uniform(todo.size))
+        coeff[todo] = geometry.assemble(free)
+        worst[todo], theta = _continuous_minimum(coeff[todo], geometry.harmonics)
+        dips = worst[todo] < -_NEG_TOL
+        todo = todo[dips]
+        if not todo.size:
+            break
+        extra = np.concatenate([extra[dips], theta[dips, None] + [-2e-3, 0.0, 2e-3]], axis=1)
+
+    negative = np.flatnonzero(worst < 0.0)
+    if negative.size:
+        coeff[negative], retained = _project_feasible(coeff[negative], geometry.harmonics)
+        # The penalty left a material violation; the projected model is
+        # kept but flagged.
+        converged[negative[retained < 1.0 - 1e-4]] = False
+    lam_t = (counts / eta[:, None]).sum(axis=-2)
+    probs = coeff @ _basis(geometry.harmonics, geometry.thetas)
+    ll = _poisson_loglik(counts, _rates(probs, lam_t, eta))
+    return coeff, ll, converged & np.isfinite(ll)
 
 
 def fit_mle(
@@ -374,8 +525,11 @@ def fit_mle(
     (one class eliminated to enforce normalization exactly), so one damped
     Newton solve from the uniform model finds the maximum (see ``_newton``).
     A model dip that slips between the penalty grid points is added to the
-    grid and the solve repeated.  The result must then pass a final
-    nonnegativity check or is returned with converged = False.
+    grid and the solve repeated.  The fit is converged when the Newton solve
+    ends with its KKT certificate, the final projection onto nonnegative
+    probabilities keeps at least 1 - 1e-4 of the model, and the
+    log-likelihood is finite.  This is the one-trial case of the batch the
+    bootstrap refits with.
 
     ``restarts`` (at least 1) and ``seed`` are accepted for existing callers
     and have no effect: there is one optimum and no random start.
@@ -383,36 +537,22 @@ def fit_mle(
     if int(restarts) < 1:
         raise ValueError("restarts must be at least 1")
     harmonics = tuple(sorted(int(k) for k in harmonics))
-    extra: list[float] = []
-    for _ in range(4):
-        problem = _FitProblem(dataset, harmonics, extra_penalty_thetas=tuple(extra))
-        uniform = np.tile(problem.target / len(problem.classes), (problem.n_free, 1))
-        free, _value, converged = _newton(problem, uniform)
-        worst, theta = _continuous_minimum(problem.assemble(free), harmonics)
-        if worst >= -_NEG_TOL:
-            break
-        extra.extend([theta - 2e-3, theta, theta + 2e-3])
-
-    coeff, shrink = _project_feasible(
-        problem.assemble(free), harmonics, len(problem.classes)
+    thetas, counts, eta = dataset.arrays()
+    coeff, ll, converged = _fit_batch(
+        _Geometry(thetas, dataset.classes, harmonics), counts[None], eta
     )
-    if shrink < 1.0 - 1e-4:
-        # The penalty left a material violation; report the projected model
-        # but flag it.
-        converged = False
-    model = FourierFringeModel(problem.classes, harmonics, coeff)
-    ll = log_likelihood(model, dataset)
     return FitResult(
-        model=model,
-        log_likelihood=ll,
-        converged=bool(converged and np.isfinite(ll)),
+        model=FourierFringeModel(dataset.classes, harmonics, coeff[0]),
+        log_likelihood=float(ll[0]),
+        converged=bool(converged[0]),
     )
 
 
 def _continuous_minimum(
     coeff: np.ndarray, harmonics: tuple[int, ...]
-) -> tuple[float, float]:
-    """Continuous minimum of the class probabilities and its phase.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous minimum over classes and phase of each trial's class
+    probabilities, and its phase; ``coeff`` is (trials, classes, coefficients).
 
     Grid minima sit between samples for oscillatory models; a parabolic
     vertex polish per class pins the true dip, which matters because a model
@@ -420,47 +560,53 @@ def _continuous_minimum(
     """
     grid = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     probs = coeff @ _basis(harmonics, grid)
-    flat = int(np.argmin(probs))
-    worst = float(probs.flat[flat])
-    worst_theta = float(grid[flat % len(grid)])
+    flat = probs.reshape(len(probs), -1)
+    lowest = np.argmin(flat, axis=1)
     step = grid[1] - grid[0]
-    for k_idx in range(probs.shape[0]):
-        row = probs[k_idx]
-        i = int(np.argmin(row))
-        f_minus, f0, f_plus = row[i - 1], row[i], row[(i + 1) % len(grid)]
-        curve = f_plus - 2.0 * f0 + f_minus
-        if curve <= 0.0:
-            continue
-        offset = -0.5 * step * (f_plus - f_minus) / curve
-        if abs(offset) > step:
-            continue
-        theta = float(grid[i] + offset)
-        value = float(coeff[k_idx] @ _basis(harmonics, np.array([theta]))[:, 0])
-        if value < worst:
-            worst, worst_theta = value, theta
-    return worst, worst_theta
+    i = np.argmin(probs, axis=-1)[..., None]
+    f_minus = np.take_along_axis(probs, (i - 1) % grid.size, axis=-1)[..., 0]
+    f0 = np.take_along_axis(probs, i, axis=-1)[..., 0]
+    f_plus = np.take_along_axis(probs, (i + 1) % grid.size, axis=-1)[..., 0]
+    curve = f_plus - 2.0 * f0 + f_minus
+    offset = -0.5 * step * (f_plus - f_minus) / np.where(curve > 0.0, curve, 1.0)
+    polished = (curve > 0.0) & (np.abs(offset) <= step)
+    theta = grid[i[..., 0]] + offset
+    value = (coeff * np.moveaxis(_basis(harmonics, theta), 0, -1)).sum(axis=-1)
+    # Candidates in order: the grid minimum, then each class's vertex; the
+    # first of equal values wins.
+    values = np.concatenate(
+        [flat[np.arange(len(flat)), lowest][:, None], np.where(polished, value, np.inf)], axis=1
+    )
+    thetas = np.concatenate([grid[lowest % grid.size][:, None], theta], axis=1)
+    pick = np.argmin(values, axis=1)[:, None]
+    return (
+        np.take_along_axis(values, pick, axis=1)[:, 0],
+        np.take_along_axis(thetas, pick, axis=1)[:, 0],
+    )
 
 
 def _project_feasible(
-    coeff: np.ndarray, harmonics: tuple[int, ...], n_classes: int
-) -> tuple[np.ndarray, float]:
-    """Mix toward the uniform model until probabilities are nonnegative.
+    coeff: np.ndarray, harmonics: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mix each trial toward the uniform model until its probabilities are
+    nonnegative; ``coeff`` is (trials, classes, coefficients).
 
     The mixture (1-t)*model + t*uniform keeps both sum constraints for any
     t, and boundary-touching optima only need t within rounding of zero.
     The continuous minimum is used so no sub-grid zero crossing survives.
-    Returns the projected coefficients and the retained fraction 1 - t.
+    Returns the projected coefficients and the retained fractions 1 - t.
     """
+    n_classes = coeff.shape[1]
     projected = coeff
-    retained = 1.0
+    retained = np.ones(len(coeff))
     for _ in range(3):
-        worst, _theta = _continuous_minimum(projected, harmonics)
-        if worst >= 0.0:
+        worst = np.minimum(_continuous_minimum(projected, harmonics)[0], 0.0)
+        if not worst.any():
             break
         t = -worst / (1.0 / n_classes - worst)
-        t = min(1.0, t * (1.0 + 1e-12) + 1e-16)
-        projected = projected * (1.0 - t)
-        projected[:, 0] += t / n_classes
+        t = np.where(worst < 0.0, np.minimum(1.0, t * (1.0 + 1e-12) + 1e-16), 0.0)
+        projected = projected * (1.0 - t)[:, None, None]
+        projected[:, :, 0] += t[:, None] / n_classes
         retained *= 1.0 - t
     return projected, retained
 
@@ -472,7 +618,7 @@ def fisher_from_model(model: FourierFringeModel) -> FisherReport:
     ``metrology.maximize_fisher``, with its guard against rounding next to a
     vanishing class probability.
     """
-    return _maximize_fourier_fisher(
+    return _fisher_report(
         model.coefficients, model.harmonics, max(model.classes), (0.0, math.pi)
     )
 
@@ -507,10 +653,11 @@ def bootstrap_errors(
     """Parametric bootstrap: resample counts from the fitted rates and refit.
 
     Each trial draws Poisson counts at the original phases with the original
-    per-phase totals and efficiencies, refits, and records the refitted
-    coefficients and maximum Fisher information.  Each trial draws from its
-    own sub-seed spawned from ``seed``, so results do not depend on
-    evaluation order.
+    per-phase totals and efficiencies from its own sub-seed spawned from
+    ``seed``, so results do not depend on evaluation order.  All trials are
+    refitted in one batch, each exactly as ``fit_mle`` would fit it (same
+    optimum, same converged flag), and the spread of the refitted
+    coefficients and maximum Fisher information is reported.
     """
     trials = int(trials)
     if trials < 2:
@@ -520,25 +667,15 @@ def bootstrap_errors(
     lam = _rates(fit.model.probs_at(thetas), lam_t, eta)
     lam = np.maximum(lam, 0.0)
     children = np.random.SeedSequence(seed).spawn(trials)
-    classes = dataset.classes
-    max_fs = np.empty(trials)
-    coefs = np.empty((trials,) + fit.model.coefficients.shape)
-    failed = 0
-    for t in range(trials):
-        fake = np.random.default_rng(children[t]).poisson(lam)
-        points = tuple(
-            (float(th), {c: int(fake[k, j]) for k, c in enumerate(classes)})
-            for j, th in enumerate(thetas)
-        )
-        refit = fit_mle(FringeDataset(points, dataset.efficiencies), fit.model.harmonics)
-        failed += not refit.converged
-        max_fs[t] = fisher_from_model(refit.model).max_fisher
-        coefs[t] = refit.model.coefficients
-    n_photons = max(classes)
+    fake = np.array([np.random.default_rng(child).poisson(lam) for child in children], dtype=float)
+    harmonics = tuple(sorted(fit.model.harmonics))
+    coefs, _ll, converged = _fit_batch(_Geometry(thetas, dataset.classes, harmonics), fake, eta)
+    max_fs = _maximize_fourier_fisher(coefs, harmonics, (0.0, math.pi))[3]
+    n_photons = max(dataset.classes)
     return BootstrapReport(
         sigma_max_fisher=float(np.std(max_fs, ddof=1)),
         sigma_per_photon=float(np.std(max_fs / n_photons, ddof=1)),
         sigma_coefficients=np.std(coefs, axis=0, ddof=1),
         trials=trials,
-        failed_refits=failed,
+        failed_refits=int(trials - converged.sum()),
     )

@@ -90,10 +90,6 @@ class MultimodeFockState:
     def total_photons(self) -> int:
         return self._n  # type: ignore[attr-defined]
 
-    @property
-    def internal_labels(self) -> tuple[int, ...]:
-        return tuple(sorted({i for occ in self.amplitudes for _, i, _ in occ}))
-
     def path_totals(self, occ: Occupation) -> tuple[int, int]:
         n1 = sum(c for p, _, c in occ if p == 1)
         return n1, self.total_photons - n1
@@ -155,10 +151,6 @@ def mix(states: StateEnsemble) -> StateEnsemble:
 
 def _poly_to_amplitudes(poly: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
     return {occ: coeff * _sqrt_factorials(occ) for occ, coeff in poly.items() if coeff != 0}
-
-
-def _amplitudes_to_poly(amps: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
-    return {occ: amp / _sqrt_factorials(occ) for occ, amp in amps.items()}
 
 
 def _poly_mul(

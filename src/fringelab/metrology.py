@@ -143,51 +143,72 @@ def _fourier_fisher(
 ) -> np.ndarray:
     """Exact Fisher information sum d^2/p of Fourier class rows at each phase.
 
-    ``coeff`` rows are [c0, cos_k, sin_k, ...] in the order of ``harmonics``.
+    ``coeff`` rows are [c0, cos_k, sin_k, ...] in the order of ``harmonics``,
+    shaped (..., classes, coefficients); ``thetas`` is one grid for every
+    leading index or one grid per leading index, (..., phases).
     """
     k = np.asarray(harmonics, dtype=float)[:, None]
-    kt = k * thetas[None, :]
+    kt = k * thetas[..., None, :]
     cos, sin = np.cos(kt), np.sin(kt)
-    a, b = coeff[:, 1::2], coeff[:, 2::2]
-    p = coeff[:, :1] + a @ cos + b @ sin
+    a, b = coeff[..., 1::2], coeff[..., 2::2]
+    p = coeff[..., :1] + a @ cos + b @ sin
     d = b @ (k * cos) - a @ (k * sin)
     live = p > _ROUNDING
-    return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=0)
+    return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=-2)
+
+
+# Fractions of a zoom interval at which it is sampled.
+_ZOOM = np.arange(129) / 128
 
 
 def _maximize_fourier_fisher(
-    coeff: np.ndarray,
-    harmonics: Sequence[int],
-    n_photons: int,
-    theta_domain: tuple[float, float],
-) -> FisherReport:
-    """Maximum over phase of the exact information of Fourier class rows.
+    coeff: np.ndarray, harmonics: Sequence[int], theta_domain: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum over phase of the exact information of Fourier class rows,
+    for each trial of ``coeff`` (trials, classes, coefficients).
 
     A 256-cell midpoint scan locates the best cell; three nested 129-point
     zooms, each spanning one spacing of the previous level on either side and
     clipped to the domain, pin interior and end-of-domain maxima to a spacing
-    of 64^-3 cells.
+    of 64^-3 cells.  Returns the scan grid, the scan values (trials, 256),
+    and each trial's argmax and maximum.
     """
     lo, hi = theta_domain
     h = (hi - lo) / 256
     grid = lo + (np.arange(256) + 0.5) * h
     values = _fourier_fisher(coeff, harmonics, grid)
-    i = int(np.argmax(values))
-    theta_star, f_star = float(grid[i]), float(values[i])
+    trials = np.arange(len(coeff))
+    i = np.argmax(values, axis=1)
+    theta_star, f_star = grid[i], values[trials, i]
     half = h
     for _ in range(3):
-        zoom = np.linspace(max(lo, theta_star - half), min(hi, theta_star + half), 129)
+        start = np.maximum(lo, theta_star - half)
+        zoom = start[:, None] + (np.minimum(hi, theta_star + half) - start)[:, None] * _ZOOM
         zoom_values = _fourier_fisher(coeff, harmonics, zoom)
-        j = int(np.argmax(zoom_values))
-        if zoom_values[j] > f_star:
-            theta_star, f_star = float(zoom[j]), float(zoom_values[j])
+        j = np.argmax(zoom_values, axis=1)
+        better = zoom_values[trials, j] > f_star
+        theta_star = np.where(better, zoom[trials, j], theta_star)
+        f_star = np.where(better, zoom_values[trials, j], f_star)
         half /= 64.0
+    return grid, values, theta_star, f_star
+
+
+def _fisher_report(
+    coeff: np.ndarray,
+    harmonics: Sequence[int],
+    n_photons: int,
+    theta_domain: tuple[float, float],
+) -> FisherReport:
+    """``FisherReport`` of one set of Fourier class rows."""
+    grid, values, theta_star, f_star = _maximize_fourier_fisher(
+        coeff[None], harmonics, theta_domain
+    )
     return FisherReport(
         theta_grid=tuple(float(t) for t in grid),
-        fisher_values=tuple(float(v) for v in values),
-        max_fisher=f_star,
-        argmax_theta=theta_star,
-        per_photon=f_star / n_photons,
+        fisher_values=tuple(float(v) for v in values[0]),
+        max_fisher=float(f_star[0]),
+        argmax_theta=float(theta_star[0]),
+        per_photon=float(f_star[0]) / n_photons,
     )
 
 
@@ -220,9 +241,7 @@ def maximize_fisher(family: FringeFamily) -> FisherReport:
     probability (see ``_ROUNDING``).
     """
     coeff, harmonics = _family_coefficients(family)
-    return _maximize_fourier_fisher(
-        coeff, harmonics, family.n_photons, family.theta_domain
-    )
+    return _fisher_report(coeff, harmonics, family.n_photons, family.theta_domain)
 
 
 def small_angle_fisher(n: int, indist: float) -> float:

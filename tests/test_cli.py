@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fringelab import cli
 from fringelab.cli import main
@@ -363,6 +369,15 @@ _FIG3 = {"expected_counts_per_point": 1000, "iprimes": [0.5]}
         ("predict", {"mode": "two_photon_curve", "zeta": "x"}, "zeta"),
         ("predict", {"mode": "four_photon_extremes", "lambda4": None, "zeta": 0.0}, "lambda4"),
         ("predict", {"mode": "small_angle", "n": None, "indist": 1.0}, "n"),
+        ("simulate", {**_SIMULATE, "expected_counts_per_point": 1e30}, "expected_counts_per_point"),
+        ("reproduce-fig3", {**_FIG3, "expected_counts_per_point": 1e30}, "expected_counts_per_point"),
+        ("simulate", {**_SIMULATE, "phases": {"count": 10**30}}, "phases.count"),
+        ("simulate", {**_SIMULATE, "phases": {"start": -1e308, "stop": 1e308}}, "phases.stop"),
+        ("simulate", {**_SIMULATE, "bins_per_arm": math.inf}, "bins_per_arm"),
+        ("simulate", {**_SIMULATE, "probe": {"type": "dual_fock", "n": 3, "indist": 0.5}}, "bins_per_arm"),
+        ("simulate", {**_SIMULATE, "probe": {"type": "dual_fock", "n": math.inf, "indist": 0.5}}, "probe"),
+        ("reproduce-fig3", {**_FIG3, "bootstrap_trials": 10**30}, "bootstrap_trials"),
+        ("predict", {"mode": "two_photon_curve", "zeta": 0.0, "iprimes": {"count": 10**30}}, "iprimes"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):
@@ -370,6 +385,117 @@ def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, fiel
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _field(valid):
+    """A config field: a valid small value, or a wrong type, NaN, an
+    infinity, a negative value or a huge one."""
+    return st.one_of(
+        valid,
+        st.sampled_from(["x", None, [], {}, True]),
+        st.sampled_from([math.nan, math.inf, -math.inf, -1, -2.5, 1e30, 10**30, 1e300]),
+    )
+
+
+_EXPERIMENT_FIELDS = {
+    "zeta": _field(st.sampled_from([0.0, 0.0119, 0.05])),
+    "bins_per_arm": _field(st.integers(1, 8)),
+    "phases": _field(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "count": _field(st.integers(1, 16)),
+                "start": _field(st.floats(-1.0, 1.0)),
+                "stop": _field(st.floats(3.2, 7.0)),
+            },
+        )
+    ),
+    "seed": _field(st.integers(0, 100)),
+    "restarts": _field(st.integers(1, 3)),
+    "bootstrap_trials": _field(st.integers(2, 5)),
+}
+_COUNTS = _field(st.sampled_from([10, 1000, 100_000]))
+_PROBES = _field(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"type": st.just("two_photon"), "iprime": _field(st.floats(0.0, 1.0))}
+        ),
+        st.fixed_dictionaries(
+            {
+                "type": st.just("dual_fock"),
+                "n": _field(st.integers(1, 3)),
+                "indist": _field(st.floats(0.0, 1.0)),
+            }
+        ),
+        st.fixed_dictionaries(
+            {
+                "type": st.just("four_photon"),
+                "lambdas": _field(st.just([0.8, 0.6])),
+                "tau": _field(st.floats(0.0, 1.0)),
+            }
+        ),
+    )
+)
+_IPRIMES = _field(
+    st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+        st.fixed_dictionaries({"count": _field(st.integers(1, 2))}),
+    )
+)
+_CONFIGS = st.one_of(
+    st.tuples(
+        st.just("simulate"),
+        st.fixed_dictionaries(
+            {"probe": _PROBES, "expected_counts_per_point": _COUNTS},
+            optional=_EXPERIMENT_FIELDS,
+        ),
+    ),
+    st.tuples(
+        st.just("reproduce-fig3"),
+        st.fixed_dictionaries(
+            {"expected_counts_per_point": _COUNTS, "iprimes": _IPRIMES},
+            optional=_EXPERIMENT_FIELDS,
+        ),
+    ),
+    st.tuples(
+        st.just("predict"),
+        st.one_of(
+            st.fixed_dictionaries(
+                {"mode": st.just("two_photon_curve"), "zeta": _field(st.floats(0.0, 0.5))},
+                optional={"iprimes": _IPRIMES},
+            ),
+            st.fixed_dictionaries(
+                {
+                    "mode": st.just("four_photon_extremes"),
+                    "lambda4": _field(st.floats(0.1, 1.0)),
+                    "zeta": _field(st.floats(0.0, 0.5)),
+                }
+            ),
+            st.fixed_dictionaries(
+                {
+                    "mode": st.just("small_angle"),
+                    "n": _field(st.integers(1, 4)),
+                    "indist": _field(st.floats(0.0, 1.0)),
+                }
+            ),
+        ),
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(_CONFIGS)
+@example(("simulate", {**_SIMULATE, "expected_counts_per_point": 1e30}))
+@example(("reproduce-fig3", {**_FIG3, "expected_counts_per_point": 1e30}))
+def test_any_config_ends_in_a_documented_exit_code(command_config):
+    command, config = command_config
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        path = write_config(Path(out) / "c.json", config)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 class TestTopLevel:

@@ -15,6 +15,8 @@ from fringelab.estimation import (
     FourierFringeModel,
     FringeDataset,
     _FitProblem,
+    _fit_batch,
+    _Geometry,
     _newton,
     bootstrap_errors,
     fisher_from_model,
@@ -23,7 +25,11 @@ from fringelab.estimation import (
     total_rate_estimate,
 )
 from fringelab.fock import four_photon_schmidt, spdc_two_photon
-from fringelab.metrology import optimal_fisher_two_photon, two_photon_family
+from fringelab.metrology import (
+    _maximize_fourier_fisher,
+    optimal_fisher_two_photon,
+    two_photon_family,
+)
 from fringelab.spectral import SchmidtSpectrum
 
 
@@ -57,6 +63,34 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
     phases = 2 * math.pi * np.arange(n_phases) / n_phases
     _, etas, points, _ = _simulate_points(probe, noise, phases, total, seed)
     return FringeDataset(tuple(points), etas)
+
+
+def bootstrap_loop(fit, dataset, trials, seed):
+    """Reference for ``bootstrap_errors``: the per-trial loop, drawing each
+    resample as the bootstrap does, then one ``fit_mle`` and one
+    ``fisher_from_model`` per trial.  Returns the draws (trials, classes,
+    phases), coefficients, converged flags and maximum Fisher information."""
+    thetas, counts, eta = dataset.arrays()
+    lam_t = (counts / eta[:, None]).sum(axis=0)
+    lam = np.maximum(lam_t[None, :] * fit.model.probs_at(thetas) * eta[:, None], 0.0)
+    draws, coefs, converged, max_fs = [], [], [], []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        fake = np.random.default_rng(child).poisson(lam)
+        points = tuple(
+            (float(th), {c: int(fake[k, j]) for k, c in enumerate(dataset.classes)})
+            for j, th in enumerate(thetas)
+        )
+        refit = fit_mle(FringeDataset(points, dataset.efficiencies), fit.model.harmonics)
+        draws.append(fake)
+        coefs.append(refit.model.coefficients)
+        converged.append(refit.converged)
+        max_fs.append(fisher_from_model(refit.model).max_fisher)
+    return (
+        np.array(draws, dtype=float),
+        np.array(coefs),
+        np.array(converged),
+        np.array(max_fs),
+    )
 
 
 class TestTotalRateEstimate:
@@ -245,31 +279,32 @@ class TestFitMle:
         ids=["interior", "zero-counts", "four-photon"],
     )
     def test_one_optimum_from_any_start(self, dataset, harmonics):
-        problem = _FitProblem(dataset, harmonics)
-        tol = 1e-9 * (1.0 + problem.counts.sum())
-        uniform = np.tile(problem.target / len(problem.classes), (problem.n_free, 1))
+        # The seven starts run as one batch of the same data.
+        thetas, counts, eta = dataset.arrays()
+        geometry = _Geometry(thetas, dataset.classes, harmonics)
+        problem = _FitProblem(geometry, np.repeat(counts[None], 7, axis=0), eta, np.zeros((7, 0)))
+        tol = 1e-9 * (1.0 + counts.sum())
+        uniform = geometry.uniform(1).reshape(geometry.n_free, geometry.n_coef)
         rng = np.random.default_rng(5)
         starts = [uniform]
         for _ in range(6):
             start = uniform.copy()
             start[:, 1:] += rng.uniform(-0.3, 0.3, size=start[:, 1:].shape)
-            while not np.isfinite(problem.objective(start)[0]):
+            while not np.isfinite(problem.objective(start.reshape(1, -1), np.array([0]))[0][0]):
                 start = 0.5 * (start + uniform)
             starts.append(start)
-        values = []
-        for start in starts:
-            free, value, converged = _newton(problem, start)
-            assert converged
-            values.append(value)
+        free, values, converged = _newton(problem, np.array([s.ravel() for s in starts]))
+        assert converged.all()
+        _, grads, hessians = problem.objective(free, np.arange(7))
+        for z, grad, hess, walls in zip(free, grads, hessians, problem.walls):
             # KKT certificate, checked apart from the solver: on the cells at
             # their wall the gradient must be a nonnegative combination of the
             # outward constraint normals, and what is left along the face
             # must promise no gain.
-            _, grad, hess = problem.objective(free)
-            walls = problem.cell_rows[problem.walls]
-            slack = walls @ free + problem.cell_offset[problem.walls]
+            rows = geometry.cell_rows[walls]
+            slack = rows @ z + geometry.cell_offset[walls]
             assert np.all(slack >= -1e-9)
-            rows = walls[slack <= 1e-9]
+            rows = rows[slack <= 1e-9]
             multipliers = nnls(rows.T, -grad)[0] if rows.size else np.zeros(0)
             residual = grad + rows.T @ multipliers
             face = null_space(rows) if rows.size else np.eye(grad.size)
@@ -277,7 +312,7 @@ class TestFitMle:
             assert np.linalg.norm(residual - face @ along) <= tol
             gain = along @ np.linalg.lstsq(-face.T @ hess @ face, along, rcond=None)[0]
             assert gain <= tol
-        assert max(values) - min(values) <= tol
+        assert values.max() - values.min() <= tol
 
     def test_restart_count_validated(self):
         ds = synth_dataset(0.5, 0.0, total=100, n_phases=8, seed=1)
@@ -373,21 +408,72 @@ class TestBootstrap:
     def test_failed_refits_counted(self, monkeypatch):
         ds = synth_dataset(0.6, 0.0119, 5000, 16, seed=2)
         fit = fit_mle(ds, [2])
-        real_fit = estimation.fit_mle
-        calls = []
+        real_fit_batch = estimation._fit_batch
+        batches = []
 
-        def every_other_fails(*args, **kwargs):
-            result = real_fit(*args, **kwargs)
-            calls.append(result)
-            return dataclasses.replace(result, converged=len(calls) % 2 == 0)
+        def every_other_fails(geometry, counts, eta):
+            coeff, ll, converged = real_fit_batch(geometry, counts, eta)
+            batches.append(len(counts))
+            return coeff, ll, converged & (np.arange(len(counts)) % 2 == 1)
 
-        monkeypatch.setattr(estimation, "fit_mle", every_other_fails)
+        monkeypatch.setattr(estimation, "_fit_batch", every_other_fails)
         boot = bootstrap_errors(fit, ds, trials=10, seed=3)
-        assert len(calls) == 10
+        assert batches == [10]
         assert boot.failed_refits == 5
         assert json.loads(boot.to_json())["failed_refits"] == 5
         monkeypatch.undo()
         assert bootstrap_errors(fit, ds, trials=10, seed=3).failed_refits == 0
+
+    @pytest.mark.parametrize(
+        "dataset,harmonics,refines,walls",
+        [
+            # Interior optimum, no walls: one Newton solve of the whole batch.
+            (synth_dataset(0.6, 0.0119, 5000, 16, seed=2), (2,), False, False),
+            # No background: every trial has walls, and most refine the
+            # penalty grid over several rounds.
+            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), True, True),
+            (
+                cli_dataset(
+                    four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11
+                ),
+                (2, 4),
+                True,
+                None,
+            ),
+        ],
+        ids=["interior", "walls", "four-photon"],
+    )
+    def test_batch_matches_per_trial_loop(self, monkeypatch, dataset, harmonics, refines, walls):
+        fit = fit_mle(dataset, harmonics)
+        draws, coefs, converged, max_fs = bootstrap_loop(fit, dataset, 20, seed=3)
+        solves = []
+        real_newton = estimation._newton
+
+        def counted(problem, free0):
+            solves.append(len(free0))
+            return real_newton(problem, free0)
+
+        monkeypatch.setattr(estimation, "_newton", counted)
+        boot = bootstrap_errors(fit, dataset, trials=20, seed=3)
+        assert solves[0] == 20 and (len(solves) > 1) == refines
+        assert boot.failed_refits == int((~converged).sum())
+        assert boot.sigma_max_fisher == pytest.approx(np.std(max_fs, ddof=1), rel=1e-9, abs=0)
+        assert np.allclose(boot.sigma_coefficients, np.std(coefs, axis=0, ddof=1), rtol=1e-9, atol=0)
+
+        thetas, _, eta = dataset.arrays()
+        geometry = _Geometry(thetas, dataset.classes, harmonics)
+        has_walls = _FitProblem(geometry, draws, eta, np.zeros((20, 0))).walls.any(axis=1)
+        if walls is not None:
+            assert has_walls.all() if walls else not has_walls.any()
+        batch_coefs, _, batch_converged = _fit_batch(geometry, draws, eta)
+        assert np.abs(batch_coefs - coefs).max() <= 1e-10
+        assert np.array_equal(batch_converged, converged)
+        batch_fs = _maximize_fourier_fisher(batch_coefs, harmonics, (0.0, math.pi))[3]
+        assert np.allclose(batch_fs, max_fs, rtol=1e-9, atol=0)
+        # A trial's refit does not depend on the trials batched with it.
+        part_coefs, _, part_converged = _fit_batch(geometry, draws[3:10], eta)
+        assert np.array_equal(part_coefs, batch_coefs[3:10])
+        assert np.array_equal(part_converged, batch_converged[3:10])
 
     def test_report_json(self):
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
