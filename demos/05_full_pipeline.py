@@ -18,6 +18,7 @@ from fringelab import (
     counting_family,
     fisher_from_model,
     fit_mle,
+    fringe_probabilities,
     optimal_fisher_two_photon,
     sample_counts,
     spdc_two_photon,
@@ -32,11 +33,12 @@ family = counting_family(probe, ZETA)
 etas = class_efficiencies(2, BINS)
 phases = np.arange(N_PHASES) * 2 * math.pi / N_PHASES
 
+# Five rotations fix the degree-2 fringes exactly; every phase is read off them.
+table = fringe_probabilities(family, phases)
 children = np.random.SeedSequence(2024).spawn(N_PHASES)
 points = []
-for child, theta in zip(children, phases):
-    probs = family.evaluator(float(theta))
-    means = {c: probs[c] * etas[c] for c in (0, 2)}
+for child, theta, probs in zip(children, phases, table):
+    means = {c: p * etas[c] for c, p in zip(family.classes, probs)}
     points.append((float(theta), sample_counts(means, COUNTS_PER_POINT, child)))
 dataset = FringeDataset(tuple(points), etas)
 

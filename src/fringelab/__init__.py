@@ -47,6 +47,7 @@ from .metrology import (
     counting_family,
     fisher_at,
     four_photon_pair_ensemble,
+    fringe_probabilities,
     lambda4_from_p4,
     maximize_fisher,
     optimal_fisher_two_photon,

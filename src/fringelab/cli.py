@@ -101,10 +101,14 @@ def _read_csv(path: str, header: str) -> list[tuple[int, list[str]]]:
 
 
 def _float_field(path: str, line: int, value: str, name: str) -> float:
+    """A finite number from a CSV field; anything else is a parse error."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ParseError(f"{path}:{line}: bad {name} value '{value}'") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ParseError(f"{path}:{line}: bad {name} value '{value}'")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +242,24 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
 
 
 def _simulate_points(probe, noise, phases, expected, seed):
-    """Per-phase sampled class counts plus the ground-truth probabilities."""
+    """Per-phase sampled class counts plus the ground-truth probabilities.
+
+    The probabilities at every phase come from one exact Fourier table
+    (``metrology.fringe_probabilities``, 2N + 1 probe rotations in all);
+    each phase then draws its Poisson counts from its own spawned seed.
+    """
     family = metrology.counting_family(probe, noise.zeta)
     etas = detection.class_efficiencies(family.n_photons, noise.bins_per_arm)
+    table = metrology.fringe_probabilities(family, phases)
     children = np.random.SeedSequence(seed).spawn(len(phases))
     points = []
     truth = []
-    for child, theta in zip(children, phases):
-        probs = family.evaluator(float(theta))
+    for child, theta, row in zip(children, phases, table):
+        probs = dict(zip(family.classes, row.tolist()))
         means = {c: probs[c] * etas[c] for c in family.classes}
         counts = detection.sample_counts(means, expected, child)
         points.append((float(theta), counts))
-        truth.append({c: probs[c] for c in family.classes})
+        truth.append(probs)
     return family, etas, points, truth
 
 
@@ -301,20 +311,25 @@ def cmd_hom(config: dict, out: Path) -> int:
     _check_keys(config, {"input", "init"}, {"input", "init"}, "config")
     init = config["init"]
     _check_keys(init, {"a", "b", "sigma"}, {"a", "b", "sigma"}, "init")
-    rows = _read_csv(str(config["input"]), "x,p,weight")
+    start = tuple(
+        _number(init, key, None, above=-math.inf, integer=False, where="init.")
+        for key in ("a", "b", "sigma")
+    )
+    if start[2] == 0.0:
+        raise ConfigError("init.sigma: must be nonzero, got 0")
+    path = str(config["input"])
     points = []
-    for line, (xs, ps, ws) in rows:
-        points.append(
-            (
-                _float_field(config["input"], line, xs, "x"),
-                _float_field(config["input"], line, ps, "p"),
-                _float_field(config["input"], line, ws, "weight"),
-            )
+    for line, fields in _read_csv(path, "x,p,weight"):
+        point = tuple(
+            _float_field(path, line, value, name) for value, name in zip(fields, ("x", "p", "weight"))
         )
+        if point[2] < 0:
+            raise ParseError(f"{path}:{line}: weight must be nonnegative, got '{fields[2]}'")
+        points.append(point)
+    if len(points) < 4:
+        raise ParseError(f"{path}: need at least 4 rows to fit (a, b, sigma), got {len(points)}")
     try:
-        fit = spectral.fit_hom_dip(
-            points, (float(init["a"]), float(init["b"]), float(init["sigma"]))
-        )
+        fit = spectral.fit_hom_dip(points, start)
     except IllPosedError as exc:
         raise NonConvergence(f"dip fit is ill-posed: {exc}") from exc
     (out / "hom_fit.json").write_text(fit.to_json() + "\n")
@@ -345,6 +360,32 @@ def cmd_simulate(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _efficiencies(path: str) -> dict[int, float]:
+    """Class efficiencies from a JSON object {"class": efficiency in (0, 1]}."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: must be an object of class efficiencies, got {data!r}")
+    eff = {}
+    for key, value in data.items():
+        try:
+            cls = int(key)
+        except ValueError:
+            raise ParseError(f"{path}: class '{key}' is not an integer") from None
+        try:
+            eff[cls] = float(value)
+            valid = 0.0 < eff[cls] <= 1.0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ParseError(f"{path}: efficiency of class {key} must be in (0, 1], got {value!r}")
+    return eff
+
+
 def cmd_fit(config: dict, out: Path) -> int:
     allowed = {"fringe_csv", "efficiency_json", "harmonics", "restarts", "bootstrap_trials", "seed"}
     _check_keys(config, allowed, {"fringe_csv", "efficiency_json", "harmonics"}, "config")
@@ -356,28 +397,25 @@ def cmd_fit(config: dict, out: Path) -> int:
     restarts = _number(config, "restarts", 50, above=0)
     trials = _number(config, "bootstrap_trials", 200, above=1, at_most=MAX_TRIALS)
     seed = _number(config, "seed", 0, above=-1)
-    rows = _read_csv(str(config["fringe_csv"]), "theta,class,count")
+    csv_path, eff_path = str(config["fringe_csv"]), str(config["efficiency_json"])
     by_theta: dict[float, dict[int, int]] = {}
-    for line, (ts, cs, xs) in rows:
-        theta = _float_field(config["fringe_csv"], line, ts, "theta")
+    for line, (ts, cs, xs) in _read_csv(csv_path, "theta,class,count"):
+        theta = _float_field(csv_path, line, ts, "theta")
         try:
             cls, count = int(cs), int(xs)
         except ValueError:
-            raise ParseError(
-                f"{config['fringe_csv']}:{line}: class and count must be integers"
-            ) from None
-        by_theta.setdefault(theta, {})[cls] = count
+            raise ParseError(f"{csv_path}:{line}: class and count must be integers") from None
+        if count < 0:
+            raise ParseError(f"{csv_path}:{line}: count must be nonnegative, got {count}")
+        if cls in by_theta.setdefault(theta, {}):
+            raise ParseError(f"{csv_path}:{line}: repeats class {cls} at theta {ts}")
+        by_theta[theta][cls] = count
+    eff = _efficiencies(eff_path)
+    missing = {c for counts in by_theta.values() for c in counts} - set(eff)
+    if missing:
+        raise ParseError(f"{eff_path}: no efficiency for class {min(missing)} of {csv_path}")
+    dataset = estimation.FringeDataset(tuple((t, by_theta[t]) for t in sorted(by_theta)), eff)
     try:
-        eff_text = Path(str(config["efficiency_json"])).read_text()
-        eff = {int(k): float(v) for k, v in json.loads(eff_text).items()}
-    except OSError as exc:
-        raise ParseError(f"cannot read {config['efficiency_json']}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ParseError(f"{config['efficiency_json']}: {exc}") from exc
-    try:
-        dataset = estimation.FringeDataset(
-            tuple((t, by_theta[t]) for t in sorted(by_theta)), eff
-        )
         fit, fisher, boot = _fit_pipeline(dataset, harmonics, restarts, trials, seed)
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc

@@ -215,6 +215,36 @@ class TestFitCommand:
         assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fringe,efficiencies,where",
+    [
+        ("0.1,0,12\n0.1,2,3\n", {"0": 0, "2": 1.0}, "eff.json: efficiency of class 0"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": -1, "2": 1.0}, "eff.json: efficiency of class 0"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": math.nan, "2": 1.0}, "eff.json: efficiency of class 0"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": 1.0}, "eff.json: no efficiency for class 2"),
+        ("0.1,0,12\n0.1,2,3\n", [1.0, 1.0], "eff.json: must be an object"),
+        ("0.1,0,12\n0.1,2,-3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: count"),
+        ("nan,0,12\n0.1,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:2: bad theta"),
+        ("0.1,0,12\n0.1,2,3\n0.1,0,7\n", {"0": 1.0, "2": 1.0}, "fringe.csv:4: repeats class 0"),
+    ],
+)
+def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, where):
+    (tmp_path / "fringe.csv").write_text("theta,class,count\n" + fringe)
+    (tmp_path / "eff.json").write_text(json.dumps(efficiencies))
+    cfg = write_config(
+        tmp_path / "fit.json",
+        {
+            "fringe_csv": str(tmp_path / "fringe.csv"),
+            "efficiency_json": str(tmp_path / "eff.json"),
+            "harmonics": [2],
+        },
+    )
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {tmp_path}/{where}")
+    assert not (tmp_path / "fit_report.json").exists()
+
+
 class TestHomCommand:
     def _dip_csv(self, path, a, b, sigma, noise_rng=None):
         xs = np.linspace(-8, 8, 25)
@@ -249,6 +279,23 @@ class TestHomCommand:
             {"input": str(tmp_path / "dip.csv"), "init": {"a": 0.5, "b": -0.5, "sigma": 1}},
         )
         assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            ("0,0.1,1\n1,0.2,1\n2,0.3,1\n", "dip.csv: need at least 4 rows"),
+            ("0,0.1,1\n1,0.2,-1\n2,0.3,1\n3,0.3,1\n", "dip.csv:3: weight"),
+            ("nan,0.1,1\n1,0.2,1\n2,0.3,1\n3,0.3,1\n", "dip.csv:2: bad x"),
+        ],
+    )
+    def test_bad_dip_data_is_parse_error(self, tmp_path, capsys, rows, where):
+        (tmp_path / "dip.csv").write_text("x,p,weight\n" + rows)
+        cfg = write_config(
+            tmp_path / "hom.json",
+            {"input": str(tmp_path / "dip.csv"), "init": {"a": 0.5, "b": -0.4, "sigma": 1}},
+        )
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"parse error: {tmp_path}/{where}")
 
     def test_non_converged_dip_fit_exits_4(self, tmp_path, monkeypatch):
         self._dip_csv(tmp_path / "dip.csv", 0.5, -0.45, 2.0)
@@ -341,6 +388,8 @@ def test_bad_iprime_grid_is_config_error(tmp_path, capsys, command, config, ipri
 _SIMULATE = {"probe": {"type": "two_photon", "iprime": 0.5}, "expected_counts_per_point": 100}
 _FIT = {"fringe_csv": "fringe.csv", "efficiency_json": "eff.json", "harmonics": [2]}
 _FIG3 = {"expected_counts_per_point": 1000, "iprimes": [0.5]}
+_HOM = {"input": "dip.csv"}
+_INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
 
 
 @pytest.mark.parametrize(
@@ -378,6 +427,13 @@ _FIG3 = {"expected_counts_per_point": 1000, "iprimes": [0.5]}
         ("simulate", {**_SIMULATE, "probe": {"type": "dual_fock", "n": math.inf, "indist": 0.5}}, "probe"),
         ("reproduce-fig3", {**_FIG3, "bootstrap_trials": 10**30}, "bootstrap_trials"),
         ("predict", {"mode": "two_photon_curve", "zeta": 0.0, "iprimes": {"count": 10**30}}, "iprimes"),
+        ("hom", {**_HOM, "init": {**_INIT, "a": "x"}}, "init.a"),
+        ("hom", {**_HOM, "init": {**_INIT, "b": None}}, "init.b"),
+        ("hom", {**_HOM, "init": {**_INIT, "sigma": 0}}, "init.sigma"),
+        ("hom", {**_HOM, "init": {**_INIT, "sigma": "NaN"}}, "init.sigma"),
+        ("hom", {**_HOM, "init": {**_INIT, "sigma": math.nan}}, "init.sigma"),
+        ("hom", {**_HOM, "init": {**_INIT, "sigma": math.inf}}, "init.sigma"),
+        ("hom", {**_HOM, "init": {**_INIT, "sigma": 10**400}}, "init.sigma"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):
@@ -442,6 +498,17 @@ _IPRIMES = _field(
         st.fixed_dictionaries({"count": _field(st.integers(1, 2))}),
     )
 )
+# Fixed data files of the fit and hom examples: a two-photon fringe on eight
+# phases and a noiseless dip of width 2.
+_FRINGE_CSV = "theta,class,count\n" + "".join(
+    f"{t!r},0,{round(900 + 700 * math.cos(2 * t))}\n{t!r},2,{round(300 - 250 * math.cos(2 * t))}\n"
+    for t in (np.arange(8) * math.pi / 4).tolist()
+)
+_DIP_CSV = "x,p,weight\n" + "".join(
+    f"{x!r},{0.5 - 0.4 * float(quartic_gaussian_overlap(x, 2.0))!r},1.0\n"
+    for x in np.linspace(-8.0, 8.0, 17).tolist()
+)
+_EFFICIENCY = _field(st.floats(0.05, 1.0))
 _CONFIGS = st.one_of(
     st.tuples(
         st.just("simulate"),
@@ -480,18 +547,61 @@ _CONFIGS = st.one_of(
             ),
         ),
     ),
+    # The efficiency object is written to the efficiency file.
+    st.tuples(
+        st.just("fit"),
+        st.fixed_dictionaries(
+            {
+                "harmonics": st.just([2]),
+                "efficiency_json": _field(
+                    st.fixed_dictionaries({}, optional={"0": _EFFICIENCY, "2": _EFFICIENCY})
+                ),
+            },
+            optional={k: _EXPERIMENT_FIELDS[k] for k in ("seed", "restarts", "bootstrap_trials")},
+        ),
+    ),
+    st.tuples(
+        st.just("hom"),
+        st.fixed_dictionaries(
+            {
+                "init": _field(
+                    st.fixed_dictionaries(
+                        {
+                            "a": _field(st.floats(0.3, 0.7)),
+                            "b": _field(st.floats(-0.5, -0.2)),
+                            "sigma": _field(st.floats(0.5, 4.0)),
+                        }
+                    )
+                )
+            }
+        ),
+    ),
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(_CONFIGS)
 @example(("simulate", {**_SIMULATE, "expected_counts_per_point": 1e30}))
 @example(("reproduce-fig3", {**_FIG3, "expected_counts_per_point": 1e30}))
+@example(("fit", {"harmonics": [2], "efficiency_json": {"0": math.nan, "2": 1.0}}))
+@example(("hom", {"init": {**_INIT, "sigma": 0}}))
 def test_any_config_ends_in_a_documented_exit_code(command_config):
     command, config = command_config
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
-        path = write_config(Path(out) / "c.json", config)
+        out_dir = Path(out)
+        if command == "fit":
+            (out_dir / "fringe.csv").write_text(_FRINGE_CSV)
+            (out_dir / "eff.json").write_text(json.dumps(config["efficiency_json"]))
+            config = {
+                **config,
+                "fringe_csv": str(out_dir / "fringe.csv"),
+                "efficiency_json": str(out_dir / "eff.json"),
+            }
+        elif command == "hom":
+            (out_dir / "dip.csv").write_text(_DIP_CSV)
+            config = {**config, "input": str(out_dir / "dip.csv")}
+        path = write_config(out_dir / "c.json", config)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", path, "--out", out])
     assert code in {0, 2, 3, 4}

@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from fringelab import cli
+from fringelab.detection import add_background, aggregate_by_abs_delta, outcome_distribution
 from fringelab.errors import SingularFisherError
-from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_photon
+from fringelab.fock import (
+    StateEnsemble,
+    apply_path_rotation,
+    dual_fock_mismatched,
+    four_photon_schmidt,
+    spdc_two_photon,
+)
 from fringelab.metrology import (
     FringeFamily,
     _basis,
@@ -14,6 +22,7 @@ from fringelab.metrology import (
     fisher_at,
     fisher_terms,
     four_photon_pair_ensemble,
+    fringe_probabilities,
     lambda4_from_p4,
     maximize_fisher,
     optimal_fisher_two_photon,
@@ -25,6 +34,31 @@ from fringelab.metrology import (
     two_photon_family,
 )
 from fringelab.spectral import SchmidtSpectrum
+
+
+def rotated_probabilities(probe, zeta, thetas):
+    """Class probabilities (phases, classes) by rotating the probe at each phase."""
+    components = probe.components if isinstance(probe, StateEnsemble) else ((1.0, probe),)
+    rows = []
+    for theta in thetas:
+        rotated = StateEnsemble(
+            tuple((w, apply_path_rotation(state, float(theta))) for w, state in components)
+        )
+        classes = add_background(aggregate_by_abs_delta(outcome_distribution(rotated)), zeta)
+        rows.append([classes[c] for c in sorted(classes)])
+    return np.array(rows)
+
+
+# Probes and noise of the Fourier reference tests: dual-Fock n = 1-4 at two
+# indistinguishabilities, a four-photon Schmidt state, and the A5 ensembles.
+REFERENCE_PROBES = (
+    [(dual_fock_mismatched(n, indist), 0.0) for n in (1, 2, 3, 4) for indist in (0.6, 1.0)]
+    + [(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7), 0.0)]
+    + [(four_photon_pair_ensemble(0.4790, tau), zeta) for tau in (0.0, 1.0) for zeta in (0.0, 0.0282)]
+)
+REFERENCE_THETAS = np.concatenate(
+    [np.random.default_rng(5).uniform(0.0, 2 * math.pi, 20), cli._phase_grid(None)]
+)
 
 
 def analytic_two_photon_fisher(iprime, zeta, theta):
@@ -93,6 +127,13 @@ class TestFisherAt:
         p0, pp, pm = (family.evaluator(t) for t in (theta, theta + step / 2, theta - step / 2))
         derivs = {c: (pp[c] - pm[c]) / step for c in family.classes}
         assert value == fisher_terms({c: p0[c] for c in family.classes}, derivs)
+
+    def test_richardson_judges_vanishing_class_by_extrapolated_derivative(self):
+        # Class 4 has p = 8.3e-16 here; its step-1e-3 quotient of 1.5e-10 is
+        # O(step^2) bias, against an exact derivative 4p/theta of 1.2e-11.
+        family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0)
+        value = fisher_at(family, 2.854e-4, step=1e-3)
+        assert value == pytest.approx(fisher_at(family, 2.854e-4, step=2e-4), rel=1e-6)
 
     def test_invalid_step(self):
         family = two_photon_family(1.0, 0.0)
@@ -303,24 +344,59 @@ class TestReports:
                 assert ps[key] == pytest.approx(pc[key], abs=1e-12)
 
     def test_fourier_samples_reproduce_rotation(self):
-        thetas = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 20)
-        a5 = [
-            counting_family(four_photon_pair_ensemble(0.4790, tau), zeta, (0.0, math.pi))
-            for tau in (0.0, 1.0)
-            for zeta in (0.0, 0.0282)
-        ]
-        probes = [dual_fock_mismatched(n, 0.6) for n in (1, 2, 3, 4)]
-        probes.append(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7))
-        for family in [counting_family(p) for p in probes] + a5:
+        for probe, zeta in REFERENCE_PROBES:
+            family = counting_family(probe, zeta)
             coeff, harmonics = _family_coefficients(family)
-            fourier = coeff @ _basis(harmonics, thetas)
-            direct = [[family.evaluator(float(t))[c] for t in thetas] for c in family.classes]
-            assert np.max(np.abs(fourier - np.array(direct))) < 1e-12
-        for family in a5:
+            fourier = coeff @ _basis(harmonics, REFERENCE_THETAS)
+            direct = rotated_probabilities(probe, zeta, REFERENCE_THETAS)
+            assert np.max(np.abs(fourier.T - direct)) < 1e-12
+        for probe, zeta in REFERENCE_PROBES[-4:]:
+            family = counting_family(probe, zeta, (0.0, math.pi))
             report = maximize_fisher(family)
             assert report.max_fisher == pytest.approx(
                 fisher_at(family, report.argmax_theta), rel=1e-6
             )
+
+    def test_fringe_probabilities_match_rotation(self, monkeypatch):
+        for probe, zeta in REFERENCE_PROBES:
+            probs = fringe_probabilities(counting_family(probe, zeta), REFERENCE_THETAS)
+            direct = rotated_probabilities(probe, zeta, REFERENCE_THETAS)
+            assert probs.shape == direct.shape
+            assert np.max(np.abs(probs - direct)) < 1e-12
+            assert np.all(probs >= 0.0)
+
+        # A class dipping 1e-15 below zero is rounding and reads 0; one
+        # dipping to -1e-6 is a defect.
+        def dipping(depth):
+            def evaluate(theta):
+                p = 0.5 + (0.5 + depth) * math.cos(theta)
+                return {0: p, 1: 1.0 - p}
+
+            return FringeFamily(evaluator=evaluate, classes=(0, 1), n_photons=1)
+
+        assert fringe_probabilities(dipping(1e-15), [math.pi])[0, 0] == 0.0
+        with pytest.raises(ValueError, match="negative"):
+            fringe_probabilities(dipping(1e-6), REFERENCE_THETAS)
+
+        # A 32-phase simulate evaluates the family 2N + 1 times in all.
+        real_family = cli.metrology.counting_family
+        seen = []
+
+        def counted_family(*args, **kwargs):
+            family = real_family(*args, **kwargs)
+
+            def counted(theta):
+                seen.append(theta)
+                return family.evaluator(theta)
+
+            return FringeFamily(counted, family.classes, family.n_photons, family.theta_domain)
+
+        monkeypatch.setattr(cli.metrology, "counting_family", counted_family)
+        noise = cli.detection.NoiseAndEfficiencyConfig(zeta=0.0282, bins_per_arm=4)
+        for probe in (spdc_two_photon(0.6), four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7)):
+            seen.clear()
+            cli._simulate_points(probe, noise, cli._phase_grid(None), 1e5, 3)
+            assert len(seen) == 2 * probe.total_photons + 1
 
     def test_fisher_report_json(self):
         family = two_photon_family(0.5, 0.0119, theta_domain=(0.0, math.pi))
