@@ -1,8 +1,9 @@
 """Fit a two-photon coincidence dip and read off the indistinguishability.
 
 Synthesizes normalized coincidence rates a + b*q(x) over a delay scan with
-Poisson counting noise, fits (a, b, sigma) by damped Gauss-Newton with
-multiplicative restarts, and prints the recovered dip alongside the implied
+Poisson counting noise, fits (a, b, sigma) by variable projection (the
+closed-form (a, b) for each sigma, then a scan and Gauss-Newton steps on
+sigma alone), and prints the recovered dip alongside the implied
 exchange-symmetry curve I'(x) = 1 - 2 p(x).
 """
 

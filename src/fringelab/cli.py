@@ -334,9 +334,9 @@ def cmd_hom(config: dict, out: Path) -> int:
         raise NonConvergence(f"dip fit is ill-posed: {exc}") from exc
     (out / "hom_fit.json").write_text(fit.to_json() + "\n")
     xs = sorted({x for x, _, _ in points})
+    qs = spectral.quartic_gaussian_overlap(xs, fit.sigma) if not fit.ill_posed else [0.0] * len(xs)
     lines = ["x,iprime"]
-    for x in xs:
-        q = spectral.quartic_gaussian_overlap(x, fit.sigma) if not fit.ill_posed else 0.0
+    for x, q in zip(xs, qs):
         lines.append(f"{_fmt(x)},{_fmt(1.0 - 2.0 * (fit.a + fit.b * q))}")
     (out / "iprime_curve.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out / 'hom_fit.json'} and {out / 'iprime_curve.csv'}")

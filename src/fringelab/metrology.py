@@ -254,9 +254,10 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
     ``_family_coefficients``, and the exact Fourier series is summed at
     ``thetas`` in one product, so the cost hardly grows with the number of
     phases.  The sum carries rounding of order 1e-16 where a class
-    probability vanishes; values within ``_ROUNDING`` below zero are set to
-    zero, and anything lower raises ValueError as a defect of the family.
-    Columns follow ``family.classes``.
+    probability vanishes; values within ``_ROUNDING`` of zero are set to
+    exactly zero, so that a vanishing class takes no Poisson draw, and
+    anything lower raises ValueError as a defect of the family.  Columns
+    follow ``family.classes``.
     """
     coeff, harmonics = _family_coefficients(family)
     probs = (coeff @ _basis(harmonics, np.asarray(thetas, dtype=float))).T
@@ -265,7 +266,7 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
             f"class probability {probs.min()!r} is negative beyond rounding "
             "in the fringe family"
         )
-    return np.maximum(probs, 0.0)
+    return np.where(probs > _ROUNDING, probs, 0.0)
 
 
 def maximize_fisher(family: FringeFamily) -> FisherReport:

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -331,6 +334,36 @@ class TestHomCommand:
         assert report["ill_posed"] is True
 
 
+    def test_zero_weights_exit_4_without_traceback(self, tmp_path, capsys):
+        xs = np.linspace(-8, 8, 17)
+        (tmp_path / "dip.csv").write_text(
+            "x,p,weight\n"
+            + "\n".join(f"{x},{0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0)},0" for x in xs)
+            + "\n"
+        )
+        cfg = write_config(
+            tmp_path / "hom.json",
+            {"input": str(tmp_path / "dip.csv"), "init": {"a": 0.5, "b": -0.4, "sigma": 2}},
+        )
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "hom_fit.json").read_text())["ill_posed"] is True
+        assert len((tmp_path / "iprime_curve.csv").read_text().split()) == len(xs) + 1
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
+    code = (
+        "import sys, fringelab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 class TestPredictCommand:
     def test_noiseless_two_photon_curve_exact(self, tmp_path):
         cfg = write_config(
@@ -585,6 +618,7 @@ _CONFIGS = st.one_of(
 @example(("reproduce-fig3", {**_FIG3, "expected_counts_per_point": 1e30}))
 @example(("fit", {"harmonics": [2], "efficiency_json": {"0": math.nan, "2": 1.0}}))
 @example(("hom", {"init": {**_INIT, "sigma": 0}}))
+@example(("hom", {"init": {**_INIT, "sigma": 1e-308}}))
 def test_any_config_ends_in_a_documented_exit_code(command_config):
     command, config = command_config
     err = io.StringIO()

@@ -15,6 +15,7 @@ from fringelab.fock import (
     spdc_two_photon,
 )
 from fringelab.metrology import (
+    _ROUNDING,
     FringeFamily,
     _basis,
     _family_coefficients,
@@ -364,6 +365,8 @@ class TestReports:
             assert probs.shape == direct.shape
             assert np.max(np.abs(probs - direct)) < 1e-12
             assert np.all(probs >= 0.0)
+            # Rounding at a vanishing class reads exactly 0, so it takes no draw.
+            assert not np.any((probs > 0.0) & (probs <= _ROUNDING))
 
         # A class dipping 1e-15 below zero is rounding and reads 0; one
         # dipping to -1e-6 is a defect.
@@ -375,6 +378,7 @@ class TestReports:
             return FringeFamily(evaluator=evaluate, classes=(0, 1), n_photons=1)
 
         assert fringe_probabilities(dipping(1e-15), [math.pi])[0, 0] == 0.0
+        assert fringe_probabilities(dipping(-1e-15), [math.pi])[0, 0] == 0.0
         with pytest.raises(ValueError, match="negative"):
             fringe_probabilities(dipping(1e-6), REFERENCE_THETAS)
 

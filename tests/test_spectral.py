@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fringelab.errors import IllPosedError
 from fringelab.spectral import (
+    _overlap,
     HomDipFit,
     JsaGrid,
     SchmidtSpectrum,
@@ -63,6 +65,50 @@ class TestQuarticGaussianOverlap:
     def test_invalid_arguments(self, x, sigma):
         with pytest.raises(ValueError):
             quartic_gaussian_overlap(x, sigma)
+
+
+def quad_overlap(u):
+    """Adaptive-quadrature reference for q(u) and dq/du."""
+    from scipy import integrate
+    from scipy.special import gamma
+
+    def transform(f, weight):
+        return integrate.quad(
+            f, 0.0, 8.0, weight=weight, wvar=u, epsabs=1e-14, epsrel=1e-13, limit=200
+        )[0]
+
+    norm = 4.0 / gamma(0.25)
+    q = norm * transform(lambda y: math.exp(-(y**4)), "cos")
+    dq = -norm * transform(lambda y: y * math.exp(-(y**4)), "sin")
+    return q, dq
+
+
+class TestOverlapEvaluator:
+    def test_against_adaptive_quadrature(self):
+        us = np.linspace(0.0, 30.0, 121)
+        q, dq = _overlap(us)
+        want = np.array([quad_overlap(u) for u in us])
+        assert np.max(np.abs(q - want[:, 0])) < 1e-13
+        assert np.max(np.abs(dq - want[:, 1])) < 1e-12
+
+    def test_zero_beyond_thirty(self):
+        us = np.array([30.0 + 1e-9, 30.5, 31.0, 40.0, 100.0])
+        q, dq = _overlap(us)
+        assert np.all(q == 0.0) and np.all(dq == 0.0)
+        assert max(abs(quad_overlap(u)[0]) for u in us) < 1.2e-10
+
+    def test_shapes(self):
+        us = np.linspace(0.0, 40.0, 12).reshape(3, 4)
+        q, dq = _overlap(us)
+        assert q.shape == dq.shape == (3, 4)
+        q1, dq1 = _overlap(2.5)
+        assert isinstance(q1, float) and isinstance(dq1, float)
+        xs = np.linspace(-12.0, 12.0, 7)
+        curve = quartic_gaussian_overlap(xs, 1.7)
+        assert curve.shape == xs.shape
+        assert type(quartic_gaussian_overlap(1.0, 1.7)) is float
+        singles = [quartic_gaussian_overlap(float(x), 1.7) for x in xs]
+        assert np.allclose(curve, singles, rtol=0.0, atol=1e-15)
 
 
 class TestIndistinguishability:
@@ -223,7 +269,73 @@ def synthetic_dip(a, b, sigma, xs, rng=None, counts_per_point=None):
     return points
 
 
+def binomial_dip(sigma=2.0, trials=4000, seed=5):
+    """81-delay dip 0.5 - 0.42 q(x/sigma) with binomial counting noise."""
+    xs = np.linspace(-10.0, 10.0, 81)
+    p = 0.5 - 0.42 * quartic_gaussian_overlap(xs, sigma)
+    observed = np.random.default_rng(seed).binomial(trials, p) / trials
+    weight = trials / np.maximum(observed * (1.0 - observed), 1.0 / trials)
+    return list(zip(xs.tolist(), observed.tolist(), weight.tolist()))
+
+
+def dense_profile_minimum(points, sigma0, cells=20_001):
+    """Least weighted residual over a log-sigma grid of ``cells`` points over
+    sigma0 x/ 4, with the closed-form weighted (a, b) at each cell."""
+    x, p, w = np.asarray(points, dtype=float).T
+    ax, inv = np.unique(np.abs(x), return_inverse=True)
+    pc = p - (w @ p) / w.sum()
+    best = math.inf
+    for sigmas in np.array_split(sigma0 * 4.0 ** np.linspace(-1.0, 1.0, cells), 50):
+        q = quartic_gaussian_overlap(ax[None, :] / sigmas[:, None], 1.0)[:, inv]
+        qc = q - (q @ w)[:, None] / w.sum()
+        b = (qc @ (w * pc)) / ((qc * qc) @ w)
+        r = pc - b[:, None] * qc
+        best = min(best, float(((r * r) @ w).min()))
+    return best
+
+
 class TestHomDipFit:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            synthetic_dip(
+                0.5, -0.45, 2.0, np.linspace(-9.0, 9.0, 25),
+                rng=np.random.default_rng(21), counts_per_point=10_000,
+            ),
+            binomial_dip(),
+        ],
+        ids=["poisson", "binomial"],
+    )
+    def test_residual_is_profile_minimum(self, points):
+        # A noiseless dip is left out: its minimum is 0 up to rounding.
+        fit = fit_hom_dip(points, init=(0.45, -0.4, 1.6))
+        assert fit.converged and not fit.ill_posed
+        assert fit.residual <= dense_profile_minimum(points, 2.0) * (1.0 + 1e-12)
+
+    def test_far_starts_reach_one_sigma(self):
+        points = binomial_dip()
+        fits = [fit_hom_dip(points, init=(0.5, -0.42, s)) for s in (0.3, 1.0, 8.0, 20.0)]
+        assert all(f.converged and not f.ill_posed for f in fits)
+        sigmas = [f.sigma for f in fits]
+        assert max(sigmas) - min(sigmas) < 1e-8
+        assert sigmas[0] == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("weighted", [(), (2.0,), (1.0, 2.0)], ids=["none", "one", "two"])
+    def test_degenerate_weights_flagged_ill_posed(self, weighted):
+        dip = synthetic_dip(0.5, -0.4, 2.0, np.linspace(-8.0, 8.0, 17))
+        points = [(x, p, 1.0 if x in weighted else 0.0) for x, p, _ in dip]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_hom_dip(points, init=(0.5, -0.4, 2.0))
+        assert fit.ill_posed
+        assert all(math.isfinite(v) for v in (fit.a, fit.b, fit.sigma, fit.residual))
+
+    @pytest.mark.parametrize("restarts", [-1, 2.5])
+    def test_bad_restarts_rejected(self, restarts):
+        points = synthetic_dip(0.5, -0.5, 2.0, np.linspace(-8.0, 8.0, 33))
+        with pytest.raises(ValueError, match="restarts"):
+            fit_hom_dip(points, init=(0.4, -0.4, 1.5), restarts=restarts)
+
     def test_noiseless_recovery(self):
         xs = np.linspace(-8.0, 8.0, 33)
         points = synthetic_dip(0.5, -0.5, 2.0, xs)
