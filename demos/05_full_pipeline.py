@@ -42,7 +42,7 @@ for child, theta, probs in zip(children, phases, table):
     points.append((float(theta), sample_counts(means, COUNTS_PER_POINT, child)))
 dataset = FringeDataset(tuple(points), etas)
 
-fit = fit_mle(dataset, harmonics=[2], restarts=8, seed=5)
+fit = fit_mle(dataset, harmonics=[2])
 report = fisher_from_model(fit.model)
 boot = bootstrap_errors(fit, dataset, trials=200, seed=6)
 

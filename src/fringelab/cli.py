@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
-    fringelab <hom|simulate|fit|predict|reproduce-fig3> --config cfg.json
-              [--seed N] [--out DIR]
+    fringelab <hom|predict> --config cfg.json [--out DIR]
+    fringelab <simulate|fit|reproduce-fig3> --config cfg.json [--seed N] [--out DIR]
 
 Every subcommand reads a JSON config, writes CSV/JSON artifacts into the
-output directory, and is deterministic given (config, seed).  Exit codes:
-0 success, 2 config error, 3 parse error, 4 non-convergence or ill-posed
-data.
+output directory, and is deterministic given its config; ``--seed``
+overrides the config seed of the three that draw random numbers.  Exit
+codes: 0 success, 2 config error, 3 parse error, 4 non-convergence or
+ill-posed data.
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
             f"bins_per_arm: {photons} photons need at least {photons} bins per arm, "
             f"got {noise.bins_per_arm}"
         )
+    # ``restarts`` is checked, as ``fit`` does, because README configs set
+    # it; the fit has one optimum and no random start, so it has no effect.
+    _number(data, "restarts", 1, above=0)
     return {
         "probe": probe,
         "noise": noise,
@@ -232,7 +236,6 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
             data, "expected_counts_per_point", None, above=0, at_most=1e15, integer=False
         ),
         "seed": _number(data, "seed", 0, above=-1),
-        "restarts": _number(data, "restarts", 8, above=0),
         "bootstrap_trials": _number(data, "bootstrap_trials", 100, above=1, at_most=MAX_TRIALS),
     }
 
@@ -284,8 +287,8 @@ def _write_truth_json(path: Path, family, etas, truth, points, noise, expected) 
     path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _fit_pipeline(dataset, harmonics, restarts, trials, seed):
-    fit = estimation.fit_mle(dataset, harmonics, restarts=restarts, seed=seed)
+def _fit_pipeline(dataset, harmonics, trials, seed):
+    fit = estimation.fit_mle(dataset, harmonics)
     fisher = estimation.fisher_from_model(fit.model)
     boot = estimation.bootstrap_errors(fit, dataset, trials=trials, seed=seed + 1)
     return fit, fisher, boot
@@ -394,7 +397,7 @@ def cmd_fit(config: dict, out: Path) -> int:
         harmonics = [_number({"harmonics": k}, "harmonics", None, above=0) for k in harmonics]
     if not isinstance(harmonics, list) or not harmonics or len(set(harmonics)) < len(harmonics):
         raise ConfigError(f"harmonics: must be unique positive integers, got {harmonics!r}")
-    restarts = _number(config, "restarts", 50, above=0)
+    _number(config, "restarts", 1, above=0)
     trials = _number(config, "bootstrap_trials", 200, above=1, at_most=MAX_TRIALS)
     seed = _number(config, "seed", 0, above=-1)
     csv_path, eff_path = str(config["fringe_csv"]), str(config["efficiency_json"])
@@ -416,7 +419,7 @@ def cmd_fit(config: dict, out: Path) -> int:
         raise ParseError(f"{eff_path}: no efficiency for class {min(missing)} of {csv_path}")
     dataset = estimation.FringeDataset(tuple((t, by_theta[t]) for t in sorted(by_theta)), eff)
     try:
-        fit, fisher, boot = _fit_pipeline(dataset, harmonics, restarts, trials, seed)
+        fit, fisher, boot = _fit_pipeline(dataset, harmonics, trials, seed)
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
     (out / "fit_report.json").write_text(
@@ -484,7 +487,7 @@ def cmd_reproduce_fig3(config: dict, out: Path) -> int:
             )
             dataset = estimation.FringeDataset(tuple(points), etas)
             fit, fisher, boot = _fit_pipeline(
-                dataset, [2], cfg["restarts"], cfg["bootstrap_trials"], int(sub_seeds[1])
+                dataset, [2], cfg["bootstrap_trials"], int(sub_seeds[1])
             )
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
@@ -536,12 +539,13 @@ def main(argv: list[str] | None = None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("simulate", "fit", "reproduce-fig3"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

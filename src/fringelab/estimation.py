@@ -13,7 +13,9 @@ remaining coefficients and the penalty is too, so every local maximum is
 global, and Newton's method with an active set for those constraints
 reaches one from the uniform model.  The fitting code carries a leading
 trial axis, so a bootstrap refits all of its resamples in lockstep, and a
-single fit is a batch of one.
+single fit is a batch of one.  The constant -sum log(x!) cancels in every
+comparison the solve makes; it is added once, with ``math.lgamma``, to the
+log-likelihoods reported.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IllPosedError
 from .metrology import FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
@@ -178,14 +179,21 @@ def total_rate_estimate(dataset: FringeDataset, theta: float) -> float:
 
 
 def _poisson_loglik(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Sum of Poisson log-masses over the last two axes, (classes, phases);
-    impossible data (x > 0 at rate 0, or a negative rate) gives -inf."""
+    """Sum of Poisson log-masses without their log(x!) over the last two
+    axes, (classes, phases); impossible data (x > 0 at rate 0, or a negative
+    rate) gives -inf."""
     positive = x > 0
     impossible = ((lam < 0) | (positive & (lam <= 0))).any(axis=(-2, -1))
     safe = np.where(lam > 0, lam, 1.0)
-    terms = np.where(positive, x * np.log(safe), 0.0) - lam - gammaln(x + 1.0)
+    terms = np.where(positive, x * np.log(safe), 0.0) - lam
     total = terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
     return np.where(impossible, -np.inf, total)
+
+
+def _log_factorials(counts: np.ndarray) -> float:
+    """Sum of log(x!) over the counts, the constant of the Poisson
+    log-likelihood."""
+    return math.fsum(math.lgamma(x + 1.0) for x in np.ravel(counts).tolist())
 
 
 def _rates(
@@ -198,15 +206,16 @@ def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
     """Poisson log-likelihood of the dataset under the model.
 
     Rates are lambda_t(theta) * p(class|theta) * eta_class with lambda_t the
-    per-phase efficiency-corrected total.  Returns -inf when the model
-    assigns zero rate to an observed count.
+    per-phase efficiency-corrected total.  The value includes the constant
+    -sum log(x!), so it is the log of the probability of the counts.  Returns
+    -inf when the model assigns zero rate to an observed count.
     """
     if tuple(model.classes) != dataset.classes:
         raise ValueError("model and dataset classes differ")
     thetas, counts, eta = dataset.arrays()
     lam_t = (counts / eta[:, None]).sum(axis=0)
     lam = _rates(model.probs_at(thetas), lam_t, eta)
-    return float(_poisson_loglik(counts, lam))
+    return float(_poisson_loglik(counts, lam)) - _log_factorials(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +294,6 @@ class _FitProblem:
         self.counts = counts.reshape(len(counts), -1)
         self.rate_scale = (eta[:, None] * lam_t[:, None, :]).reshape(self.counts.shape)
         self.seen = self.counts > 0
-        self.lgamma_const = gammaln(self.counts + 1.0).sum(axis=1)
         # A dip below zero at the optimum shrinks as 1/mu.  At 10 per count
         # the exact maximum of a zero-count fit dipped by up to 7e-5, which
         # the final nonnegativity check rejects.
@@ -301,10 +309,11 @@ class _FitProblem:
     def objective(
         self, free: np.ndarray, trials: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Penalized log-likelihood (b,) of ``trials`` at ``free`` (b, n),
-        with its gradient (b, n) and Hessian (b, n, n); the value is -inf,
-        and the derivatives meaningless, unless lambda > 0 where a count was
-        seen and lambda >= -_NEG_TOL (rounding) on the walls."""
+        """Penalized log-likelihood without log(x!) (b,) of ``trials`` at
+        ``free`` (b, n), with its gradient (b, n) and Hessian (b, n, n); the
+        value is -inf, and the derivatives meaningless, unless lambda > 0
+        where a count was seen and lambda >= -_NEG_TOL (rounding) on the
+        walls."""
         g = self.geometry
         x, scale, seen = self.counts[trials], self.rate_scale[trials], self.seen[trials]
         mu = self.mu[trials]
@@ -345,7 +354,7 @@ class _FitProblem:
             hess -= 2.0 * mu[:, None, None] * (
                 (rows.transpose(0, 2, 1) * (extra < 0.0)[:, None, :]) @ rows
             )
-        value = np.where(feasible, ll - self.lgamma_const[trials] - mu * penalty, -np.inf)
+        value = np.where(feasible, ll - mu * penalty, -np.inf)
         return value, grad, hess
 
 
@@ -478,7 +487,7 @@ def _fit_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit every trial of ``counts`` (trials, classes, phases) as ``fit_mle``
     fits one; returns the coefficients (trials, classes, coefficients), the
-    log-likelihoods and the converged flags.
+    log-likelihoods without their log(x!) constants and the converged flags.
 
     Each round re-solves, as a smaller batch, only the trials whose
     continuous minimum still dips below zero, with three more penalty points
@@ -513,12 +522,7 @@ def _fit_batch(
     return coeff, ll, converged & np.isfinite(ll)
 
 
-def fit_mle(
-    dataset: FringeDataset,
-    harmonics: Sequence[int],
-    restarts: int = 50,
-    seed: int | None = None,
-) -> FitResult:
+def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     """Maximum-likelihood Fourier fringe fit.
 
     The penalized Poisson log-likelihood is concave in the free coefficients
@@ -529,13 +533,10 @@ def fit_mle(
     ends with its KKT certificate, the final projection onto nonnegative
     probabilities keeps at least 1 - 1e-4 of the model, and the
     log-likelihood is finite.  This is the one-trial case of the batch the
-    bootstrap refits with.
-
-    ``restarts`` (at least 1) and ``seed`` are accepted for existing callers
-    and have no effect: there is one optimum and no random start.
+    bootstrap refits with.  The reported log-likelihood is the one
+    ``log_likelihood`` gives: it includes the log(x!) constant that the
+    solve leaves out.
     """
-    if int(restarts) < 1:
-        raise ValueError("restarts must be at least 1")
     harmonics = tuple(sorted(int(k) for k in harmonics))
     thetas, counts, eta = dataset.arrays()
     coeff, ll, converged = _fit_batch(
@@ -543,7 +544,7 @@ def fit_mle(
     )
     return FitResult(
         model=FourierFringeModel(dataset.classes, harmonics, coeff[0]),
-        log_likelihood=float(ll[0]),
+        log_likelihood=float(ll[0]) - _log_factorials(counts),
         converged=bool(converged[0]),
     )
 

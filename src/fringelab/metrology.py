@@ -91,17 +91,16 @@ def fisher_terms(
     return total
 
 
-def fisher_at(
-    family: FringeFamily, theta: float, step: float = 1e-4, richardson: bool = True
-) -> float:
+def fisher_at(family: FringeFamily, theta: float, step: float = 1e-4) -> float:
     """Fisher information of the class probabilities at one phase.
 
-    Central differences with half-width ``step``; with ``richardson`` the
-    step is halved, the fine-step sum is returned, and a relative change
-    above 1e-4 triggers a warning that the step does not resolve the fringe
-    curvature.  Whether a vanishing class is live is then judged from the
-    extrapolated derivative (4 fine - coarse)/3, free of the O(step^2) bias
-    that can lift a dead class's difference quotient above the cut.
+    Central differences with half-width ``step`` and ``step / 2``; the
+    fine-step sum is returned, and a relative change above 1e-4 between the
+    two triggers a warning that the step does not resolve the fringe
+    curvature.  Whether a vanishing class is live is judged from the
+    Richardson-extrapolated derivative (4 fine - coarse)/3, free of the
+    O(step^2) bias that can lift a dead class's difference quotient above
+    the cut.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -114,8 +113,6 @@ def fisher_at(
         return {c: (pp[c] - pm[c]) / (2.0 * h) for c in family.classes}
 
     coarse_d = central(step)
-    if not richardson:
-        return fisher_terms(probs, coarse_d, context)
     fine_d = central(step / 2.0)
     judge = {c: (4.0 * fine_d[c] - coarse_d[c]) / 3.0 for c in family.classes}
     coarse = fisher_terms(probs, coarse_d, context, judge)

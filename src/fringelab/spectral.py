@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IllPosedError
 
-_NORM = 2.0 / math.gamma(0.25)  # the same bits as scipy.special.gamma gives
+_NORM = 2.0 / math.gamma(0.25)
 
 # q(u) = 4/Gamma(1/4) * int_0^4 exp(-y^4) cos(u y) dy as a 120-node
 # Gauss-Legendre sum: exp(-y^4) < 1e-111 beyond y = 4, and the nodes resolve
@@ -231,7 +231,6 @@ def _linear(
 def fit_hom_dip(
     points: Sequence[tuple[float, float, float]],
     init: tuple[float, float, float],
-    restarts: int = 20,
 ) -> HomDipFit:
     """Weighted least-squares fit of a + b*q(x/sigma) to coincidence data.
 
@@ -241,10 +240,9 @@ def fit_hom_dip(
     projected Jacobian (BIT 15, 49 (1975)) and halving backtracking refine
     the best cell until a step is at most 1e-10 sigma (``converged``; at most
     100 steps).  Only |init sigma| is used: ``init`` a and b are accepted and
-    unused, and so is ``restarts`` (an integer >= 0).  Fewer than three
-    distinct weighted |x|, a rank-deficient normal matrix at the solution
-    (for example b = 0, which leaves sigma free) or a fitted a + b outside
-    [0, 1] marks the fit ill-posed instead of raising.
+    unused.  Fewer than three distinct weighted |x|, a rank-deficient normal
+    matrix at the solution (for example b = 0, which leaves sigma free) or a
+    fitted a + b outside [0, 1] marks the fit ill-posed instead of raising.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -256,8 +254,6 @@ def fit_hom_dip(
         raise ValueError("weights must be nonnegative")
     if np.ptp(x) == 0.0:
         raise IllPosedError("all points share one delay; dip shape is undetermined")
-    if not isinstance(restarts, (int, np.integer)) or restarts < 0:
-        raise ValueError(f"restarts must be an integer >= 0, got {restarts!r}")
     start = np.asarray(init, dtype=float)
     if start.shape != (3,) or start[2] == 0.0:
         raise ValueError("init must be (a, b, sigma) with sigma != 0")

@@ -147,7 +147,7 @@ def test_a6_shot_noise_beaten_for_any_indistinguishability():
     margins = []
     for k, iprime in enumerate((0.1, 0.25, 0.5, 0.75, 1.0)):
         dataset = simulate_dataset(iprime, 0.0, 1e5, 16, seed=9000 + k)
-        fit = estimation.fit_mle(dataset, [2], restarts=4, seed=k)
+        fit = estimation.fit_mle(dataset, [2])
         assert fit.converged
         fprime = estimation.fisher_from_model(fit.model).per_photon
         boot = estimation.bootstrap_errors(fit, dataset, trials=50, seed=500 + k)
@@ -166,7 +166,7 @@ def test_a7_estimator_calibration():
     sigmas = np.empty(200)
     for k, seed in enumerate(seeds):
         dataset = simulate_dataset(iprime, zeta, total, n_phases, seed=seed)
-        fit = estimation.fit_mle(dataset, [2], restarts=2, seed=k)
+        fit = estimation.fit_mle(dataset, [2])
         estimates[k] = estimation.fisher_from_model(fit.model).per_photon
         boot = estimation.bootstrap_errors(fit, dataset, trials=100, seed=k + 31337)
         sigmas[k] = boot.sigma_per_photon

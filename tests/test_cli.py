@@ -351,17 +351,57 @@ class TestHomCommand:
         assert len((tmp_path / "iprime_curve.csv").read_text().split()) == len(xs) + 1
 
 
-def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
-    code = (
-        "import sys, fringelab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
-    )
+def _run_python(code, cwd=None):
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_scipy():
+    code = (
+        "import sys, fringelab, fringelab.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # A blocked import raises ImportError, also from a function that
+    # imports lazily, so each subcommand's whole path is covered.
+    xs = np.linspace(-8.0, 8.0, 17)
+    dip = [f"{x},{0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0)!r},1" for x in xs.tolist()]
+    (tmp_path / "dip.csv").write_text("x,p,weight\n" + "\n".join(dip) + "\n")
+    configs = {
+        "hom": {"input": "dip.csv", "init": {"a": 0.5, "b": -0.4, "sigma": 1.5}},
+        "simulate": {
+            "probe": {"type": "two_photon", "iprime": 0.5},
+            "zeta": 0.0119,
+            "phases": {"count": 8},
+            "expected_counts_per_point": 5000,
+            "seed": 3,
+        },
+        "fit": {**_FIT, "bootstrap_trials": 5, "seed": 4},
+        "predict": {"mode": "four_photon_extremes", "lambda4": 0.479, "zeta": 0.0282},
+        "reproduce-fig3": {**_FIG3, "phases": {"count": 8}, "bootstrap_trials": 5},
+    }
+    for name, config in configs.items():
+        write_config(tmp_path / f"{name}.json", config)
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fringelab.cli import main\n"
+        "codes = {}\n"
+        "for name in ('hom', 'simulate', 'fit', 'predict', 'reproduce-fig3'):\n"
+        "    if name == 'fit':\n"
+        "        truth = json.load(open('fringe_truth.json'))\n"
+        "        json.dump(truth['efficiencies'], open('eff.json', 'w'))\n"
+        "    codes[name] = main([name, '--config', name + '.json', '--out', '.'])\n"
+        "print(json.dumps(codes))\n"
+    )
+    codes = json.loads(_run_python(code, cwd=tmp_path).stdout.splitlines()[-1])
+    assert codes == dict.fromkeys(configs, 0)
 
 
 class TestPredictCommand:
@@ -660,3 +700,18 @@ class TestTopLevel:
         main(["simulate", "--config", cfg, "--out", str(out_a)])
         main(["simulate", "--config", cfg, "--seed", "2", "--out", str(out_b)])
         assert (out_a / "fringe.csv").read_bytes() != (out_b / "fringe.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["hom", "predict"])
+    def test_seed_flag_rejected_where_nothing_is_drawn(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"input": "dip.csv", "init": _INIT}
+            if command == "hom"
+            else {"mode": "small_angle", "n": 3, "indist": 1.0},
+        )
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()

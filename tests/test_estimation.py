@@ -129,6 +129,39 @@ class TestLogLikelihood:
                 expected += x * math.log(lam) - lam - math.lgamma(x + 1)
         assert log_likelihood(model, ds) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [0, 1, 170, 171, 10**6, 10**15])
+    def test_matches_scipy_poisson_log_masses(self, x):
+        # 170! is the largest factorial below the float range.
+        from scipy.stats import poisson
+
+        ds = FringeDataset(
+            ((0.7, {0: x, 2: x // 3 + 1}), (2.0, {0: x // 2, 2: x}), (2.6, {0: 1, 2: 0})),
+            {0: 1.0, 2: 0.75},
+        )
+        model = two_photon_model(0.5)
+        expected = []
+        for theta, counts in ds.points:
+            lam_t = sum(counts[c] / eta for c, eta in ds.efficiencies.items())
+            probs = model.evaluate(theta)
+            for c, eta in ds.efficiencies.items():
+                expected.append(poisson.logpmf(counts[c], lam_t * probs[c] * eta))
+        assert log_likelihood(model, ds) == pytest.approx(math.fsum(expected), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            synth_dataset(0.8, 0.0119, 10_000, 16, seed=77),
+            cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5),
+        ],
+        ids=["interior", "walls"],
+    )
+    def test_fit_reports_log_likelihood_of_its_model(self, dataset):
+        fit = fit_mle(dataset, [2])
+        assert math.isfinite(fit.log_likelihood)
+        assert fit.log_likelihood == pytest.approx(
+            log_likelihood(fit.model, dataset), rel=1e-12, abs=0
+        )
+
     def test_zero_dataset_is_zero(self):
         ds = FringeDataset(
             tuple((t, {0: 0, 2: 0}) for t in np.linspace(0, 2 * math.pi, 9)),
@@ -144,7 +177,7 @@ class TestLogLikelihood:
 
     def test_mle_is_local_maximum(self):
         ds = synth_dataset(0.6, 0.0, total=50_000, n_phases=16, seed=3)
-        fit = fit_mle(ds, [2], restarts=4, seed=0)
+        fit = fit_mle(ds, [2])
         base = log_likelihood(fit.model, ds)
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -197,14 +230,14 @@ class TestFitMle:
                 (float(theta), {c: int(round(1e6 * probs[c])) for c in (0, 2)})
             )
         ds = FringeDataset(tuple(points), etas)
-        fit = fit_mle(ds, [2], restarts=4, seed=1)
+        fit = fit_mle(ds, [2])
         assert fit.converged
         truth = two_photon_model(0.8).coefficients
         assert np.abs(fit.model.coefficients - truth).max() < 1e-3
 
     def test_synthetic_recovery_within_absolute_band(self):
         ds = synth_dataset(0.8, 0.0, total=10_000, n_phases=16, seed=11)
-        fit = fit_mle(ds, [2], restarts=4, seed=2)
+        fit = fit_mle(ds, [2])
         assert fit.converged
         truth = two_photon_family(0.8, 0.0)
         for theta in np.linspace(0, 2 * math.pi, 32):
@@ -218,7 +251,7 @@ class TestFitMle:
         points = tuple((0.3, {0: 10, 2: 5}) for _ in range(10))
         ds = FringeDataset(points, {0: 1.0, 2: 1.0})
         with pytest.raises(IllPosedError):
-            fit_mle(ds, [2], restarts=1, seed=0)
+            fit_mle(ds, [2])
 
     def test_narrow_span_is_ill_posed(self):
         points = tuple(
@@ -226,11 +259,11 @@ class TestFitMle:
         )
         ds = FringeDataset(points, {0: 1.0, 2: 1.0})
         with pytest.raises(IllPosedError):
-            fit_mle(ds, [2], restarts=1, seed=0)
+            fit_mle(ds, [2])
 
     def test_normalization_holds_identically(self):
         ds = synth_dataset(0.5, 0.0119, total=5000, n_phases=16, seed=5)
-        fit = fit_mle(ds, [2], restarts=4, seed=3)
+        fit = fit_mle(ds, [2])
         grid = np.linspace(0, 2 * math.pi, 360, endpoint=False)
         sums = fit.model.probs_at(grid).sum(axis=0)
         assert np.allclose(sums, 1.0, atol=1e-12)
@@ -251,8 +284,8 @@ class TestFitMle:
             merged_points.append((float(theta), {0: n_zero, 2: n_plus + n_minus}))
         signed = FringeDataset(tuple(signed_points), {0: 1.0, 2: 1.0, -2: 1.0})
         merged = FringeDataset(tuple(merged_points), {0: 1.0, 2: 1.0})
-        fit_signed = fit_mle(signed, [2], restarts=4, seed=4)
-        fit_merged = fit_mle(merged, [2], restarts=4, seed=4)
+        fit_signed = fit_mle(signed, [2])
+        fit_merged = fit_mle(merged, [2])
         classes = fit_signed.model.classes
         idx_plus, idx_minus = classes.index(2), classes.index(-2)
         for theta in np.linspace(0, 2 * math.pi, 16):
@@ -314,11 +347,6 @@ class TestFitMle:
             assert gain <= tol
         assert values.max() - values.min() <= tol
 
-    def test_restart_count_validated(self):
-        ds = synth_dataset(0.5, 0.0, total=100, n_phases=8, seed=1)
-        with pytest.raises(ValueError):
-            fit_mle(ds, [2], restarts=0)
-
 
 class TestFisherFromModel:
     def test_exact_full_symmetry_model(self):
@@ -359,12 +387,12 @@ class TestBootstrap:
         outer = []
         for k in range(500):
             ds = synth_dataset(0.8, zeta, total, phases, seed=20_000 + k)
-            fit = fit_mle(ds, [2], restarts=2, seed=k)
+            fit = fit_mle(ds, [2])
             outer.append(fisher_from_model(fit.model).max_fisher)
         outer_sigma = float(np.std(outer, ddof=1))
 
         ds = synth_dataset(0.8, zeta, total, phases, seed=77)
-        fit = fit_mle(ds, [2], restarts=4, seed=7)
+        fit = fit_mle(ds, [2])
         boot = bootstrap_errors(fit, ds, trials=500, seed=99)
         assert boot.sigma_max_fisher == pytest.approx(outer_sigma, rel=0.30)
 
@@ -376,7 +404,7 @@ class TestBootstrap:
             for t in np.linspace(0, 2 * math.pi, 16, endpoint=False)
         )
         ds = FringeDataset(points, etas)
-        fit = fit_mle(ds, [2], restarts=4, seed=8)
+        fit = fit_mle(ds, [2])
         boot = bootstrap_errors(fit, ds, trials=100, seed=5)
         assert boot.sigma_max_fisher < 0.2
         assert boot.sigma_max_fisher >= 0.0
@@ -385,7 +413,7 @@ class TestBootstrap:
         sigmas = []
         for total in (10_000, 20_000):
             ds = synth_dataset(0.8, 0.0119, total, 16, seed=41)
-            fit = fit_mle(ds, [2], restarts=4, seed=9)
+            fit = fit_mle(ds, [2])
             boot = bootstrap_errors(fit, ds, trials=300, seed=11)
             sigmas.append(boot.sigma_max_fisher)
         ratio = sigmas[1] / sigmas[0]
@@ -393,7 +421,7 @@ class TestBootstrap:
 
     def test_deterministic_under_fixed_seed(self):
         ds = synth_dataset(0.6, 0.0, 5000, 16, seed=2)
-        fit = fit_mle(ds, [2], restarts=2, seed=1)
+        fit = fit_mle(ds, [2])
         a = bootstrap_errors(fit, ds, trials=25, seed=123)
         b = bootstrap_errors(fit, ds, trials=25, seed=123)
         assert a.sigma_max_fisher == b.sigma_max_fisher
@@ -401,7 +429,7 @@ class TestBootstrap:
 
     def test_minimum_trials(self):
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
-        fit = fit_mle(ds, [2], restarts=2, seed=1)
+        fit = fit_mle(ds, [2])
         with pytest.raises(ValueError):
             bootstrap_errors(fit, ds, trials=1, seed=0)
 
@@ -477,7 +505,7 @@ class TestBootstrap:
 
     def test_report_json(self):
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
-        fit = fit_mle(ds, [2], restarts=2, seed=1)
+        fit = fit_mle(ds, [2])
         boot = bootstrap_errors(fit, ds, trials=10, seed=3)
         data = json.loads(boot.to_json())
         assert set(data) == {

@@ -330,12 +330,6 @@ class TestHomDipFit:
         assert fit.ill_posed
         assert all(math.isfinite(v) for v in (fit.a, fit.b, fit.sigma, fit.residual))
 
-    @pytest.mark.parametrize("restarts", [-1, 2.5])
-    def test_bad_restarts_rejected(self, restarts):
-        points = synthetic_dip(0.5, -0.5, 2.0, np.linspace(-8.0, 8.0, 33))
-        with pytest.raises(ValueError, match="restarts"):
-            fit_hom_dip(points, init=(0.4, -0.4, 1.5), restarts=restarts)
-
     def test_noiseless_recovery(self):
         xs = np.linspace(-8.0, 8.0, 33)
         points = synthetic_dip(0.5, -0.5, 2.0, xs)
@@ -361,7 +355,7 @@ class TestHomDipFit:
             resampled = synthetic_dip(
                 fit.a, fit.b, fit.sigma, xs, rng=trial_rng, counts_per_point=counts
             )
-            refit = fit_hom_dip(resampled, init=(fit.a, fit.b, fit.sigma), restarts=3)
+            refit = fit_hom_dip(resampled, init=(fit.a, fit.b, fit.sigma))
             sigmas.append(refit.sigma)
         se = float(np.std(sigmas, ddof=1))
         assert abs(fit.sigma - 2.0) < 3.0 * se
