@@ -2,8 +2,9 @@
 
 Synthesizes normalized coincidence rates a + b*q(x) over a delay scan with
 Poisson counting noise, fits (a, b, sigma) by variable projection (the
-closed-form (a, b) for each sigma, then a scan and Gauss-Newton steps on
-sigma alone), and prints the recovered dip alongside the implied
+closed-form (a, b) for each sigma, then a scan over a sigma window set by
+the delays and Gauss-Newton steps on sigma alone; no starting point is
+needed), and prints the recovered dip alongside the implied
 exchange-symmetry curve I'(x) = 1 - 2 p(x).
 """
 
@@ -24,7 +25,7 @@ for x in delays:
     observed = rng.poisson(COUNTS_PER_POINT * p) / COUNTS_PER_POINT
     points.append((float(x), float(observed), float(COUNTS_PER_POINT)))
 
-fit = fit_hom_dip(points, init=(0.45, -0.35, 1.4))
+fit = fit_hom_dip(points)
 
 print("true parameters:   a=%.4f  b=%.4f  sigma=%.4f" % (TRUE_A, TRUE_B, TRUE_SIGMA))
 print(

@@ -202,7 +202,6 @@ _EXPERIMENT_KEYS = {
     "expected_counts_per_point",
     "seed",
     "restarts",
-    "bootstrap_trials",
 }
 
 
@@ -236,7 +235,6 @@ def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozen
             data, "expected_counts_per_point", None, above=0, at_most=1e15, integer=False
         ),
         "seed": _number(data, "seed", 0, above=-1),
-        "bootstrap_trials": _number(data, "bootstrap_trials", 100, above=1, at_most=MAX_TRIALS),
     }
 
 
@@ -311,15 +309,16 @@ def _fit_report_payload(fit, fisher, boot) -> dict:
 
 
 def cmd_hom(config: dict, out: Path) -> int:
-    _check_keys(config, {"input", "init"}, {"input", "init"}, "config")
-    init = config["init"]
-    _check_keys(init, {"a", "b", "sigma"}, {"a", "b", "sigma"}, "init")
-    start = tuple(
-        _number(init, key, None, above=-math.inf, integer=False, where="init.")
-        for key in ("a", "b", "sigma")
-    )
-    if start[2] == 0.0:
-        raise ConfigError("init.sigma: must be nonzero, got 0")
+    _check_keys(config, {"input", "init"}, {"input"}, "config")
+    # ``init`` is checked, as ``restarts`` is, because existing configs set
+    # it; the delays set the sigma window, so it has no effect.
+    if "init" in config:
+        init = config["init"]
+        _check_keys(init, {"a", "b", "sigma"}, {"a", "b", "sigma"}, "init")
+        for key in ("a", "b", "sigma"):
+            _number(init, key, None, above=-math.inf, integer=False, where="init.")
+        if init["sigma"] == 0.0:
+            raise ConfigError("init.sigma: must be nonzero, got 0")
     path = str(config["input"])
     points = []
     for line, fields in _read_csv(path, "x,p,weight"):
@@ -332,7 +331,7 @@ def cmd_hom(config: dict, out: Path) -> int:
     if len(points) < 4:
         raise ParseError(f"{path}: need at least 4 rows to fit (a, b, sigma), got {len(points)}")
     try:
-        fit = spectral.fit_hom_dip(points, start)
+        fit = spectral.fit_hom_dip(points)
     except IllPosedError as exc:
         raise NonConvergence(f"dip fit is ill-posed: {exc}") from exc
     (out / "hom_fit.json").write_text(fit.to_json() + "\n")
@@ -472,7 +471,8 @@ def cmd_predict(config: dict, out: Path) -> int:
 
 
 def cmd_reproduce_fig3(config: dict, out: Path) -> int:
-    cfg = _experiment_config(config, need_probe=False, extra={"iprimes"})
+    cfg = _experiment_config(config, need_probe=False, extra={"iprimes", "bootstrap_trials"})
+    trials = _number(config, "bootstrap_trials", 100, above=1, at_most=MAX_TRIALS)
     grid = _iprime_grid(config, default_count=6)
     zeta = cfg["noise"].zeta
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
@@ -486,9 +486,7 @@ def cmd_reproduce_fig3(config: dict, out: Path) -> int:
                 probe, cfg["noise"], cfg["phases"], cfg["expected"], int(sub_seeds[0])
             )
             dataset = estimation.FringeDataset(tuple(points), etas)
-            fit, fisher, boot = _fit_pipeline(
-                dataset, [2], cfg["bootstrap_trials"], int(sub_seeds[1])
-            )
+            fit, fisher, boot = _fit_pipeline(dataset, [2], trials, int(sub_seeds[1]))
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
             predicted = metrology.optimal_fisher_two_photon(iprime, zeta).value / 2.0

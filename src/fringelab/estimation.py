@@ -241,6 +241,10 @@ class _Geometry:
             )
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
+        if np.linalg.matrix_rank(_basis(harmonics, distinct)) < 1 + 2 * len(harmonics):
+            # Only the penalty would set a term that vanishes at every phase,
+            # as sin(6 theta) does at 12 equally spaced phases.
+            raise IllPosedError(f"{distinct.size} phases alias harmonics {list(harmonics)}")
         self.thetas = thetas
         self.classes = classes
         self.harmonics = harmonics
@@ -555,29 +559,31 @@ def _continuous_minimum(
     """Continuous minimum over classes and phase of each trial's class
     probabilities, and its phase; ``coeff`` is (trials, classes, coefficients).
 
-    Grid minima sit between samples for oscillatory models; a parabolic
-    vertex polish per class pins the true dip, which matters because a model
-    crossing zero between grid points has divergent information there.
+    One period, 2 pi / gcd(harmonics), is scanned, so no dip ties with its
+    copy a period on.  Grid minima sit between samples for oscillatory
+    models; Newton steps on the exact series derivatives pin each class's
+    dip, which matters because a model crossing zero between grid points
+    has divergent information there.
     """
-    grid = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    period = 2.0 * math.pi / math.gcd(*harmonics)
+    grid = np.linspace(0.0, period, 720, endpoint=False)
     probs = coeff @ _basis(harmonics, grid)
     flat = probs.reshape(len(probs), -1)
     lowest = np.argmin(flat, axis=1)
-    step = grid[1] - grid[0]
-    i = np.argmin(probs, axis=-1)[..., None]
-    f_minus = np.take_along_axis(probs, (i - 1) % grid.size, axis=-1)[..., 0]
-    f0 = np.take_along_axis(probs, i, axis=-1)[..., 0]
-    f_plus = np.take_along_axis(probs, (i + 1) % grid.size, axis=-1)[..., 0]
-    curve = f_plus - 2.0 * f0 + f_minus
-    offset = -0.5 * step * (f_plus - f_minus) / np.where(curve > 0.0, curve, 1.0)
-    polished = (curve > 0.0) & (np.abs(offset) <= step)
-    theta = grid[i[..., 0]] + offset
+    k = np.asarray(harmonics, dtype=float)
+    cos_k, sin_k = coeff[..., 1::2], coeff[..., 2::2]
+    theta = grid[np.argmin(probs, axis=-1)]
+    for _ in range(3):
+        c, s = np.cos(k * theta[..., None]), np.sin(k * theta[..., None])
+        slope = (k * (sin_k * c - cos_k * s)).sum(axis=-1)
+        curve = -(k * k * (cos_k * c + sin_k * s)).sum(axis=-1)
+        theta = theta - slope / np.where(curve > 0.0, curve, np.inf)
+    theta = theta % period
+    theta[theta == period] = 0.0  # a step just below 0 wraps to period
     value = (coeff * np.moveaxis(_basis(harmonics, theta), 0, -1)).sum(axis=-1)
-    # Candidates in order: the grid minimum, then each class's vertex; the
-    # first of equal values wins.
-    values = np.concatenate(
-        [flat[np.arange(len(flat)), lowest][:, None], np.where(polished, value, np.inf)], axis=1
-    )
+    # Candidates in order: the grid minimum, then each class's polished dip;
+    # the first of equal values wins.
+    values = np.concatenate([flat[np.arange(len(flat)), lowest][:, None], value], axis=1)
     thetas = np.concatenate([grid[lowest % grid.size][:, None], theta], axis=1)
     pick = np.argmin(values, axis=1)[:, None]
     return (

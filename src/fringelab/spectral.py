@@ -177,10 +177,6 @@ def schmidt_spectrum_of(jsa: JsaGrid) -> SchmidtSpectrum:
 # for each sigma they follow from a 2x2 weighted solve, and the fit is a
 # one-dimensional problem in sigma.
 
-# Scan cells of the profile in sigma, as multiples of |init sigma|.
-_SCAN = 4.0 ** np.linspace(-1.0, 1.0, 17)
-
-
 @dataclass(frozen=True)
 class HomDipFit:
     """Result of fitting a + b*q(x) to normalized coincidence data."""
@@ -228,21 +224,21 @@ def _linear(
     return a, b, p - a[:, None] - b[:, None] * q
 
 
-def fit_hom_dip(
-    points: Sequence[tuple[float, float, float]],
-    init: tuple[float, float, float],
-) -> HomDipFit:
+def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     """Weighted least-squares fit of a + b*q(x/sigma) to coincidence data.
 
     For each sigma a closed-form 2x2 weighted solve gives (a, b), leaving a
-    residual in sigma alone.  It is scanned on 17 log-spaced sigma over
-    |init sigma| x/ 4, and Gauss-Newton steps on sigma with Kaufman's
-    projected Jacobian (BIT 15, 49 (1975)) and halving backtracking refine
-    the best cell until a step is at most 1e-10 sigma (``converged``; at most
-    100 steps).  Only |init sigma| is used: ``init`` a and b are accepted and
-    unused.  Fewer than three distinct weighted |x|, a rank-deficient normal
-    matrix at the solution (for example b = 0, which leaves sigma free) or a
-    fitted a + b outside [0, 1] marks the fit ill-posed instead of raising.
+    residual in sigma alone.  The data set the sigma window: from half the
+    smallest to twice the largest weighted |x| off zero (every |x| off zero
+    if none is weighted); below it q(x/sigma) nears 0 at every delay off
+    zero, and above it 1.  The residual is scanned on 17 log-spaced sigma,
+    and Gauss-Newton steps on sigma with Kaufman's projected Jacobian (BIT
+    15, 49 (1975)) and halving backtracking refine the best cell until a
+    step is at most 1e-10 sigma (``converged``; at most 100 steps).  Fewer
+    than three distinct weighted |x| (sigma is then the window's geometric
+    mean), a rank-deficient normal matrix at the solution (for example
+    b = 0, which leaves sigma free) or a fitted a + b outside [0, 1] marks
+    the fit ill-posed instead of raising.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -254,15 +250,16 @@ def fit_hom_dip(
         raise ValueError("weights must be nonnegative")
     if np.ptp(x) == 0.0:
         raise IllPosedError("all points share one delay; dip shape is undetermined")
-    start = np.asarray(init, dtype=float)
-    if start.shape != (3,) or start[2] == 0.0:
-        raise ValueError("init must be (a, b, sigma) with sigma != 0")
 
     # q depends on |x| only, so it is evaluated at the distinct |x|.
     ax, inv = np.unique(np.abs(x), return_inverse=True)
-    sigma = abs(float(start[2]))
-    if np.count_nonzero(np.bincount(inv, w)) < 3:
+    weighted = np.bincount(inv, w) > 0
+    off = ax > 0
+    span = ax[off & weighted] if np.any(off & weighted) else ax[off]
+    sigmas = np.geomspace(span.min() / 2.0, 2.0 * span.max(), 17)
+    if np.count_nonzero(weighted) < 3:
         # Two weighted delays or fewer are fitted exactly for any sigma.
+        sigma = float(sigmas[8])  # the window's geometric mean
         q = _overlap(ax / sigma, slope=False)[inv]
         root_w = np.sqrt(w)
         (a, b), *_ = np.linalg.lstsq(np.column_stack([root_w, root_w * q]), root_w * p, rcond=None)
@@ -278,9 +275,9 @@ def fit_hom_dip(
         u = ax / sigma
         return (_overlap(u)[1] * (-u / sigma))[inv]
 
-    scan = profile(sigma * _SCAN)
+    scan = profile(sigmas)
     best = int(np.argmin(scan[2]))
-    sigma = float(sigma * _SCAN[best])
+    sigma = float(sigmas[best])
     a, b, sse, r, q = (row[best] for row in scan)
     converged = False
     for _ in range(100):

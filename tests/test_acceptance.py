@@ -191,7 +191,7 @@ def test_a8_overlap_function_and_dip_fit():
         (float(x), 0.5 - 0.5 * spectral.quartic_gaussian_overlap(float(x), 2.0), 1.0)
         for x in xs
     ]
-    fit = spectral.fit_hom_dip(points, init=(0.4, -0.4, 1.5))
+    fit = spectral.fit_hom_dip(points)
     assert not fit.ill_posed
     errs = (abs(fit.a - 0.5), abs(fit.b + 0.5), abs(fit.sigma - 2.0))
     assert max(errs) < 1e-6

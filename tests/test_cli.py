@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "probe" in capsys.readouterr().err
 
+    def test_bootstrap_trials_is_unknown(self, tmp_path, capsys):
+        # simulate draws no bootstrap, so the key is rejected, not ignored.
+        cfg = write_config(tmp_path / "sim.json", {**_SIMULATE, "bootstrap_trials": 100})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "bootstrap_trials" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestFitCommand:
     def test_round_trip_from_simulate(self, tmp_path):
@@ -216,6 +224,35 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert ":3:" in capsys.readouterr().err
+
+    def test_aliased_harmonics_exit_4(self, tmp_path, capsys):
+        # sin(6 theta) vanishes at all 12 equally spaced phases.
+        sim_cfg = write_config(
+            tmp_path / "sim.json",
+            {
+                "probe": {"type": "dual_fock", "n": 3, "indist": 0.5},
+                "zeta": 0.0119,
+                "bins_per_arm": 6,
+                "phases": {"count": 12},
+                "expected_counts_per_point": 300,
+                "seed": 5,
+            },
+        )
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path)]) == 0
+        truth = json.loads((tmp_path / "fringe_truth.json").read_text())
+        (tmp_path / "eff.json").write_text(json.dumps(truth["efficiencies"]))
+        fit_cfg = write_config(
+            tmp_path / "fit.json",
+            {
+                "fringe_csv": str(tmp_path / "fringe.csv"),
+                "efficiency_json": str(tmp_path / "eff.json"),
+                "harmonics": [2, 4, 6],
+                "bootstrap_trials": 10,
+            },
+        )
+        assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path)]) == 4
+        assert "12 phases alias harmonics [2, 4, 6]" in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -349,6 +386,30 @@ class TestHomCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads((tmp_path / "hom_fit.json").read_text())["ill_posed"] is True
         assert len((tmp_path / "iprime_curve.csv").read_text().split()) == len(xs) + 1
+
+    def test_init_has_no_effect(self, tmp_path):
+        # The data set the sigma window, so any init, or none, gives the
+        # same fit; an init sigma at the edge of the float range warns of
+        # nothing.
+        rows = [
+            f"{x!r},{0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0)!r},1"
+            for x in np.linspace(-8.0, 8.0, 17).tolist()
+        ]
+        (tmp_path / "dip.csv").write_text("x,p,weight\n" + "\n".join(rows) + "\n")
+        reports = []
+        for sigma in (None, 1e-308, 1e-5, 0.2, 2, 20, 1e5, 1e308):
+            config = {"input": str(tmp_path / "dip.csv")}
+            if sigma is not None:
+                config["init"] = {"a": 0.5, "b": -0.4, "sigma": sigma}
+            out = tmp_path / f"out_{sigma}"
+            cfg = write_config(tmp_path / "hom.json", config)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["hom", "--config", cfg, "--out", str(out)]) == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            reports.append((out / "hom_fit.json").read_bytes())
+        assert all(report == reports[0] for report in reports)
+        assert json.loads(reports[0])["sigma"] == pytest.approx(2.0, abs=1e-8)
 
 
 def _run_python(code, cwd=None):

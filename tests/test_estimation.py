@@ -14,6 +14,7 @@ from fringelab.errors import IllPosedError
 from fringelab.estimation import (
     FourierFringeModel,
     FringeDataset,
+    _continuous_minimum,
     _FitProblem,
     _fit_batch,
     _Geometry,
@@ -24,8 +25,9 @@ from fringelab.estimation import (
     log_likelihood,
     total_rate_estimate,
 )
-from fringelab.fock import four_photon_schmidt, spdc_two_photon
+from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_photon
 from fringelab.metrology import (
+    _basis,
     _maximize_fourier_fisher,
     optimal_fisher_two_photon,
     two_photon_family,
@@ -261,6 +263,15 @@ class TestFitMle:
         with pytest.raises(IllPosedError):
             fit_mle(ds, [2])
 
+    def test_aliased_harmonics_are_ill_posed(self):
+        # sin(6 theta) vanishes at all 12 equally spaced phases, so only the
+        # penalty would set its coefficient.
+        noise = NoiseAndEfficiencyConfig(zeta=0.0119, bins_per_arm=6)
+        phases = 2 * math.pi * np.arange(12) / 12
+        _, etas, points, _ = _simulate_points(dual_fock_mismatched(3, 0.5), noise, phases, 300, 5)
+        with pytest.raises(IllPosedError, match="12 phases alias harmonics"):
+            fit_mle(FringeDataset(tuple(points), etas), [2, 4, 6])
+
     def test_normalization_holds_identically(self):
         ds = synth_dataset(0.5, 0.0119, total=5000, n_phases=16, seed=5)
         fit = fit_mle(ds, [2])
@@ -346,6 +357,25 @@ class TestFitMle:
             gain = along @ np.linalg.lstsq(-face.T @ hess @ face, along, rcond=None)[0]
             assert gain <= tol
         assert values.max() - values.min() <= tol
+
+
+class TestContinuousMinimum:
+    def test_one_period_and_exact_dip(self):
+        # Harmonics (2, 4) repeat every pi, so the phase lies in [0, pi).
+        # The reference refines a dense grid's minimum on a finer grid.
+        rng = np.random.default_rng(8)
+        harmonics = (2, 4)
+        grid = np.linspace(0.0, 2 * math.pi, 20_001)
+        basis = _basis(harmonics, grid)
+        for _ in range(200):
+            coeff = rng.normal(size=(1, 3, 5))
+            value, theta = _continuous_minimum(coeff, harmonics)
+            assert 0.0 <= theta[0] < math.pi
+            probs = coeff[0] @ basis
+            cls, i = np.unravel_index(np.argmin(probs), probs.shape)
+            fine = grid[i] + np.linspace(-1.0, 1.0, 20_001) * (grid[1] - grid[0])
+            brute = float((coeff[0, cls] @ _basis(harmonics, fine)).min())
+            assert abs(value[0] - brute) < 1e-12
 
 
 class TestFisherFromModel:
