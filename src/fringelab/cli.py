@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,17 +51,6 @@ class NonConvergence(RuntimeError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _check_keys(data: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: must be an object, got {data!r}")
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _load_config(path: str) -> dict:
@@ -113,133 +104,166 @@ def _float_field(path: str, line: int, value: str, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Experiment configuration.
+# Config tables.  ``main`` reads a config through its subcommand's table
+# (``_COMMANDS``), and each ``cmd_*`` gets the normalised dict.
 
 
-def _build_probe(probe_cfg: dict):
-    if not isinstance(probe_cfg, dict) or "type" not in probe_cfg:
-        raise ConfigError("probe: must be an object with a 'type' key")
-    kind = probe_cfg["type"]
-    try:
-        if kind == "two_photon":
-            _check_keys(probe_cfg, {"type", "iprime"}, {"iprime"}, "probe")
-            return fock.spdc_two_photon(float(probe_cfg["iprime"]))
-        if kind == "four_photon":
-            _check_keys(probe_cfg, {"type", "lambdas", "tau"}, {"lambdas", "tau"}, "probe")
-            spectrum = spectral.SchmidtSpectrum([float(v) for v in probe_cfg["lambdas"]])
-            return fock.four_photon_schmidt(spectrum, float(probe_cfg["tau"]))
-        if kind == "dual_fock":
-            _check_keys(probe_cfg, {"type", "n", "indist"}, {"n", "indist"}, "probe")
-            return fock.dual_fock_mismatched(int(probe_cfg["n"]), float(probe_cfg["indist"]))
-    except (ValueError, TypeError, OverflowError, ResourceLimitError) as exc:
-        raise ConfigError(f"probe: {exc}") from exc
-    raise ConfigError(f"probe.type: unknown probe type '{kind}'")
+@dataclass(frozen=True)
+class _Field:
+    """A config field.  ``kind`` is ``int``, ``float``, ``str``, ``[item]``
+    for a list of ``item`` fields, a dict of fields for a nested table, or a
+    (list, table) pair that the value's JSON type picks from; with a ``tag``,
+    a dict of tables that the value of the ``tag`` key picks from.  A number
+    is finite, integral for ``int``, greater than ``above`` and at most
+    ``at_most``; for a list the two bound its length.  An absent field takes
+    ``default``: ``...`` means it must be given, and None that it stays absent."""
+
+    kind: object
+    default: object = ...
+    above: float = -math.inf
+    at_most: float = math.inf
+    tag: str | None = None
 
 
-def _number(
-    data: dict,
-    key: str,
-    default,
-    *,
-    above: float,
-    at_most: float = math.inf,
-    integer: bool = True,
-    where: str = "",
-) -> int | float:
-    """``data[key]`` (``default`` when absent), which must be a finite number
-    greater than ``above``, at most ``at_most`` and, if ``integer``,
-    integral; anything else is a config error that names the field."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}{key}: must be a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite or not above < value <= at_most or (integer and value != int(value)):
-        kind = "an integer" if integer else "a finite number"
-        limit = "" if at_most == math.inf else f" and at most {at_most:g}"
-        raise ConfigError(
-            f"{where}{key}: must be {kind} greater than {above}{limit}, got {value!r}"
-        )
-    return int(value) if integer else float(value)
+def _read(value, field: _Field, where: str = ""):
+    """``value`` checked against ``field`` and normalised: numbers as int or
+    float, tables with their defaults filled in.  A misfit is a config error
+    that starts with the dotted field name ``where``."""
+    kind = field.kind
+    if isinstance(kind, tuple):
+        kind = kind[isinstance(value, dict)]
+    name, prefix = (where, where + ".") if where else ("config", "")
 
+    def misfit(what: str) -> ConfigError:
+        if field.above > -math.inf:
+            what += f" greater than {field.above:g}"
+        if field.at_most < math.inf:
+            what += f" and at most {field.at_most:g}"
+        return ConfigError(f"{name}: must be {what}, got {reprlib.repr(value)}")
 
-def _phase_grid(phases_cfg: dict | None) -> np.ndarray:
-    if phases_cfg is None:
-        phases_cfg = {}
-    _check_keys(phases_cfg, {"count", "start", "stop"}, set(), "phases")
-    count = _number(phases_cfg, "count", 32, above=0, at_most=MAX_PHASES, where="phases.")
-    start = _number(phases_cfg, "start", 0.0, above=-math.inf, integer=False, where="phases.")
-    stop = _number(phases_cfg, "stop", 2 * math.pi, above=-math.inf, integer=False, where="phases.")
-    if not (start < stop and math.isfinite(stop - start)):
-        raise ConfigError("phases.stop: must exceed phases.start by a finite span")
-    return start + (stop - start) * np.arange(count) / count
-
-
-def _iprime_grid(config: dict, default_count: int) -> np.ndarray:
-    """Exchange-symmetry values from ``iprimes``: a list, or ``{"count": n}``
-    for n evenly spaced values on [0, 1]."""
-    grid_cfg = config.get("iprimes", {"count": default_count})
-    if isinstance(grid_cfg, dict):
-        _check_keys(grid_cfg, {"count"}, {"count"}, "iprimes")
-        count = _number(grid_cfg, "count", None, above=0, at_most=MAX_IPRIMES, where="iprimes.")
-        return np.linspace(0.0, 1.0, count)
-    try:
-        grid = np.array([float(v) for v in grid_cfg])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("iprimes: must be a list of numbers or {\"count\": n}") from None
-    if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
-        raise ConfigError("iprimes: need one or more values in [0, 1]")
-    return grid
-
-
-_EXPERIMENT_KEYS = {
-    "probe",
-    "zeta",
-    "bins_per_arm",
-    "phases",
-    "expected_counts_per_point",
-    "seed",
-    "restarts",
-}
-
-
-def _experiment_config(data: dict, *, need_probe: bool, extra: set[str] = frozenset()) -> dict:
-    allowed = _EXPERIMENT_KEYS | extra
-    required = {"expected_counts_per_point"} | ({"probe"} if need_probe else set())
-    _check_keys(data, allowed, required, "config")
-    zeta = _number(data, "zeta", 0.0, above=-math.inf, integer=False)
-    bins = _number(data, "bins_per_arm", 4, above=0)
-    try:
-        noise = detection.NoiseAndEfficiencyConfig(zeta=zeta, bins_per_arm=bins)
-    except ValueError as exc:
-        raise ConfigError(f"zeta: {exc}") from exc
-    probe = _build_probe(data["probe"]) if need_probe else None
-    # reproduce-fig3 simulates two-photon probes.
-    photons = probe.total_photons if need_probe else 2
-    if photons > noise.bins_per_arm:
-        raise ConfigError(
-            f"bins_per_arm: {photons} photons need at least {photons} bins per arm, "
-            f"got {noise.bins_per_arm}"
-        )
-    # ``restarts`` is checked, as ``fit`` does, because README configs set
-    # it; the fit has one optimum and no random start, so it has no effect.
-    _number(data, "restarts", 1, above=0)
+    if kind is str:
+        if not isinstance(value, str):
+            raise misfit("a string")
+        return value
+    if isinstance(kind, list):
+        if not (isinstance(value, list) and field.above < len(value) <= field.at_most):
+            raise misfit("a list of length")
+        return [_read(item, kind[0], where) for item in value]
+    if kind in (int, float):
+        try:  # a TypeError for a non-number, an OverflowError for an int beyond floats
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not (ok and field.above < value <= field.at_most) or kind is int and value != int(value):
+            raise misfit("an integer" if kind is int else "a finite number")
+        return kind(value)
+    if not isinstance(value, dict):
+        raise misfit("an object")
+    if field.tag is not None:
+        choice = value.get(field.tag)
+        if not (isinstance(choice, str) and choice in kind):
+            raise ConfigError(f"{prefix}{field.tag}: must be one of {sorted(kind)}, got {choice!r}")
+        kind = {field.tag: _Field(str), **kind[choice]}
+    required = {key for key, f in kind.items() if f.default is ...}
+    for problem, keys in (("unknown", set(value) - set(kind)), ("missing", required - set(value))):
+        if keys:
+            raise ConfigError(f"{name}: {problem} keys {sorted(keys)}")
     return {
-        "probe": probe,
-        "noise": noise,
-        "phases": _phase_grid(data.get("phases")),
-        # Counts stay below 2^53, exact as floats in the fit.
-        "expected": _number(
-            data, "expected_counts_per_point", None, above=0, at_most=1e15, integer=False
-        ),
-        "seed": _number(data, "seed", 0, above=-1),
+        key: _read(value.get(key, f.default), f, prefix + key)
+        for key, f in kind.items()
+        if key in value or f.default is not None
     }
 
 
+# Accepted and checked, but without effect, because README and benchmark
+# configs set them: the fringe fit has one optimum, so it needs no restarts,
+# and the delays set the dip fit's sigma window, so it needs no init.
+_NO_EFFECT = {
+    "restarts": _Field(int, 1, above=0),
+    "init": _Field({key: _Field(float) for key in ("a", "b", "sigma")}, None),
+}
+_SEED = _Field(int, 0, above=-1)
+_TRIALS = _Field(int, 200, above=1, at_most=MAX_TRIALS)
+# Exchange-symmetry values: a list, or {"count": n} evenly spaced on [0, 1].
+_GRID = {"count": _Field(int, above=0, at_most=MAX_IPRIMES)}
+_IPRIMES = _Field(([_Field(float)], _GRID), {"count": 51}, above=0, at_most=MAX_IPRIMES)
+_PHASES = {
+    "count": _Field(int, 32, above=0, at_most=MAX_PHASES),
+    "start": _Field(float, 0.0),
+    "stop": _Field(float, 2 * math.pi),
+}
+_EXPERIMENT = {
+    "zeta": _Field(float, 0.0),
+    "bins_per_arm": _Field(int, 4, above=0),
+    "phases": _Field(_PHASES, {}),
+    # Counts stay below 2^53, exact as floats in the fit.
+    "expected_counts_per_point": _Field(float, above=0, at_most=1e15),
+    "seed": _SEED,
+    "restarts": _NO_EFFECT["restarts"],
+}
+_PROBES = {
+    "two_photon": {"iprime": _Field(float)},
+    "four_photon": {"lambdas": _Field([_Field(float)], above=0), "tau": _Field(float)},
+    "dual_fock": {"n": _Field(int, above=0), "indist": _Field(float)},
+}
+_FIT = {
+    "fringe_csv": _Field(str),
+    "efficiency_json": _Field(str),
+    "harmonics": _Field([_Field(int, above=0)], above=0),
+    "bootstrap_trials": _TRIALS,
+    "seed": _SEED,
+    "restarts": _NO_EFFECT["restarts"],
+}
+_PREDICTIONS = {
+    "two_photon_curve": {"zeta": _Field(float), "iprimes": _IPRIMES},
+    "four_photon_extremes": {"lambda4": _Field(float), "zeta": _Field(float)},
+    "small_angle": {"n": _Field(int, above=0), "indist": _Field(float)},
+}
+_FIG3 = {
+    **_EXPERIMENT,
+    "iprimes": replace(_IPRIMES, default={"count": 6}),
+    "bootstrap_trials": replace(_TRIALS, default=100),
+}
+
+
 # ---------------------------------------------------------------------------
-# Simulation and fitting building blocks shared by subcommands.
+# Simulation and fitting building blocks shared by subcommands, with the
+# checks across config fields.
+
+
+def _build_probe(probe: dict):
+    try:
+        if probe["type"] == "two_photon":
+            return fock.spdc_two_photon(probe["iprime"])
+        if probe["type"] == "four_photon":
+            spectrum = spectral.SchmidtSpectrum(probe["lambdas"])
+            return fock.four_photon_schmidt(spectrum, probe["tau"])
+        return fock.dual_fock_mismatched(probe["n"], probe["indist"])
+    except (ValueError, OverflowError, ResourceLimitError) as exc:
+        raise ConfigError(f"probe: {exc}") from exc
+
+
+def _experiment(cfg: dict, photons: int):
+    """The detector and phase grid of an experiment with ``photons``-photon probes."""
+    bins = cfg["bins_per_arm"]
+    if photons > bins:
+        raise ConfigError(f"bins_per_arm: must be at least the probe's {photons} photons, got {bins}")
+    start, stop, count = (cfg["phases"][key] for key in ("start", "stop", "count"))
+    if not (start < stop and math.isfinite(stop - start)):
+        raise ConfigError("phases.stop: must exceed phases.start by a finite span")
+    try:
+        noise = detection.NoiseAndEfficiencyConfig(zeta=cfg["zeta"], bins_per_arm=bins)
+    except ValueError as exc:
+        raise ConfigError(f"zeta: {exc}") from exc
+    return noise, start + (stop - start) * np.arange(count) / count
+
+
+def _iprime_values(iprimes) -> np.ndarray:
+    if isinstance(iprimes, dict):
+        return np.linspace(0.0, 1.0, iprimes["count"])
+    if not all(0.0 <= v <= 1.0 for v in iprimes):
+        raise ConfigError(f"iprimes: values must lie in [0, 1], got {reprlib.repr(iprimes)}")
+    return np.array(iprimes)
 
 
 def _simulate_points(probe, noise, phases, expected, seed):
@@ -308,18 +332,10 @@ def _fit_report_payload(fit, fisher, boot) -> dict:
 # Subcommands.
 
 
-def cmd_hom(config: dict, out: Path) -> int:
-    _check_keys(config, {"input", "init"}, {"input"}, "config")
-    # ``init`` is checked, as ``restarts`` is, because existing configs set
-    # it; the delays set the sigma window, so it has no effect.
-    if "init" in config:
-        init = config["init"]
-        _check_keys(init, {"a", "b", "sigma"}, {"a", "b", "sigma"}, "init")
-        for key in ("a", "b", "sigma"):
-            _number(init, key, None, above=-math.inf, integer=False, where="init.")
-        if init["sigma"] == 0.0:
-            raise ConfigError("init.sigma: must be nonzero, got 0")
-    path = str(config["input"])
+def cmd_hom(cfg: dict, out: Path) -> int:
+    if cfg.get("init", {}).get("sigma") == 0.0:
+        raise ConfigError("init.sigma: must be nonzero, got 0")
+    path = cfg["input"]
     points = []
     for line, fields in _read_csv(path, "x,p,weight"):
         point = tuple(
@@ -349,15 +365,13 @@ def cmd_hom(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: dict, out: Path) -> int:
-    cfg = _experiment_config(config, need_probe=True)
-    family, etas, points, truth = _simulate_points(
-        cfg["probe"], cfg["noise"], cfg["phases"], cfg["expected"], cfg["seed"]
-    )
+def cmd_simulate(cfg: dict, out: Path) -> int:
+    probe = _build_probe(cfg["probe"])
+    noise, phases = _experiment(cfg, probe.total_photons)
+    expected = cfg["expected_counts_per_point"]
+    family, etas, points, truth = _simulate_points(probe, noise, phases, expected, cfg["seed"])
     _write_fringe_csv(out / "fringe.csv", points)
-    _write_truth_json(
-        out / "fringe_truth.json", family, etas, truth, points, cfg["noise"], cfg["expected"]
-    )
+    _write_truth_json(out / "fringe_truth.json", family, etas, truth, points, noise, expected)
     print(f"wrote {out / 'fringe.csv'} and {out / 'fringe_truth.json'}")
     return EXIT_OK
 
@@ -388,18 +402,11 @@ def _efficiencies(path: str) -> dict[int, float]:
     return eff
 
 
-def cmd_fit(config: dict, out: Path) -> int:
-    allowed = {"fringe_csv", "efficiency_json", "harmonics", "restarts", "bootstrap_trials", "seed"}
-    _check_keys(config, allowed, {"fringe_csv", "efficiency_json", "harmonics"}, "config")
-    harmonics = config["harmonics"]
-    if isinstance(harmonics, list):
-        harmonics = [_number({"harmonics": k}, "harmonics", None, above=0) for k in harmonics]
-    if not isinstance(harmonics, list) or not harmonics or len(set(harmonics)) < len(harmonics):
+def cmd_fit(cfg: dict, out: Path) -> int:
+    harmonics = cfg["harmonics"]
+    if len(set(harmonics)) < len(harmonics):
         raise ConfigError(f"harmonics: must be unique positive integers, got {harmonics!r}")
-    _number(config, "restarts", 1, above=0)
-    trials = _number(config, "bootstrap_trials", 200, above=1, at_most=MAX_TRIALS)
-    seed = _number(config, "seed", 0, above=-1)
-    csv_path, eff_path = str(config["fringe_csv"]), str(config["efficiency_json"])
+    csv_path, eff_path = cfg["fringe_csv"], cfg["efficiency_json"]
     by_theta: dict[float, dict[int, int]] = {}
     for line, (ts, cs, xs) in _read_csv(csv_path, "theta,class,count"):
         theta = _float_field(csv_path, line, ts, "theta")
@@ -418,7 +425,7 @@ def cmd_fit(config: dict, out: Path) -> int:
         raise ParseError(f"{eff_path}: no efficiency for class {min(missing)} of {csv_path}")
     dataset = estimation.FringeDataset(tuple((t, by_theta[t]) for t in sorted(by_theta)), eff)
     try:
-        fit, fisher, boot = _fit_pipeline(dataset, harmonics, trials, seed)
+        fit, fisher, boot = _fit_pipeline(dataset, harmonics, cfg["bootstrap_trials"], cfg["seed"])
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
     (out / "fit_report.json").write_text(
@@ -430,51 +437,33 @@ def cmd_fit(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_predict(config: dict, out: Path) -> int:
-    if "mode" not in config:
-        raise ConfigError("config: missing keys ['mode']")
-    mode = config["mode"]
+def cmd_predict(cfg: dict, out: Path) -> int:
+    mode = cfg["mode"]
     path = out / "prediction.csv"
-    if mode == "two_photon_curve":
-        _check_keys(config, {"mode", "zeta", "iprimes"}, {"zeta"}, "config")
-        zeta = _number(config, "zeta", None, above=-math.inf, integer=False)
-        grid = _iprime_grid(config, default_count=51)
-        try:
-            curve = metrology.predicted_fprime_curve(grid, zeta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        lines = ["iprime,fprime"]
-        lines += [f"{_fmt(ip)},{_fmt(fp)}" for ip, fp in zip(grid, curve)]
-    elif mode == "four_photon_extremes":
-        _check_keys(config, {"mode", "lambda4", "zeta"}, {"lambda4", "zeta"}, "config")
-        lambda4 = _number(config, "lambda4", None, above=-math.inf, integer=False)
-        zeta = _number(config, "zeta", None, above=-math.inf, integer=False)
-        try:
-            full, zero = metrology.predict_four_photon_extremes(lambda4, zeta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        lines = ["iprime,fprime", f"1,{_fmt(full)}", f"0,{_fmt(zero)}"]
-    elif mode == "small_angle":
-        _check_keys(config, {"mode", "n", "indist"}, {"n", "indist"}, "config")
-        n = _number(config, "n", None, above=0)
-        indist = _number(config, "indist", None, above=-math.inf, integer=False)
-        try:
-            value = metrology.small_angle_fisher(n, indist)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        lines = ["n,indist,fisher", f"{n},{_fmt(indist)},{_fmt(value)}"]
-    else:
-        raise ConfigError(f"mode: unknown prediction mode '{mode}'")
+    try:
+        if mode == "two_photon_curve":
+            grid = _iprime_values(cfg["iprimes"])
+            curve = metrology.predicted_fprime_curve(grid, cfg["zeta"])
+            lines = ["iprime,fprime"]
+            lines += [f"{_fmt(ip)},{_fmt(fp)}" for ip, fp in zip(grid, curve)]
+        elif mode == "four_photon_extremes":
+            full, zero = metrology.predict_four_photon_extremes(cfg["lambda4"], cfg["zeta"])
+            lines = ["iprime,fprime", f"1,{_fmt(full)}", f"0,{_fmt(zero)}"]
+        else:
+            value = metrology.small_angle_fisher(cfg["n"], cfg["indist"])
+            lines = ["n,indist,fisher", f"{cfg['n']},{_fmt(cfg['indist'])},{_fmt(value)}"]
+    except ValueError as exc:  # a physics range, or an iprime outside [0, 1]
+        raise ConfigError(str(exc)) from exc
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_reproduce_fig3(config: dict, out: Path) -> int:
-    cfg = _experiment_config(config, need_probe=False, extra={"iprimes", "bootstrap_trials"})
-    trials = _number(config, "bootstrap_trials", 100, above=1, at_most=MAX_TRIALS)
-    grid = _iprime_grid(config, default_count=6)
-    zeta = cfg["noise"].zeta
+def cmd_reproduce_fig3(cfg: dict, out: Path) -> int:
+    # Every point simulates a two-photon probe.
+    noise, phases = _experiment(cfg, 2)
+    grid = _iprime_values(cfg["iprimes"])
+    trials = cfg["bootstrap_trials"]
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
     for point_seed, iprime in zip(seeds, grid):
@@ -483,13 +472,13 @@ def cmd_reproduce_fig3(config: dict, out: Path) -> int:
             probe = fock.spdc_two_photon(iprime)
             sub_seeds = point_seed.generate_state(2)
             _, etas, points, _ = _simulate_points(
-                probe, cfg["noise"], cfg["phases"], cfg["expected"], int(sub_seeds[0])
+                probe, noise, phases, cfg["expected_counts_per_point"], int(sub_seeds[0])
             )
             dataset = estimation.FringeDataset(tuple(points), etas)
             fit, fisher, boot = _fit_pipeline(dataset, [2], trials, int(sub_seeds[1]))
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
-            predicted = metrology.optimal_fisher_two_photon(iprime, zeta).value / 2.0
+            predicted = metrology.optimal_fisher_two_photon(iprime, noise.zeta).value / 2.0
         except (ValueError, RuntimeError) as exc:
             raise NonConvergence(f"stage failure at iprime={iprime}: {exc}") from exc
         rows.append(
@@ -520,11 +509,11 @@ def cmd_reproduce_fig3(config: dict, out: Path) -> int:
 
 
 _COMMANDS = {
-    "hom": cmd_hom,
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "reproduce-fig3": cmd_reproduce_fig3,
+    "hom": (cmd_hom, _Field({"input": _Field(str), "init": _NO_EFFECT["init"]})),
+    "simulate": (cmd_simulate, _Field({"probe": _Field(_PROBES, tag="type"), **_EXPERIMENT})),
+    "fit": (cmd_fit, _Field(_FIT)),
+    "predict": (cmd_predict, _Field(_PREDICTIONS, tag="mode")),
+    "reproduce-fig3": (cmd_reproduce_fig3, _Field(_FIG3)),
 }
 
 
@@ -534,10 +523,10 @@ def main(argv: list[str] | None = None) -> int:
         description="Simulate, fit, and predict photon-counting interference fringes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, table) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        if name in ("simulate", "fit", "reproduce-fig3"):
+        if table.tag is None and "seed" in table.kind:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
@@ -545,9 +534,11 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         if getattr(args, "seed", None) is not None:
             config["seed"] = args.seed
+        command, table = _COMMANDS[args.command]
+        cfg = _read(config, table)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out)
+        return command(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -238,7 +238,8 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     than three distinct weighted |x| (sigma is then the window's geometric
     mean), a rank-deficient normal matrix at the solution (for example
     b = 0, which leaves sigma free) or a fitted a + b outside [0, 1] marks
-    the fit ill-posed instead of raising.
+    the fit ill-posed instead of raising.  A |x| off zero outside [1e-100,
+    1e100], where |x|/sigma^2 could overflow, raises IllPosedError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -255,6 +256,8 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     ax, inv = np.unique(np.abs(x), return_inverse=True)
     weighted = np.bincount(inv, w) > 0
     off = ax > 0
+    if not np.all((ax[off] >= 1e-100) & (ax[off] <= 1e100)):
+        raise IllPosedError("every |x| off zero must lie within [1e-100, 1e100]")
     span = ax[off & weighted] if np.any(off & weighted) else ax[off]
     sigmas = np.geomspace(span.min() / 2.0, 2.0 * span.max(), 17)
     if np.count_nonzero(weighted) < 3:

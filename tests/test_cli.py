@@ -411,6 +411,20 @@ class TestHomCommand:
         assert all(report == reports[0] for report in reports)
         assert json.loads(reports[0])["sigma"] == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("edge", [5e-324, 1.7e308])
+    def test_delays_at_the_float_range_edges_exit_4(self, tmp_path, capsys, edge):
+        xs = [edge, 1.0, 2.0, 3.0, 4.0]
+        rows = [f"{x!r},{0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0)!r},1" for x in xs]
+        (tmp_path / "dip.csv").write_text("x,p,weight\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path / "hom.json", {"input": str(tmp_path / "dip.csv")})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hom", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("non-convergence: dip fit is ill-posed")
+        assert "Traceback" not in err
+
 
 def _run_python(code, cwd=None):
     src = Path(cli.__file__).resolve().parents[1]
@@ -502,8 +516,17 @@ class TestPredictCommand:
         assert main(["predict", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_reproduce_fig3_rejects_probe(tmp_path, capsys):
+    # Every reproduce-fig3 point simulates a two-photon probe, so a probe
+    # in its config is unknown, not ignored.
+    cfg = write_config(tmp_path / "c.json", {**_FIG3, "probe": "banana"})
+    assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: config: unknown keys ['probe']\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize(
-    "iprimes", [{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], []]
+    "iprimes", [{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], [], [0.5] * 1001]
 )
 @pytest.mark.parametrize(
     "command,config",
@@ -568,6 +591,10 @@ _INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
         ("hom", {**_HOM, "init": {**_INIT, "sigma": math.nan}}, "init.sigma"),
         ("hom", {**_HOM, "init": {**_INIT, "sigma": math.inf}}, "init.sigma"),
         ("hom", {**_HOM, "init": {**_INIT, "sigma": 10**400}}, "init.sigma"),
+        ("hom", {"input": 5}, "input"),
+        ("hom", {"input": None}, "input"),
+        ("fit", {**_FIT, "fringe_csv": 5}, "fringe_csv"),
+        ("fit", {**_FIT, "efficiency_json": ["eff.json"]}, "efficiency_json"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):

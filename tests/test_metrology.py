@@ -57,8 +57,10 @@ REFERENCE_PROBES = (
     + [(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7), 0.0)]
     + [(four_photon_pair_ensemble(0.4790, tau), zeta) for tau in (0.0, 1.0) for zeta in (0.0, 0.0282)]
 )
+# The default simulate phases: 32 evenly spaced on [0, 2 pi).
+DEFAULT_PHASES = 2 * math.pi * np.arange(32) / 32
 REFERENCE_THETAS = np.concatenate(
-    [np.random.default_rng(5).uniform(0.0, 2 * math.pi, 20), cli._phase_grid(None)]
+    [np.random.default_rng(5).uniform(0.0, 2 * math.pi, 20), DEFAULT_PHASES]
 )
 
 
@@ -399,7 +401,7 @@ class TestReports:
         noise = cli.detection.NoiseAndEfficiencyConfig(zeta=0.0282, bins_per_arm=4)
         for probe in (spdc_two_photon(0.6), four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7)):
             seen.clear()
-            cli._simulate_points(probe, noise, cli._phase_grid(None), 1e5, 3)
+            cli._simulate_points(probe, noise, DEFAULT_PHASES, 1e5, 3)
             assert len(seen) == 2 * probe.total_photons + 1
 
     def test_fisher_report_json(self):

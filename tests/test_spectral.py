@@ -373,6 +373,28 @@ class TestHomDipFit:
         with pytest.raises(ValueError):
             fit_hom_dip([(0, 0.1, 1), (1, 0.2, 1), (2, 0.3, 1)])
 
+    @pytest.mark.parametrize(
+        "xs",
+        [[5e-324, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 1.7e308], [1e-101, 1.0, 2.0, 3.0]],
+        ids=["subnormal", "near-max", "below-bound"],
+    )
+    def test_delays_at_the_float_range_edges_are_ill_posed(self, xs):
+        # Half of 5e-324 is 0, and twice 1.7e308 overflows: neither bounds
+        # a sigma window, and no warning is printed on the way.
+        points = [(x, 0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0), 1.0) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllPosedError, match=r"\[1e-100, 1e100\]"):
+                fit_hom_dip(points)
+
+    def test_delays_at_the_bounds_fit_without_warnings(self):
+        xs = [1e-100, *np.linspace(0.5, 8.0, 16).tolist(), 1e100]
+        points = [(x, 0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0), 1.0) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_hom_dip(points)
+        assert all(math.isfinite(v) for v in (fit.a, fit.b, fit.sigma, fit.residual))
+
     def test_fit_report_keys(self):
         import json
 
