@@ -32,11 +32,11 @@ from .estimation import (
 )
 from .fock import (
     MultimodeFockState,
+    PathSectors,
     StateEnsemble,
     apply_path_rotation,
     dual_fock_mismatched,
     four_photon_schmidt,
-    mix,
     spdc_two_photon,
     two_distinct_pairs,
 )

@@ -203,7 +203,7 @@ _EXPERIMENT = {
 }
 _PROBES = {
     "two_photon": {"iprime": _Field(float)},
-    "four_photon": {"lambdas": _Field([_Field(float)], above=0), "tau": _Field(float)},
+    "four_photon": {"lambdas": _Field([_Field(float)], above=0, at_most=12), "tau": _Field(float)},
     "dual_fock": {"n": _Field(int, above=0), "indist": _Field(float)},
 }
 _FIT = {
@@ -217,7 +217,8 @@ _FIT = {
 _PREDICTIONS = {
     "two_photon_curve": {"zeta": _Field(float), "iprimes": _IPRIMES},
     "four_photon_extremes": {"lambda4": _Field(float), "zeta": _Field(float)},
-    "small_angle": {"n": _Field(int, above=0), "indist": _Field(float)},
+    # As for the counts: n stays an exact float, and 2(n + I n^2) finite.
+    "small_angle": {"n": _Field(int, above=0, at_most=10**15), "indist": _Field(float)},
 }
 _FIG3 = {
     **_EXPERIMENT,
@@ -236,8 +237,10 @@ def _build_probe(probe: dict):
         if probe["type"] == "two_photon":
             return fock.spdc_two_photon(probe["iprime"])
         if probe["type"] == "four_photon":
+            # The purity-weighted pair mixture has the Schmidt state's
+            # counting statistics, with at most 4 internal modes.
             spectrum = spectral.SchmidtSpectrum(probe["lambdas"])
-            return fock.four_photon_schmidt(spectrum, probe["tau"])
+            return metrology.four_photon_pair_ensemble(spectral.lambda4(spectrum), probe["tau"])
         return fock.dual_fock_mismatched(probe["n"], probe["indist"])
     except (ValueError, OverflowError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
@@ -270,8 +273,9 @@ def _simulate_points(probe, noise, phases, expected, seed):
     """Per-phase sampled class counts plus the ground-truth probabilities.
 
     The probabilities at every phase come from one exact Fourier table
-    (``metrology.fringe_probabilities``, 2N + 1 probe rotations in all);
-    each phase then draws its Poisson counts from its own spawned seed.
+    (``metrology.fringe_probabilities``, the probe rotated at 2N + 1 phases
+    in one pass); each phase then draws its Poisson counts from its own
+    spawned seed.
     """
     family = metrology.counting_family(probe, noise.zeta)
     etas = detection.class_efficiencies(family.n_photons, noise.bins_per_arm)

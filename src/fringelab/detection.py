@@ -5,7 +5,6 @@ count synthesis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -37,16 +36,6 @@ class OutcomeDistribution:
         object.__setattr__(self, "total_photons", n)
         object.__setattr__(self, "probs", clean)
 
-    def to_json(self) -> str:
-        rows = [[n1, n2, self.probs[(n1, n2)]] for n1, n2 in sorted(self.probs)]
-        return json.dumps({"n_total": self.total_photons, "probs": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutcomeDistribution":
-        data = json.loads(text)
-        probs = {(int(n1), int(n2)): float(p) for n1, n2, p in data["probs"]}
-        return cls(int(data["n_total"]), probs)
-
 
 @dataclass(frozen=True)
 class NoiseAndEfficiencyConfig:
@@ -72,14 +61,11 @@ def outcome_distribution(
     Ensembles give the weight-averaged distribution of their components.
     """
     if isinstance(state, StateEnsemble):
-        n = state.components[0][1].total_photons
         acc: dict[tuple[int, int], float] = {}
         for weight, comp in state.components:
-            if comp.total_photons != n:
-                raise ValueError("ensemble components have different photon numbers")
             for key, p in outcome_distribution(comp).probs.items():
                 acc[key] = acc.get(key, 0.0) + weight * p
-        return OutcomeDistribution(n, acc)
+        return OutcomeDistribution(state.total_photons, acc)
     probs: dict[tuple[int, int], float] = {}
     for occ, amp in state.amplitudes.items():
         key = state.path_totals(occ)

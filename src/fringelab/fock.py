@@ -15,10 +15,12 @@ monomials, which is exact for any photon number.
 from __future__ import annotations
 
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -94,33 +96,10 @@ class MultimodeFockState:
         n1 = sum(c for p, _, c in occ if p == 1)
         return n1, self.total_photons - n1
 
-    def to_json(self) -> str:
-        """Serialize as a JSON list of {occupations, re, im} terms."""
-        terms = []
-        for occ in sorted(self.amplitudes):
-            amp = self.amplitudes[occ]
-            terms.append(
-                {
-                    "occupations": [[p, i, c] for p, i, c in occ],
-                    "re": amp.real,
-                    "im": amp.imag,
-                }
-            )
-        return json.dumps(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultimodeFockState":
-        terms = json.loads(text)
-        amps = {
-            _canonical(tuple(t) for t in term["occupations"]): complex(term["re"], term["im"])
-            for term in terms
-        }
-        return cls(amps)
-
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Convex mixture of pure states; weights sum to one."""
+    """Convex mixture of pure states of one photon number; weights sum to one."""
 
     components: tuple[tuple[float, MultimodeFockState], ...]
 
@@ -134,14 +113,13 @@ class StateEnsemble:
         total = sum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
+        if len({s.total_photons for _, s in comps}) != 1:
+            raise ValueError("ensemble components have different photon numbers")
         object.__setattr__(self, "components", comps)
 
-
-def mix(states: StateEnsemble) -> StateEnsemble:
-    """Validate and pass through a convex mixture of states."""
-    if not isinstance(states, StateEnsemble):
-        raise ValueError("mix expects a StateEnsemble")
-    return StateEnsemble(states.components)
+    @property
+    def total_photons(self) -> int:
+        return self.components[0][1].total_photons
 
 
 # ---------------------------------------------------------------------------
@@ -177,78 +155,119 @@ def state_from_poly(poly: Mapping[Occupation, complex]) -> MultimodeFockState:
     return MultimodeFockState({occ: a / norm for occ, a in amps.items()})
 
 
-def _beamsplitter_powers(
-    n1: int, n2: int, c: float, s: float
-) -> dict[tuple[int, int], float]:
-    """Expand (c*x + s*y)^n1 (-s*x + c*y)^n2 into x^k1 y^k2 coefficients."""
-    out: dict[tuple[int, int], float] = {}
-    for j in range(n1 + 1):
-        a = math.comb(n1, j) * c**j * s ** (n1 - j)
-        for m in range(n2 + 1):
-            b = math.comb(n2, m) * (-s) ** m * c ** (n2 - m)
-            key = (j + m, n1 - j + n2 - m)
-            out[key] = out.get(key, 0.0) + a * b
-    return out
-
-
-def apply_path_rotation(
-    state: MultimodeFockState,
-    theta: float,
-    *,
-    opposite_sign_internals: Sequence[int] = (),
-) -> MultimodeFockState:
+def apply_path_rotation(state: MultimodeFockState, theta: float) -> MultimodeFockState:
     """Rotate the two paths by theta, identically for every internal mode.
 
     Uses the half-angle convention
         a1i -> cos(theta/2) a1i + sin(theta/2) a2i
         a2i -> -sin(theta/2) a1i + cos(theta/2) a2i
     so a two-photon coincidence fringe oscillates as cos(2*theta) and
-    theta = pi/2 is the balanced 50:50 point.
-
-    ``opposite_sign_internals`` rotates the listed internal labels by -theta
-    instead; path-resolved counting statistics are invariant under this
-    choice (exercised in the test suite), so the default rotates everything
-    the same way.
+    theta = pi/2 is the balanced 50:50 point.  Each creation operator is
+    substituted and the monomials are multiplied out: the one-state,
+    one-phase reference for ``PathSectors``, which rotates at many phases.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    flipped = frozenset(int(i) for i in opposite_sign_internals)
-    half = 0.5 * theta
-    trig = {
-        False: (math.cos(half), math.sin(half)),
-        True: (math.cos(-half), math.sin(-half)),
-    }
-
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    images = {1: (c, s), 2: (-s, c)}  # path -> coefficients of (a1i, a2i)
     result: dict[Occupation, complex] = {}
     for occ, amp in state.amplitudes.items():
-        coeff = amp / _sqrt_factorials(occ)
-        per_internal: dict[int, list[int]] = {}
+        poly: dict[Occupation, complex] = {(): amp / _sqrt_factorials(occ)}
         for p, i, cnt in occ:
-            per_internal.setdefault(i, [0, 0])[p - 1] = cnt
-        # Cartesian product of the per-internal-mode expansions.
-        partial: list[tuple[dict[tuple[int, int], int], complex]] = [({}, coeff)]
-        for i, (n1, n2) in per_internal.items():
-            c, s = trig[i in flipped]
-            expansion = _beamsplitter_powers(n1, n2, c, s)
-            grown = []
-            for counts, w in partial:
-                for (k1, k2), factor in expansion.items():
-                    if factor == 0.0:
-                        continue
-                    nxt = dict(counts)
-                    if k1:
-                        nxt[(1, i)] = k1
-                    if k2:
-                        nxt[(2, i)] = k2
-                    grown.append((nxt, w * factor))
-            partial = grown
-        for counts, w in partial:
-            key = _canonical((p, i, cc) for (p, i), cc in counts.items())
-            result[key] = result.get(key, 0.0) + w
+            image = dict(zip((((1, i, 1),), ((2, i, 1),)), images[p]))
+            for _ in range(cnt):
+                poly = _poly_mul(poly, image)
+        for key, coeff in poly.items():
+            result[key] = result.get(key, 0.0) + coeff
+    return MultimodeFockState(_poly_to_amplitudes(result))
 
-    amps = _poly_to_amplitudes(result)
-    return MultimodeFockState(amps)
+
+# ---------------------------------------------------------------------------
+# Rotation at many phases at once.  The rotation keeps the photon total of
+# each internal mode, so amplitudes whose per-mode totals differ never
+# interfere: they form incoherent sectors.  Within a sector the rotation is a
+# tensor product of one (n+1) x (n+1) matrix per mode, a Wigner d-matrix in
+# the basis of that mode's path-1 count (Campos, Saleh & Teich, Phys. Rev. A
+# 40, 1371 (1989)).
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_table(n: int) -> np.ndarray:
+    """t[k, l, a] with U[k, l] = sum_a t[k, l, a] cos^a(theta/2) sin^(n-a)(theta/2),
+    the amplitude of k of a mode's n photons on path 1 after rotating l there:
+    its path-1 operators give c^j s^(l-j), its path-2 ones (-s)^m c^(n-l-m)."""
+    f = [math.factorial(i) for i in range(n + 1)]
+    t = np.zeros((n + 1, n + 1, n + 1))
+    for l in range(n + 1):
+        for j in range(l + 1):
+            for m in range(n - l + 1):
+                k = j + m
+                norm = math.sqrt(f[k] * f[n - k] / (f[l] * f[n - l]))
+                t[k, l, j + n - l - m] += (-1) ** m * math.comb(l, j) * math.comb(n - l, m) * norm
+    t.setflags(write=False)  # shared by every caller through the cache
+    return t
+
+
+class PathSectors:
+    """A Fock probe grouped once into sectors, to rotate at many phases.
+
+    A sector holds the amplitudes of one pure component whose occupied
+    internal modes carry one set of photon totals, as a dense tensor indexed
+    by each mode's path-1 count.  Modes are ordered by their totals, so that
+    sectors of one shape stack into one block.  Sectors and components add
+    incoherently, so a component's amplitudes are scaled by the square root
+    of its weight.
+    """
+
+    def __init__(self, probe: MultimodeFockState | StateEnsemble) -> None:
+        components = probe.components if isinstance(probe, StateEnsemble) else ((1.0, probe),)
+        n = self.n_photons = probe.total_photons
+        sectors: dict[tuple, np.ndarray] = {}
+        for index, (weight, state) in enumerate(components):
+            for occ, amp in state.amplitudes.items():
+                per_mode: dict[int, list[int]] = {}
+                for p, i, cnt in occ:
+                    per_mode.setdefault(i, [0, 0])[p - 1] = cnt
+                modes = sorted(per_mode.items(), key=lambda m: (sum(m[1]), m[0]))
+                key = (index, *((i, n1 + n2) for i, (n1, n2) in modes))
+                if key not in sectors:
+                    sectors[key] = np.zeros([sum(m[1]) + 1 for m in modes], dtype=complex)
+                sectors[key][tuple(n1 for _, (n1, _) in modes)] = math.sqrt(weight) * amp
+        stacks: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for tensor in sectors.values():
+            stacks.setdefault(tuple(d - 1 for d in tensor.shape), []).append(tensor)
+        # Per block: the mode totals, the stacked tensors, and a 0/1 matrix
+        # taking each pattern of path-1 counts to its |n1 - n2| class.
+        self.blocks = []
+        for totals, tensors in sorted(stacks.items()):
+            path1 = sum(np.ix_(*(np.arange(t + 1) for t in totals))).ravel()
+            indicator = np.abs(2 * path1 - n)[:, None] // 2 == np.arange(n // 2 + 1)
+            self.blocks.append((totals, np.stack(tensors), indicator.astype(float)))
+
+    def class_probabilities(self, thetas) -> np.ndarray:
+        """|n1 - n2| class probabilities, shaped (phases, classes) with the
+        classes increasing.  Each block is contracted with one rotation
+        matrix per mode, for every phase at once."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
+            raise ValueError("thetas must be a 1-D array of finite phases")
+        powers = np.arange(self.n_photons + 1)
+        cpow, spow = np.cos(0.5 * thetas)[:, None] ** powers, np.sin(0.5 * thetas)[:, None] ** powers
+        matrices = {
+            n: np.einsum("kla,pa->pkl", _rotation_table(n), cpow[:, : n + 1] * spow[:, n::-1])
+            for n in {n for totals, _, _ in self.blocks for n in totals}
+        }
+        probs = np.zeros((len(thetas), self.n_photons // 2 + 1))
+        for totals, tensors, indicator in self.blocks:
+            # Contract the last mode axis and put its new axis first among
+            # the mode axes; after every mode the original order is back.
+            out = np.einsum("pkl,s...l->psk...", matrices[totals[-1]], tensors)
+            for n in reversed(totals[:-1]):
+                out = np.einsum("pkl,ps...l->psk...", matrices[n], out)
+            weights = (out.real**2 + out.imag**2).sum(axis=1).reshape(len(thetas), -1)
+            probs += weights @ indicator
+        return probs
 
 
 # ---------------------------------------------------------------------------

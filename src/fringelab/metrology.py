@@ -13,12 +13,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .detection import add_background, aggregate_by_abs_delta, outcome_distribution
+from .detection import add_background
 from .errors import SingularFisherError
 from .fock import (
     MultimodeFockState,
+    PathSectors,
     StateEnsemble,
-    apply_path_rotation,
+    apply_path_rotation,  # noqa: F401  (bound here for perfbench's tracer test)
     dual_fock_mismatched,
     two_distinct_pairs,
 )
@@ -28,6 +29,8 @@ from .fock import (
 class FringeFamily:
     """Counting-class probabilities as a function of the interferometer phase.
 
+    ``evaluator`` takes a 1-D array of phases and returns the class
+    probabilities shaped (phases, classes), columns in ``classes`` order.
     Each class probability must be a trigonometric polynomial of degree at
     most ``n_photons`` in theta, as rotating an N-photon probe gives: the
     half-angle rotation makes every amplitude a degree-N polynomial in
@@ -35,7 +38,7 @@ class FringeFamily:
     ``maximize_fisher`` relies on this; ``fisher_at`` does not.
     """
 
-    evaluator: Callable[[float], Mapping[int, float]]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     classes: tuple[int, ...]
     n_photons: int
     theta_domain: tuple[float, float] = (0.0, 2.0 * math.pi)
@@ -69,11 +72,14 @@ def fisher_terms(
 ) -> float:
     """Sum (dp/dtheta)^2 / p over classes with a vanishing-probability guard.
 
-    Classes with p below 1e-14 contribute nothing when the derivative also
-    vanishes (below 1e-10); a non-vanishing derivative there means the
-    information diverges and raises SingularFisherError.  ``judge``, when
-    given, holds the derivatives that decide whether such a class is live;
-    ``derivs`` still supplies the summed terms.
+    Classes with p below 1e-14 contribute nothing when the term they would
+    add is negligible: the derivative below 1e-10, or below 1e-2 * sqrt(p),
+    a term under 1e-4, as a class vanishing as theta^4 gives (p'^2 / p ~ 1e-6
+    there).  A larger derivative means the class carries a finite or
+    diverging share that p cannot resolve, as a class vanishing as theta^2
+    does, and raises SingularFisherError.  ``judge``, when given, holds the
+    derivatives that decide whether such a class is live; ``derivs`` still
+    supplies the summed terms.
     """
     judge = derivs if judge is None else judge
     total = 0.0
@@ -82,7 +88,7 @@ def fisher_terms(
         if not (math.isfinite(p) and math.isfinite(d)):
             raise ValueError(f"non-finite probability or derivative {context}")
         if p < 1e-14:
-            if abs(judge[c]) < 1e-10:
+            if abs(judge[c]) < max(1e-10, 1e-2 * math.sqrt(max(p, 0.0))):
                 continue
             raise SingularFisherError(
                 f"class {c} has probability {p!r} but derivative {judge[c]!r} {context}"
@@ -94,29 +100,27 @@ def fisher_terms(
 def fisher_at(family: FringeFamily, theta: float, step: float = 1e-4) -> float:
     """Fisher information of the class probabilities at one phase.
 
-    Central differences with half-width ``step`` and ``step / 2``; the
-    fine-step sum is returned, and a relative change above 1e-4 between the
-    two triggers a warning that the step does not resolve the fringe
-    curvature.  Whether a vanishing class is live is judged from the
-    Richardson-extrapolated derivative (4 fine - coarse)/3, free of the
-    O(step^2) bias that can lift a dead class's difference quotient above
-    the cut.
+    Central differences with half-width ``step`` and ``step / 2``, from one
+    evaluator call over the five phases; the fine-step sum is returned, and
+    a relative change above 1e-4 between the two triggers a warning that the
+    step does not resolve the fringe curvature.  Whether a vanishing class
+    is live is judged from the Richardson-extrapolated derivative
+    (4 fine - coarse)/3, free of the O(step^2) bias that can lift a dead
+    class's difference quotient above the cut.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    centre = family.evaluator(theta)
-    probs = {c: centre[c] for c in family.classes}
+    half = step / 2.0
+    rows = family.evaluator(np.array([theta, theta + step, theta - step, theta + half, theta - half]))
+    centre, plus, minus, plus_half, minus_half = (
+        dict(zip(family.classes, row)) for row in np.asarray(rows, dtype=float).tolist()
+    )
     context = f"at theta={theta}"
-
-    def central(h: float) -> dict[int, float]:
-        pp, pm = family.evaluator(theta + h), family.evaluator(theta - h)
-        return {c: (pp[c] - pm[c]) / (2.0 * h) for c in family.classes}
-
-    coarse_d = central(step)
-    fine_d = central(step / 2.0)
+    coarse_d = {c: (plus[c] - minus[c]) / (2.0 * step) for c in family.classes}
+    fine_d = {c: (plus_half[c] - minus_half[c]) / (2.0 * half) for c in family.classes}
     judge = {c: (4.0 * fine_d[c] - coarse_d[c]) / 3.0 for c in family.classes}
-    coarse = fisher_terms(probs, coarse_d, context, judge)
-    fine = fisher_terms(probs, fine_d, context, judge)
+    coarse = fisher_terms(centre, coarse_d, context, judge)
+    fine = fisher_terms(centre, fine_d, context, judge)
     if abs(coarse - fine) > 1e-4 * max(abs(fine), 1e-12):
         warnings.warn(
             f"Fisher value moved from {coarse} to {fine} when halving the "
@@ -213,8 +217,8 @@ def _fisher_report(
         coeff[None], harmonics, theta_domain
     )
     return FisherReport(
-        theta_grid=tuple(float(t) for t in grid),
-        fisher_values=tuple(float(v) for v in values[0]),
+        theta_grid=tuple(grid.tolist()),
+        fisher_values=tuple(values[0].tolist()),
         max_fisher=float(f_star[0]),
         argmax_theta=float(theta_star[0]),
         per_photon=float(f_star[0]) / n_photons,
@@ -228,14 +232,13 @@ def _family_coefficients(family: FringeFamily) -> tuple[np.ndarray, tuple[int, .
     N = ``family.n_photons``, so its samples at 2N + 1 equally spaced phases
     fix its coefficients for harmonics 1..N without aliasing.  Returns the
     rows [c0, cos 1, sin 1, ..., cos N, sin N] in ``family.classes`` order
-    with the harmonics 1..N; ``_basis`` evaluates them at any phase.  These
-    2N + 1 are the only evaluator calls that ``maximize_fisher`` and
-    ``fringe_probabilities`` make.
+    with the harmonics 1..N; ``_basis`` evaluates them at any phase.  One
+    evaluator call over these 2N + 1 phases is the only one that
+    ``maximize_fisher`` and ``fringe_probabilities`` make.
     """
     m = 2 * family.n_photons + 1
     thetas = 2.0 * math.pi * np.arange(m) / m
-    rows = [family.evaluator(float(t)) for t in thetas]
-    probs = np.array([[row[c] for row in rows] for c in family.classes], dtype=float)
+    probs = np.asarray(family.evaluator(thetas), dtype=float).T
     if not np.all(np.isfinite(probs)):
         raise ValueError("non-finite class probability in the fringe family")
     harmonics = tuple(range(1, family.n_photons + 1))
@@ -302,11 +305,12 @@ def two_photon_family(
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
 
-    def evaluate(theta: float) -> dict[int, float]:
-        c = math.cos(2.0 * theta)
+    def evaluate(thetas: np.ndarray) -> np.ndarray:
+        c = np.cos(2.0 * np.asarray(thetas, dtype=float))
         p0 = (3.0 - iprime + (1.0 + iprime) * c) / 4.0
         p2 = (1.0 + iprime) * (1.0 - c) / 4.0
-        return add_background({0: p0, 2: p2}, zeta)
+        mixed = add_background({0: p0, 2: p2}, zeta)
+        return np.column_stack([mixed[0], mixed[2]])
 
     return FringeFamily(
         evaluator=evaluate, classes=(0, 2), n_photons=2, theta_domain=theta_domain
@@ -318,27 +322,23 @@ def counting_family(
     zeta: float = 0.0,
     theta_domain: tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> FringeFamily:
-    """Brute-force fringe family: rotate, count, aggregate, mix background.
+    """Fringe family of a probe: rotate, count into |n1 - n2| classes, mix
+    background.
 
-    Each evaluator call rotates every component of the probe once, so this
-    is the rotation reference that ``fisher_at`` and the tests check
-    against.  Callers that need many phases pass the family to
-    ``fringe_probabilities``, which rotates 2N + 1 times in all.
+    The probe is grouped into photon-number sectors once, here
+    (``fock.PathSectors``).  Each evaluator call rotates every sector at all
+    of its phases in one array pass and mixes the background into the class
+    columns.  ``fock.apply_path_rotation`` is the one-phase reference that
+    the tests check the rotation against.
     """
-    if isinstance(probe, StateEnsemble):
-        components = probe.components
-    else:
-        components = ((1.0, probe),)
-    n = components[0][1].total_photons
+    sectors = PathSectors(probe)
+    n = sectors.n_photons
     classes = tuple(range(n % 2, n + 1, 2))
 
-    def evaluate(theta: float) -> dict[int, float]:
-        acc = {c: 0.0 for c in classes}
-        for weight, state in components:
-            rotated = apply_path_rotation(state, theta)
-            for c, p in aggregate_by_abs_delta(outcome_distribution(rotated)).items():
-                acc[c] += weight * p
-        return add_background(acc, zeta)
+    def evaluate(thetas: np.ndarray) -> np.ndarray:
+        columns = dict(zip(classes, sectors.class_probabilities(thetas).T))
+        mixed = add_background(columns, zeta)
+        return np.column_stack([mixed[c] for c in classes])
 
     return FringeFamily(
         evaluator=evaluate, classes=classes, n_photons=n, theta_domain=theta_domain
@@ -475,6 +475,8 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     lam4 = float(lam4)
     if not 0.0 < lam4 <= 1.0:
         raise ValueError(f"lambda4 {lam4} outside (0, 1]")
+    if not 0.0 <= cross_overlap <= 1.0:
+        raise ValueError(f"cross_overlap {cross_overlap} outside [0, 1]")
     tau2 = float(cross_overlap) ** 2
     w_single = 2.0 * lam4 / (1.0 + lam4)
     components: list[tuple[float, MultimodeFockState]] = [

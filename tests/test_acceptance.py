@@ -32,8 +32,9 @@ def simulate_dataset(iprime, zeta, total, n_phases, seed, bins_per_arm=4):
     etas = detection.class_efficiencies(2, bins_per_arm)
     rng = np.random.default_rng(seed)
     points = []
-    for theta in (np.arange(n_phases) + 0.5) * 2 * math.pi / n_phases:
-        probs = family.evaluator(float(theta))
+    thetas = (np.arange(n_phases) + 0.5) * 2 * math.pi / n_phases
+    for theta, row in zip(thetas, family.evaluator(thetas)):
+        probs = dict(zip(family.classes, row))
         counts = {c: int(rng.poisson(total * probs[c] * etas[c])) for c in (0, 2)}
         points.append((float(theta), counts))
     return estimation.FringeDataset(tuple(points), etas)

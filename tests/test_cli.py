@@ -130,6 +130,22 @@ class TestSimulate:
         assert "bootstrap_trials" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("modes", [8, 12])
+    def test_many_schmidt_modes_simulate(self, tmp_path, capsys, modes):
+        # The full Schmidt expansion of 8 or more modes at 0 < tau < 1 holds
+        # more than 24 mode labels; the pair ensemble holds 4 internal modes.
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {
+                "probe": {"type": "four_photon", "lambdas": [modes**-0.5] * modes, "tau": 0.7},
+                "phases": {"count": 8},
+                "expected_counts_per_point": 1000,
+            },
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "fringe_truth.json").read_text())["classes"] == [0, 2, 4]
+
 
 class TestFitCommand:
     def test_round_trip_from_simulate(self, tmp_path):
@@ -595,6 +611,8 @@ _INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
         ("hom", {"input": None}, "input"),
         ("fit", {**_FIT, "fringe_csv": 5}, "fringe_csv"),
         ("fit", {**_FIT, "efficiency_json": ["eff.json"]}, "efficiency_json"),
+        ("predict", {"mode": "small_angle", "n": 10**200, "indist": 1.0}, "n"),
+        ("simulate", {**_SIMULATE, "probe": {"type": "four_photon", "lambdas": [13**-0.5] * 13, "tau": 0.7}}, "probe.lambdas"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):

@@ -71,12 +71,6 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution(2, {(1, 1): 1.2, (2, 0): -0.2})
 
-    def test_json_round_trip(self):
-        dist = outcome_distribution(apply_path_rotation(spdc_two_photon(0.3), 0.7))
-        clone = OutcomeDistribution.from_json(dist.to_json())
-        assert clone.total_photons == dist.total_photons
-        assert clone.probs == dist.probs
-
 
 class TestAggregate:
     def test_two_photon_classes(self):

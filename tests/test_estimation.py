@@ -52,8 +52,9 @@ def synth_dataset(iprime, zeta, total, n_phases, seed, bins_per_arm=4):
     family = two_photon_family(iprime, zeta)
     etas = class_efficiencies(2, bins_per_arm)
     points = []
-    for theta in (np.arange(n_phases) + 0.5) * 2 * math.pi / n_phases:
-        probs = family.evaluator(float(theta))
+    thetas = (np.arange(n_phases) + 0.5) * 2 * math.pi / n_phases
+    for theta, row in zip(thetas, family.evaluator(thetas)):
+        probs = dict(zip(family.classes, row))
         counts = {c: int(rng.poisson(total * probs[c] * etas[c])) for c in (0, 2)}
         points.append((float(theta), counts))
     return FringeDataset(tuple(points), etas)
@@ -226,8 +227,9 @@ class TestFitMle:
         family = two_photon_family(0.8, 0.0)
         etas = {0: 1.0, 2: 1.0}
         points = []
-        for theta in (np.arange(24) + 0.5) * 2 * math.pi / 24:
-            probs = family.evaluator(float(theta))
+        thetas = (np.arange(24) + 0.5) * 2 * math.pi / 24
+        for theta, row in zip(thetas, family.evaluator(thetas)):
+            probs = dict(zip(family.classes, row))
             points.append(
                 (float(theta), {c: int(round(1e6 * probs[c])) for c in (0, 2)})
             )
@@ -244,7 +246,7 @@ class TestFitMle:
         truth = two_photon_family(0.8, 0.0)
         for theta in np.linspace(0, 2 * math.pi, 32):
             fitted = fit.model.evaluate(float(theta))[0]
-            assert fitted == pytest.approx(truth.evaluator(float(theta))[0], abs=0.01)
+            assert fitted == pytest.approx(truth.evaluator(np.array([theta]))[0, 0], abs=0.01)
         # Even with the fringe bottom at the boundary, the fitted-model
         # information stays near the noiseless value instead of diverging.
         assert 3.0 < fisher_from_model(fit.model).max_fisher < 4.3
@@ -286,8 +288,9 @@ class TestFitMle:
         family = two_photon_family(0.7, 0.0)
         total = 20_000
         signed_points, merged_points = [], []
-        for theta in (np.arange(16) + 0.5) * 2 * math.pi / 16:
-            probs = family.evaluator(float(theta))
+        thetas = (np.arange(16) + 0.5) * 2 * math.pi / 16
+        for theta, row in zip(thetas, family.evaluator(thetas)):
+            probs = dict(zip(family.classes, row))
             n_plus = int(rng.poisson(total * probs[2] / 2))
             n_minus = int(rng.poisson(total * probs[2] / 2))
             n_zero = int(rng.poisson(total * probs[0]))

@@ -8,11 +8,11 @@ from fringelab.detection import aggregate_by_abs_delta, outcome_distribution
 from fringelab.errors import ResourceLimitError
 from fringelab.fock import (
     MultimodeFockState,
+    PathSectors,
     StateEnsemble,
     apply_path_rotation,
     dual_fock_mismatched,
     four_photon_schmidt,
-    mix,
     spdc_two_photon,
     two_distinct_pairs,
 )
@@ -36,6 +36,62 @@ def random_state(rng, n_photons, n_internal=3):
         amps[occ] = complex(rng.normal(), rng.normal())
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return MultimodeFockState({occ: a / norm for occ, a in amps.items()})
+
+
+def chain_probabilities(probe, thetas):
+    """Class probabilities (phases, classes): rotate each component at each
+    phase, count, and aggregate into |n1 - n2| classes."""
+    components = probe.components if isinstance(probe, StateEnsemble) else ((1.0, probe),)
+    rows = []
+    for theta in thetas:
+        rotated = StateEnsemble(
+            tuple((w, apply_path_rotation(state, float(theta))) for w, state in components)
+        )
+        classes = aggregate_by_abs_delta(outcome_distribution(rotated))
+        rows.append([classes[c] for c in sorted(classes)])
+    return np.array(rows)
+
+
+def binomial_expansion_rotation(state, theta):
+    """Path rotation by binomial expansion: per internal mode,
+    (c x + s y)^n1 (-s x + c y)^n2 multiplied out, then the Cartesian
+    product over modes.  An independent reference for
+    ``apply_path_rotation``, which substitutes operator by operator."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    result = {}
+    for occ, a in state.amplitudes.items():
+        norm = math.prod(math.sqrt(math.factorial(cnt)) for _, _, cnt in occ)
+        per_internal = {}
+        for p, i, cnt in occ:
+            per_internal.setdefault(i, [0, 0])[p - 1] = cnt
+        partial = [({}, a / norm)]
+        for i, (n1, n2) in per_internal.items():
+            expansion = {}
+            for j in range(n1 + 1):
+                left = math.comb(n1, j) * c**j * s ** (n1 - j)
+                for m in range(n2 + 1):
+                    key = (j + m, n1 - j + n2 - m)
+                    right = math.comb(n2, m) * (-s) ** m * c ** (n2 - m)
+                    expansion[key] = expansion.get(key, 0.0) + left * right
+            partial = [
+                ({**counts, **{(p, i): k for p, k in ((1, k1), (2, k2)) if k}}, w * factor)
+                for counts, w in partial
+                for (k1, k2), factor in expansion.items()
+                if factor != 0.0
+            ]
+        for counts, w in partial:
+            key = tuple(sorted((p, i, k) for (p, i), k in counts.items()))
+            result[key] = result.get(key, 0.0) + w
+    return {
+        occ: w * math.prod(math.sqrt(math.factorial(cnt)) for _, _, cnt in occ)
+        for occ, w in result.items()
+        if w != 0
+    }
+
+
+def kernel_phases(rng, n):
+    """Random phases in [-7, 7] and the 2N + 1 grid of the Fourier rows."""
+    return np.concatenate([rng.uniform(-7.0, 7.0, 6), 2 * math.pi * np.arange(2 * n + 1) / (2 * n + 1)])
 
 
 class TestDualFock:
@@ -153,16 +209,33 @@ class TestPathRotation:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("indist", [0.0, 0.4, 1.0])
     def test_orthogonal_mode_rotation_sign_is_statistically_irrelevant(self, n, indist):
-        # Rotating the orthogonal internal mode with the opposite sign leaves
-        # path-resolved counting unchanged.
+        # Rotating the orthogonal internal mode by -theta instead leaves
+        # path-resolved counting unchanged.  That rotation is the +theta one
+        # conjugated by a sign flip of the mode's path-2 operator, and a
+        # flip after the rotation does not change counts, so it is the same
+        # as rotating the state with its amplitudes signed by (-1)^(n21).
         state = dual_fock_mismatched(n, indist)
+        signed = MultimodeFockState(
+            {
+                occ: a * (-1) ** sum(c for p, i, c in occ if (p, i) == (2, 1))
+                for occ, a in state.amplitudes.items()
+            }
+        )
         for theta in (0.37, 1.2, 2.5):
             same = outcome_distribution(apply_path_rotation(state, theta)).probs
-            flipped = outcome_distribution(
-                apply_path_rotation(state, theta, opposite_sign_internals=(1,))
-            ).probs
+            flipped = outcome_distribution(apply_path_rotation(signed, theta)).probs
             for key in set(same) | set(flipped):
                 assert same.get(key, 0.0) == pytest.approx(flipped.get(key, 0.0), abs=1e-12)
+
+    def test_matches_binomial_expansion(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            state = random_state(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+            theta = float(rng.uniform(-7.0, 7.0))
+            got = apply_path_rotation(state, theta).amplitudes
+            want = binomial_expansion_rotation(state, theta)
+            for occ in set(got) | set(want):
+                assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) < 1e-14
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):
@@ -226,12 +299,53 @@ class TestFourPhotonSchmidt:
             four_photon_schmidt(SchmidtSpectrum(lams), 1.0)
 
 
-class TestEnsembles:
-    def test_single_component_passthrough(self):
-        state = spdc_two_photon(0.5)
-        ens = mix(StateEnsemble(((1.0, state),)))
-        assert ens.components[0][1] is state
+class TestPathSectors:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_superpositions_match_rotation_chain(self, n):
+        # Sparse complex superpositions over 1-4 internal modes.
+        rng = np.random.default_rng(20261018 + n)
+        for n_internal in (1, 2, 3, 4):
+            for _ in range(3):
+                state = random_state(rng, n, n_internal)
+                thetas = kernel_phases(rng, n)
+                got = PathSectors(state).class_probabilities(thetas)
+                assert got.shape == (len(thetas), n // 2 + 1)
+                assert np.max(np.abs(got - chain_probabilities(state, thetas))) < 1e-14
 
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            spdc_two_photon(0.3),
+            dual_fock_mismatched(2, 0.6),
+            dual_fock_mismatched(4, 0.6),
+            two_distinct_pairs(0.7),
+            four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7),
+            four_photon_schmidt(SchmidtSpectrum([0.5] * 4), 0.7),
+            StateEnsemble(((0.25, dual_fock_mismatched(2, 0.3)), (0.75, two_distinct_pairs(0.4)))),
+        ],
+        ids=["spdc", "dual-fock-2", "dual-fock-4", "two-pairs", "schmidt-2", "schmidt-4", "ensemble"],
+    )
+    def test_named_probes_match_rotation_chain(self, probe):
+        rng = np.random.default_rng(7)
+        thetas = kernel_phases(rng, probe.total_photons)
+        got = PathSectors(probe).class_probabilities(thetas)
+        assert np.max(np.abs(got - chain_probabilities(probe, thetas))) < 1e-14
+
+    def test_sectors_follow_per_mode_totals(self):
+        # dual-Fock n = 2 puts 4 - k photons in mode 0 and k in mode 1.
+        sectors = PathSectors(dual_fock_mismatched(2, 0.5))
+        assert [(totals, tensors.shape) for totals, tensors, _ in sectors.blocks] == [
+            ((1, 3), (1, 2, 4)),
+            ((2, 2), (1, 3, 3)),
+            ((4,), (1, 5)),
+        ]
+
+    def test_non_finite_phase_rejected(self):
+        with pytest.raises(ValueError):
+            PathSectors(spdc_two_photon(0.5)).class_probabilities([0.1, math.nan])
+
+
+class TestEnsembles:
     def test_two_equal_components_average(self):
         a, b = spdc_two_photon(1.0), spdc_two_photon(0.0)
         ens = StateEnsemble(((0.5, a), (0.5, b)))
@@ -269,16 +383,12 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             StateEnsemble(((0.5, spdc_two_photon(1.0)),))
 
+    def test_photon_numbers_must_agree(self):
+        with pytest.raises(ValueError, match="photon numbers"):
+            StateEnsemble(((0.5, spdc_two_photon(1.0)), (0.5, dual_fock_mismatched(2, 1.0))))
+
 
 class TestSerialization:
-    def test_exact_round_trip(self):
-        rng = np.random.default_rng(9)
-        state = random_state(rng, 5)
-        clone = MultimodeFockState.from_json(state.to_json())
-        assert set(clone.amplitudes) == set(state.amplitudes)
-        for occ, a in state.amplitudes.items():
-            assert clone.amplitudes[occ] == a  # bitwise through repr round-trip
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MultimodeFockState({((1, 0, 1),): 0.5})  # norm != 1

@@ -8,6 +8,7 @@ from fringelab import cli
 from fringelab.detection import add_background, aggregate_by_abs_delta, outcome_distribution
 from fringelab.errors import SingularFisherError
 from fringelab.fock import (
+    PathSectors,
     StateEnsemble,
     apply_path_rotation,
     dual_fock_mismatched,
@@ -19,6 +20,7 @@ from fringelab.metrology import (
     FringeFamily,
     _basis,
     _family_coefficients,
+    _fourier_fisher,
     counting_family,
     fisher_at,
     fisher_terms,
@@ -34,7 +36,7 @@ from fringelab.metrology import (
     small_angle_fisher,
     two_photon_family,
 )
-from fringelab.spectral import SchmidtSpectrum
+from fringelab.spectral import SchmidtSpectrum, lambda4
 
 
 def rotated_probabilities(probe, zeta, thetas):
@@ -84,7 +86,7 @@ class TestFisherAt:
 
     def test_constant_family_is_zero(self):
         family = FringeFamily(
-            evaluator=lambda theta: {0: 0.5, 2: 0.5}, classes=(0, 2), n_photons=2
+            evaluator=lambda thetas: np.full((len(thetas), 2), 0.5), classes=(0, 2), n_photons=2
         )
         assert fisher_at(family, 1.0) == 0.0
 
@@ -106,8 +108,9 @@ class TestFisherAt:
             )
 
     def test_singular_probability_with_live_derivative_raises(self):
-        def evaluator(theta):
-            return {0: max(theta, 0.0), 1: 1.0 - max(theta, 0.0)}
+        def evaluator(thetas):
+            p = np.maximum(thetas, 0.0)
+            return np.column_stack([p, 1.0 - p])
 
         family = FringeFamily(evaluator=evaluator, classes=(0, 1), n_photons=1)
         with pytest.raises(SingularFisherError):
@@ -119,17 +122,34 @@ class TestFisherAt:
         )
         seen = []
 
-        def counted(theta):
-            seen.append(theta)
-            return family.evaluator(theta)
+        def counted(thetas):
+            seen.append(thetas.tolist())
+            return family.evaluator(thetas)
 
         theta, step = 0.4, 1e-4
         value = fisher_at(FringeFamily(counted, family.classes, family.n_photons), theta, step)
-        assert len(seen) == len(set(seen)) == 5
+        assert len(seen) == 1
+        assert len(seen[0]) == len(set(seen[0])) == 5
         # The fine central difference, as fisher_at computed it before.
-        p0, pp, pm = (family.evaluator(t) for t in (theta, theta + step / 2, theta - step / 2))
-        derivs = {c: (pp[c] - pm[c]) / step for c in family.classes}
-        assert value == fisher_terms({c: p0[c] for c in family.classes}, derivs)
+        p0, pp, pm = family.evaluator(np.array([theta, theta + step / 2, theta - step / 2]))
+        derivs = {c: (pp[i] - pm[i]) / step for i, c in enumerate(family.classes)}
+        assert value == fisher_terms({c: p0[i] for i, c in enumerate(family.classes)}, derivs)
+
+    def test_smooth_vanishing_class_is_not_singular(self):
+        # Class 4 vanishes as theta^4: p = 1.0e-14 here with derivative
+        # 4p/theta = 1.1e-10, so the term it would add is p'^2/p = 1.2e-6,
+        # below the 1e-4 under which a vanishing class is dropped.
+        family = counting_family(four_photon_pair_ensemble(0.479, 1.0), 0.0)
+        coeff, harmonics = _family_coefficients(family)
+        theta = 3.5059e-4
+        exact = _fourier_fisher(coeff, harmonics, np.array([theta]))[0]
+        assert fisher_at(family, theta) == pytest.approx(exact, rel=1e-6)
+
+    def test_class_vanishing_as_theta_squared_stays_singular(self):
+        # Class 2 is 6.5e-15 here, but its term p'^2/p = 2(1 + I') = 2.6 is a
+        # finite share of the information, not one to drop.
+        with pytest.raises(SingularFisherError):
+            fisher_at(two_photon_family(0.3, 0.0), 1e-7)
 
     def test_richardson_judges_vanishing_class_by_extrapolated_derivative(self):
         # Class 4 has p = 8.3e-16 here; its step-1e-3 quotient of 1.5e-10 is
@@ -145,7 +165,9 @@ class TestFisherAt:
 
     def test_non_finite_probabilities_rejected(self):
         family = FringeFamily(
-            evaluator=lambda theta: {0: math.nan, 1: 1.0}, classes=(0, 1), n_photons=1
+            evaluator=lambda thetas: np.column_stack([np.full(len(thetas), math.nan), np.ones(len(thetas))]),
+            classes=(0, 1),
+            n_photons=1,
         )
         with pytest.raises(ValueError):
             fisher_at(family, 0.2)
@@ -335,15 +357,31 @@ class TestFourPhotonPredictions:
         pure = four_photon_pair_ensemble(1.0, 1.0)
         assert len(pure.components) == 1
 
+    @pytest.mark.parametrize(
+        "lambdas", [[1.0], [0.8, 0.6], [0.7, 0.5, 0.4, math.sqrt(0.1)]], ids=["1", "2", "4"]
+    )
+    def test_ensemble_matches_schmidt_expansion(self, lambdas):
+        spectrum = SchmidtSpectrum(lambdas)
+        thetas = np.concatenate([np.random.default_rng(3).uniform(-7.0, 7.0, 8), np.arange(9) * 2 * math.pi / 9])
+        for tau in (0.0, 0.3, 0.7, 1.0):
+            ensemble = four_photon_pair_ensemble(lambda4(spectrum), tau)
+            got = PathSectors(ensemble).class_probabilities(thetas)
+            want = rotated_probabilities(four_photon_schmidt(spectrum, tau), 0.0, thetas)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_ensemble_rejects_overlap_outside_unit_interval(self):
+        for tau in (-0.5, 1.5):
+            with pytest.raises(ValueError, match="cross_overlap"):
+                four_photon_pair_ensemble(1.0, tau)
+
 
 class TestReports:
     def test_counting_family_matches_analytic_family(self):
         sim = counting_family(spdc_two_photon(0.6), zeta=0.0119)
         closed = two_photon_family(0.6, 0.0119)
-        for theta in np.linspace(0, 2 * math.pi, 9):
-            ps = sim.evaluator(float(theta))
-            pc = closed.evaluator(float(theta))
-            for key in (0, 2):
+        thetas = np.linspace(0, 2 * math.pi, 9)
+        for ps, pc in zip(sim.evaluator(thetas), closed.evaluator(thetas)):
+            for key in (0, 1):
                 assert ps[key] == pytest.approx(pc[key], abs=1e-12)
 
     def test_fourier_samples_reproduce_rotation(self):
@@ -373,9 +411,9 @@ class TestReports:
         # A class dipping 1e-15 below zero is rounding and reads 0; one
         # dipping to -1e-6 is a defect.
         def dipping(depth):
-            def evaluate(theta):
-                p = 0.5 + (0.5 + depth) * math.cos(theta)
-                return {0: p, 1: 1.0 - p}
+            def evaluate(thetas):
+                p = 0.5 + (0.5 + depth) * np.cos(thetas)
+                return np.column_stack([p, 1.0 - p])
 
             return FringeFamily(evaluator=evaluate, classes=(0, 1), n_photons=1)
 
@@ -391,9 +429,9 @@ class TestReports:
         def counted_family(*args, **kwargs):
             family = real_family(*args, **kwargs)
 
-            def counted(theta):
-                seen.append(theta)
-                return family.evaluator(theta)
+            def counted(thetas):
+                seen.extend(thetas)
+                return family.evaluator(thetas)
 
             return FringeFamily(counted, family.classes, family.n_photons, family.theta_domain)
 
