@@ -13,7 +13,6 @@ from .detection import (
     aggregate_by_abs_delta,
     background_fraction,
     class_efficiencies,
-    correct_counts,
     multiplex_efficiency,
     outcome_distribution,
     sample_counts,
@@ -28,7 +27,6 @@ from .estimation import (
     fisher_from_model,
     fit_mle,
     log_likelihood,
-    total_rate_estimate,
 )
 from .fock import (
     MultimodeFockState,

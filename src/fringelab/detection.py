@@ -140,19 +140,6 @@ def class_efficiencies(total_photons: int, bins_per_arm: int) -> dict[int, float
     return out
 
 
-def correct_counts(
-    raw: Mapping, eta: Mapping
-) -> dict:
-    """Divide raw counts by per-outcome efficiencies."""
-    out = {}
-    for key, count in raw.items():
-        e = float(eta[key])
-        if e <= 0:
-            raise ValueError(f"efficiency for {key} must be positive")
-        out[key] = float(count) / e
-    return out
-
-
 def sample_counts(
     classes: Mapping[int, float], expected_total: float, seed
 ) -> dict[int, int]:

@@ -146,36 +146,12 @@ class FourierFringeModel:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "FourierFringeModel":
-        data = json.loads(text)
-        classes = tuple(int(c) for c in data["classes"])
-        harmonics = tuple(int(k) for k in data["harmonics"])
-        coeff = np.zeros((len(classes), 1 + 2 * len(harmonics)))
-        for i, c in enumerate(classes):
-            entry = data["coefficients"][str(c)]
-            coeff[i, 0] = entry["c0"]
-            for j, k in enumerate(harmonics):
-                coeff[i, 1 + 2 * j] = entry["cos"][str(k)]
-                coeff[i, 2 + 2 * j] = entry["sin"][str(k)]
-        return cls(classes, harmonics, coeff)
-
 
 @dataclass(frozen=True)
 class FitResult:
     model: FourierFringeModel
     log_likelihood: float
     converged: bool
-
-
-def total_rate_estimate(dataset: FringeDataset, theta: float) -> float:
-    """Efficiency-corrected total events at one scanned phase: sum x/eta."""
-    for t, counts in dataset.points:
-        if t == theta:
-            return float(
-                sum(x / dataset.efficiencies[c] for c, x in counts.items())
-            )
-    raise ValueError(f"phase {theta} is not in the dataset")
 
 
 def _poisson_loglik(x: np.ndarray, lam: np.ndarray) -> np.ndarray:

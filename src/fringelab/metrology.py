@@ -5,6 +5,7 @@ probes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -138,7 +139,7 @@ def fisher_at(family: FringeFamily, theta: float, step: float = 1e-4) -> float:
 # lower the information, and a class within it of zero counts as dead.  Where
 # a maximum sits at a zero of a class probability, F = F0 - c theta^2 there,
 # and the bound costs at most 4 sqrt(c * bound), about 4e-7 for the two-photon
-# families.
+# families, and digs a crater into F that Newton steps would fall into.
 _ROUNDING = 1e-14
 
 
@@ -151,23 +152,60 @@ def _basis(harmonics: Sequence[int], thetas: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _fourier_fisher(
-    coeff: np.ndarray, harmonics: Sequence[int], thetas: np.ndarray
-) -> np.ndarray:
-    """Exact Fisher information sum d^2/p of Fourier class rows at each phase.
+def _derivative(coeff: np.ndarray, harmonics: Sequence[int]) -> np.ndarray:
+    """Fourier rows of the phase derivative: (a_k, b_k) -> (k b_k, -k a_k)."""
+    k = np.asarray(harmonics, dtype=float)
+    out = np.zeros_like(coeff)
+    out[..., 1::2], out[..., 2::2] = k * coeff[..., 2::2], -k * coeff[..., 1::2]
+    return out
 
-    ``coeff`` rows are [c0, cos_k, sin_k, ...] in the order of ``harmonics``,
-    shaped (..., classes, coefficients); ``thetas`` is one grid for every
-    leading index or one grid per leading index, (..., phases).
-    """
-    k = np.asarray(harmonics, dtype=float)[:, None]
-    kt = k * thetas[..., None, :]
-    cos, sin = np.cos(kt), np.sin(kt)
-    a, b = coeff[..., 1::2], coeff[..., 2::2]
-    p = coeff[..., :1] + a @ cos + b @ sin
-    d = b @ (k * cos) - a @ (k * sin)
+
+def _information(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sum over classes (axis -2) of d^2 / (p + _ROUNDING), live classes only."""
     live = p > _ROUNDING
     return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=-2)
+
+
+def _polish(
+    coeff: np.ndarray, harmonics: Sequence[int], theta: np.ndarray, window: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At most six Newton steps on F = sum d^2 / P, P = p + _ROUNDING, from
+    each trial's ``theta``, clipped to its ``window``, uphill to its edge
+    where F'' >= 0.  A class adds 2 d r/P - d^3/P^2 to F' and 2 (r^2 + d s)/P
+    - 5 d^2 r/P^2 + 2 d^4/P^3 to F'', r and s being p'' and p'''.  Returns
+    the phases, F there, and whether each trial finished there: a next step
+    of at most 1e-8 (quadratic convergence leaves F within rounding of its
+    local maximum), F'' < 0, and every class probability above 1e-6.
+    """
+    orders = [coeff]
+    for _ in range(3):
+        orders.append(_derivative(orders[-1], harmonics))
+    stack = np.concatenate(orders, axis=-2)  # (trials, 4 classes, coefficients)
+    for steps in range(7):
+        rows = stack @ _basis(harmonics, theta).T[:, :, None]
+        p, d, r, s = rows.reshape(len(theta), 4, -1).transpose(1, 0, 2)
+        w = np.where(p > _ROUNDING, 1.0 / (p + _ROUNDING), 0.0)
+        dw = d * w
+        f = (d * dw).sum(axis=-1)
+        f1 = (dw * (2.0 * r - d * dw)).sum(axis=-1)
+        f2 = (2.0 * (r * r + d * s) * w + dw * dw * (2.0 * d * dw - 5.0 * r)).sum(axis=-1)
+        concave = f2 < 0.0
+        step = np.where(concave, -f1 / np.where(concave, f2, -1.0), np.copysign(np.inf, f1))
+        moved = np.clip(theta + step, *window)
+        done = np.abs(moved - theta) <= 1e-8
+        if steps == 6 or np.all(done):
+            break
+        theta = moved
+    return theta, f, done & concave & (p.min(axis=-1) > 1e-6)
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_grid(harmonics: tuple[int, ...], lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 256 scan midpoints over [lo, hi] and their basis rows, read-only."""
+    grid = lo + (np.arange(256) + 0.5) * ((hi - lo) / 256)
+    basis = _basis(harmonics, grid)
+    grid.flags.writeable = basis.flags.writeable = False
+    return grid, basis
 
 
 # Fractions of a zoom interval at which it is sampled.
@@ -180,29 +218,41 @@ def _maximize_fourier_fisher(
     """Maximum over phase of the exact information of Fourier class rows,
     for each trial of ``coeff`` (trials, classes, coefficients).
 
-    A 256-cell midpoint scan locates the best cell; three nested 129-point
-    zooms, each spanning one spacing of the previous level on either side and
-    clipped to the domain, pin interior and end-of-domain maxima to a spacing
-    of 64^-3 cells.  Returns the scan grid, the scan values (trials, 256),
-    and each trial's argmax and maximum.
+    A 256-cell midpoint scan, one product of the value and derivative rows
+    with the basis, picks the first cell within 1e-12 of its maximum, so of
+    mirror maxima (theta, pi - theta) the lower is reported whatever the
+    last bits say.  ``_polish`` steps from there; its point is kept where it
+    beats the scan.  A trial it does not finish, with a maximum at a zero of
+    a class probability (zeta = 0, or a fitted class on a wall), takes three
+    nested zooms from its cell instead, as before the polish: 129 points
+    over one spacing of the previous level either side, within the domain.
+    Returns the grid, the scan values (trials, 256), argmaxes and maxima.
     """
     lo, hi = theta_domain
     h = (hi - lo) / 256
-    grid = lo + (np.arange(256) + 0.5) * h
-    values = _fourier_fisher(coeff, harmonics, grid)
-    trials = np.arange(len(coeff))
-    i = np.argmax(values, axis=1)
-    theta_star, f_star = grid[i], values[trials, i]
-    half = h
-    for _ in range(3):
-        start = np.maximum(lo, theta_star - half)
-        zoom = start[:, None] + (np.minimum(hi, theta_star + half) - start)[:, None] * _ZOOM
-        zoom_values = _fourier_fisher(coeff, harmonics, zoom)
+    grid, basis = _scan_grid(tuple(harmonics), lo, hi)
+    n = coeff.shape[-2]
+    rows = np.concatenate([coeff, _derivative(coeff, harmonics)], axis=-2) @ basis
+    values = _information(rows[:, :n], rows[:, n:])
+    i = np.argmax(values >= values.max(axis=1, keepdims=True) * (1.0 - 1e-12), axis=1)
+    theta_star, f_star = grid[i], values[np.arange(len(coeff)), i]
+    window = (np.maximum(lo, theta_star - h), np.minimum(hi, theta_star + h))
+    theta, f, finished = _polish(coeff, harmonics, theta_star, window)
+    better = finished & (f > f_star)
+    theta_star, f_star = np.where(better, theta, theta_star), np.where(better, f, f_star)
+    redo = np.flatnonzero(~finished)
+    k = np.asarray(harmonics, dtype=float)[:, None]
+    c0, a, b = coeff[redo, :, :1], coeff[redo, :, 1::2], coeff[redo, :, 2::2]
+    for level in range(3 if redo.size else 0):
+        half = h / 64.0**level
+        start = np.maximum(lo, theta_star[redo] - half)
+        zoom = start[:, None] + (np.minimum(hi, theta_star[redo] + half) - start)[:, None] * _ZOOM
+        cos, sin = np.cos(k * zoom[:, None, :]), np.sin(k * zoom[:, None, :])
+        zoom_values = _information(c0 + a @ cos + b @ sin, b @ (k * cos) - a @ (k * sin))
         j = np.argmax(zoom_values, axis=1)
-        better = zoom_values[trials, j] > f_star
-        theta_star = np.where(better, zoom[trials, j], theta_star)
-        f_star = np.where(better, zoom_values[trials, j], f_star)
-        half /= 64.0
+        better = zoom_values[np.arange(redo.size), j] > f_star[redo]
+        theta_star[redo[better]] = zoom[better, j[better]]
+        f_star[redo[better]] = zoom_values[better, j[better]]
     return grid, values, theta_star, f_star
 
 
@@ -273,10 +323,10 @@ def maximize_fisher(family: FringeFamily) -> FisherReport:
     """Exact maximum over ``family.theta_domain`` of the Fisher information.
 
     The class probabilities are rebuilt exactly as Fourier series from
-    2N + 1 evaluations, and the information sum d^2/p is evaluated with
-    analytic derivatives on a phase scan refined by nested zooms.  Rounding
-    is kept from inflating the information next to a zero of a class
-    probability (see ``_ROUNDING``).
+    2N + 1 evaluations; the information sum d^2/p is scanned on a phase grid
+    and polished by Newton steps on its exact derivatives.  Rounding is kept
+    from inflating the information next to a zero of a class probability
+    (see ``_ROUNDING``), where nested zooms replace the Newton steps.
     """
     coeff, harmonics = _family_coefficients(family)
     return _fisher_report(coeff, harmonics, family.n_photons, family.theta_domain)
@@ -390,10 +440,10 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
 
     For zeta > 0 the maximum is interior and found by ``maximize_fisher``
     on (0, pi/2).  For zeta = 0 the supremum is the zero-phase limit
-    2(1 + iprime), where the distinguishable class probability vanishes, so
-    a numeric maximum stops short of it (by about 4e-7, see ``_ROUNDING``);
-    the analytic limit is returned and the numeric route is exercised
-    against it in the tests.
+    2(1 + iprime), where the distinguishable class probability vanishes and
+    the rounding guard holds a numeric maximum about 4e-7 below it (see
+    ``_ROUNDING``); the analytic limit is returned and the numeric route,
+    nested zooms there, is exercised against it in the tests.
     """
     if not 0.0 <= iprime <= 1.0:
         raise ValueError(f"iprime {iprime} outside [0, 1]")
@@ -493,13 +543,14 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
     Builds the purity-weighted four-photon mixtures at overlap 1 and 0,
     aggregates counting outcomes into the three |delta| classes, mixes a
     uniform background over those classes, and maximizes the Fisher
-    information over phase; each maximum is divided by the photon number 4.
+    information over phase in (0, pi), both overlaps in one batched call;
+    each maximum is divided by the photon number 4.
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
-    out = []
-    for tau in (1.0, 0.0):
-        ensemble = four_photon_pair_ensemble(lam4, tau)
-        family = counting_family(ensemble, zeta, theta_domain=(0.0, math.pi))
-        out.append(maximize_fisher(family).per_photon)
-    return out[0], out[1]
+    (full, harmonics), (zero, _) = (
+        _family_coefficients(counting_family(four_photon_pair_ensemble(lam4, tau), zeta))
+        for tau in (1.0, 0.0)
+    )
+    f_star = _maximize_fourier_fisher(np.stack([full, zero]), harmonics, (0.0, math.pi))[3]
+    return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

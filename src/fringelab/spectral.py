@@ -231,10 +231,11 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     residual in sigma alone.  The data set the sigma window: from half the
     smallest to twice the largest weighted |x| off zero (every |x| off zero
     if none is weighted); below it q(x/sigma) nears 0 at every delay off
-    zero, and above it 1.  The residual is scanned on 17 log-spaced sigma,
-    and Gauss-Newton steps on sigma with Kaufman's projected Jacobian (BIT
-    15, 49 (1975)) and halving backtracking refine the best cell until a
-    step is at most 1e-10 sigma (``converged``; at most 100 steps).  Fewer
+    zero, and above it 1.  The residual is scanned on log-spaced sigma, seven
+    cells per decade of the window and at least 17, and Gauss-Newton steps
+    on sigma with Kaufman's projected Jacobian (BIT 15, 49 (1975)) and
+    halving backtracking refine the best cell until a step is at most
+    1e-10 sigma (``converged``; at most 100 steps).  Fewer
     than three distinct weighted |x| (sigma is then the window's geometric
     mean), a rank-deficient normal matrix at the solution (for example
     b = 0, which leaves sigma free) or a fitted a + b outside [0, 1] marks
@@ -259,10 +260,10 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     if not np.all((ax[off] >= 1e-100) & (ax[off] <= 1e100)):
         raise IllPosedError("every |x| off zero must lie within [1e-100, 1e100]")
     span = ax[off & weighted] if np.any(off & weighted) else ax[off]
-    sigmas = np.geomspace(span.min() / 2.0, 2.0 * span.max(), 17)
+    lo, hi = span.min() / 2.0, 2.0 * span.max()
     if np.count_nonzero(weighted) < 3:
         # Two weighted delays or fewer are fitted exactly for any sigma.
-        sigma = float(sigmas[8])  # the window's geometric mean
+        sigma = math.sqrt(lo * hi)  # the window's geometric mean
         q = _overlap(ax / sigma, slope=False)[inv]
         root_w = np.sqrt(w)
         (a, b), *_ = np.linalg.lstsq(np.column_stack([root_w, root_w * q]), root_w * p, rcond=None)
@@ -278,7 +279,10 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
         u = ax / sigma
         return (_overlap(u)[1] * (-u / sigma))[inv]
 
-    scan = profile(sigmas)
+    sigmas = np.geomspace(lo, hi, max(17, math.ceil(7.0 * math.log10(hi / lo))))
+    # Blocks of at most 17 cells bound the (cells, delays, nodes) table of _overlap.
+    blocks = [profile(cells) for cells in np.array_split(sigmas, -(-len(sigmas) // 17))]
+    scan = [np.concatenate(rows) for rows in zip(*blocks)]
     best = int(np.argmin(scan[2]))
     sigma = float(sigmas[best])
     a, b, sse, r, q = (row[best] for row in scan)

@@ -11,10 +11,8 @@ from fringelab.detection import (
     aggregate_by_abs_delta,
     background_fraction,
     class_efficiencies,
-    correct_counts,
     multiplex_efficiency,
     outcome_distribution,
-    pattern_efficiency,
     sample_counts,
 )
 from fringelab.fock import (
@@ -160,29 +158,6 @@ class TestMultiplexEfficiency:
         assert etas == pytest.approx(
             {0: 0.75 * 0.75, 2: multiplex_efficiency(3, 4), 4: multiplex_efficiency(4, 4)}
         )
-
-
-class TestCorrectCounts:
-    def test_pattern_example(self):
-        raw = {(1, 1): 100, (2, 0): 10, (0, 2): 10}
-        eta = {key: pattern_efficiency(*key, bins_per_arm=4) for key in raw}
-        corrected = correct_counts(raw, eta)
-        assert corrected[(1, 1)] == pytest.approx(100.0)
-        assert corrected[(2, 0)] == pytest.approx(10 / 0.75)
-        assert corrected[(0, 2)] == pytest.approx(13.3333333333, abs=1e-6)
-
-    def test_unit_efficiency_identity(self):
-        raw = {0: 5, 2: 7}
-        assert correct_counts(raw, {0: 1.0, 2: 1.0}) == pytest.approx({0: 5.0, 2: 7.0})
-
-    def test_four_photon_balanced_pattern(self):
-        eta = pattern_efficiency(2, 2, bins_per_arm=4)
-        assert eta == pytest.approx(9 / 16)
-        assert correct_counts({(2, 2): 9}, {(2, 2): eta})[(2, 2)] == pytest.approx(16.0)
-
-    def test_zero_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            correct_counts({0: 1}, {0: 0.0})
 
 
 class TestSampleCounts:

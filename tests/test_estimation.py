@@ -23,7 +23,6 @@ from fringelab.estimation import (
     fisher_from_model,
     fit_mle,
     log_likelihood,
-    total_rate_estimate,
 )
 from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_photon
 from fringelab.metrology import (
@@ -94,25 +93,6 @@ def bootstrap_loop(fit, dataset, trials, seed):
         np.array(converged),
         np.array(max_fs),
     )
-
-
-class TestTotalRateEstimate:
-    def test_efficiency_weighted_sum(self):
-        ds = FringeDataset(((0.1, {0: 90, 2: 10}),), {0: 1.0, 2: 0.75})
-        assert total_rate_estimate(ds, 0.1) == pytest.approx(90 + 10 / 0.75)
-
-    def test_unit_efficiencies_give_raw_total(self):
-        ds = FringeDataset(((0.4, {0: 5, 2: 7}),), {0: 1.0, 2: 1.0})
-        assert total_rate_estimate(ds, 0.4) == 12.0
-
-    def test_all_zero_counts(self):
-        ds = FringeDataset(((1.0, {0: 0, 2: 0}),), {0: 1.0, 2: 1.0})
-        assert total_rate_estimate(ds, 1.0) == 0.0
-
-    def test_unknown_phase(self):
-        ds = FringeDataset(((1.0, {0: 1}),), {0: 1.0})
-        with pytest.raises(ValueError):
-            total_rate_estimate(ds, 2.0)
 
 
 class TestLogLikelihood:
@@ -205,13 +185,6 @@ class TestModelValidation:
         coeff = np.array([[0.5, 0.6, 0.0], [0.5, -0.6, 0.0]])
         with pytest.raises(ValueError):
             FourierFringeModel((0, 2), (2,), coeff)
-
-    def test_json_round_trip(self):
-        model = two_photon_model(0.37, 0.0119)
-        clone = FourierFringeModel.from_json(model.to_json())
-        assert clone.classes == model.classes
-        assert clone.harmonics == model.harmonics
-        assert np.array_equal(clone.coefficients, model.coefficients)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

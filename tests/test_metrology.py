@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from fringelab import cli
-from fringelab.detection import add_background, aggregate_by_abs_delta, outcome_distribution
+from fringelab import cli, estimation, metrology
+from fringelab.detection import (
+    add_background,
+    aggregate_by_abs_delta,
+    class_efficiencies,
+    outcome_distribution,
+)
 from fringelab.errors import SingularFisherError
+from fringelab.estimation import FringeDataset, bootstrap_errors, fit_mle
 from fringelab.fock import (
     PathSectors,
     StateEnsemble,
@@ -20,7 +26,7 @@ from fringelab.metrology import (
     FringeFamily,
     _basis,
     _family_coefficients,
-    _fourier_fisher,
+    _maximize_fourier_fisher,
     counting_family,
     fisher_at,
     fisher_terms,
@@ -142,7 +148,7 @@ class TestFisherAt:
         family = counting_family(four_photon_pair_ensemble(0.479, 1.0), 0.0)
         coeff, harmonics = _family_coefficients(family)
         theta = 3.5059e-4
-        exact = _fourier_fisher(coeff, harmonics, np.array([theta]))[0]
+        exact = reference_fisher(coeff, harmonics, np.array([theta]))[0]
         assert fisher_at(family, theta) == pytest.approx(exact, rel=1e-6)
 
     def test_class_vanishing_as_theta_squared_stays_singular(self):
@@ -449,3 +455,197 @@ class TestReports:
         assert set(data) == {"theta", "fisher", "max", "argmax", "per_photon"}
         assert len(data["theta"]) == len(data["fisher"]) == 256
         assert data["per_photon"] == pytest.approx(data["max"] / 2)
+
+
+# ---------------------------------------------------------------------------
+# The phase maximiser against the nested zoom it replaced.
+
+
+def reference_fisher(coeff, harmonics, thetas):
+    """Information sum d^2 / (p + _ROUNDING) over live classes of Fourier
+    rows (..., classes, coefficients) at one grid or one grid per leading
+    index, (..., phases), as the maximiser evaluated it before polishing."""
+    k = np.asarray(harmonics, dtype=float)[:, None]
+    kt = k * thetas[..., None, :]
+    cos, sin = np.cos(kt), np.sin(kt)
+    a, b = coeff[..., 1::2], coeff[..., 2::2]
+    p = coeff[..., :1] + a @ cos + b @ sin
+    d = b @ (k * cos) - a @ (k * sin)
+    live = p > _ROUNDING
+    return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=-2)
+
+
+def zoom_reference(coeff, harmonics, theta_domain):
+    """The maximiser before Newton polishing, kept as the oracle: a 256-cell
+    midpoint scan whose first maximal cell seeds three nested 129-point
+    zooms, each one spacing of the previous level on either side and
+    clipped to the domain.  Returns each trial's argmax and maximum."""
+    lo, hi = theta_domain
+    h = (hi - lo) / 256
+    grid = lo + (np.arange(256) + 0.5) * h
+    values = reference_fisher(coeff, harmonics, grid)
+    trials = np.arange(len(coeff))
+    i = np.argmax(values, axis=1)
+    theta_star, f_star = grid[i], values[trials, i]
+    half = h
+    for _ in range(3):
+        start = np.maximum(lo, theta_star - half)
+        zoom = start[:, None] + (np.minimum(hi, theta_star + half) - start)[:, None] * (
+            np.arange(129) / 128
+        )
+        zoom_values = reference_fisher(coeff, harmonics, zoom)
+        j = np.argmax(zoom_values, axis=1)
+        better = zoom_values[trials, j] > f_star
+        theta_star = np.where(better, zoom[trials, j], theta_star)
+        f_star = np.where(better, zoom_values[trials, j], f_star)
+        half /= 64.0
+    return theta_star, f_star
+
+
+def two_photon_dataset(iprime, zeta, total, seed):
+    """Poisson counts of the two-photon fringe at 32 phases from theta = 0."""
+    rng = np.random.default_rng(seed)
+    family = two_photon_family(iprime, zeta)
+    etas = class_efficiencies(2, 4)
+    points = []
+    for theta, row in zip(DEFAULT_PHASES, family.evaluator(DEFAULT_PHASES)):
+        counts = {c: int(rng.poisson(total * p * etas[c])) for c, p in zip((0, 2), row)}
+        points.append((float(theta), counts))
+    return FringeDataset(tuple(points), etas)
+
+
+def refit_coefficients(monkeypatch, dataset, seed):
+    """Coefficients (trials, classes, coefficients) of 100 bootstrap refits."""
+    seen = []
+    real = estimation._maximize_fourier_fisher
+
+    def capture(coeff, harmonics, theta_domain):
+        seen.append(coeff)
+        return real(coeff, harmonics, theta_domain)
+
+    monkeypatch.setattr(estimation, "_maximize_fourier_fisher", capture)
+    bootstrap_errors(fit_mle(dataset, [2]), dataset, 100, seed)
+    monkeypatch.undo()
+    return seen[-1]
+
+
+def maximiser_corpus(monkeypatch):
+    """(label, coefficients, harmonics, domain): two-photon families on three
+    domains, four-photon ensembles and dual-Fock n = 1-4 at five noise
+    levels, and 100 bootstrap refits of two-photon data at 1e5 and 300
+    counts per point."""
+    corpus = []
+    for zeta in (0.0, 0.005, 0.0119, 0.0282, 0.05):
+        families = [
+            (f"two I'={ip} {hi:.2f}", two_photon_family(ip, zeta, (0.0, hi)))
+            for ip in (0.0, 0.3, 0.7, 1.0)
+            for hi in (math.pi / 2, math.pi, 2 * math.pi)
+        ]
+        probes = [
+            (f"four L={lam} tau={tau}", four_photon_pair_ensemble(lam, tau))
+            for lam in (0.1, 0.479, 1.0)
+            for tau in (0.0, 0.5, 1.0)
+        ]
+        probes += [
+            (f"dual n={n} I={indist}", dual_fock_mismatched(n, indist))
+            for n in (1, 2, 3, 4)
+            for indist in (0.0, 0.5, 1.0)
+        ]
+        domain = (0.0, math.pi)
+        families += [(label, counting_family(probe, zeta, domain)) for label, probe in probes]
+        for label, family in families:
+            coeff, harmonics = _family_coefficients(family)
+            corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics, family.theta_domain))
+    for seed, (total, iprime, zeta) in enumerate(
+        (t, ip, z) for t in (1e5, 300) for ip in (0.0, 0.6, 1.0) for z in (0.0, 0.0119)
+    ):
+        dataset = two_photon_dataset(iprime, zeta, total, seed)
+        coeff = refit_coefficients(monkeypatch, dataset, seed + 100)
+        corpus.append((f"refits {total} I'={iprime} zeta={zeta}", coeff, (2,), (0.0, math.pi)))
+    return corpus
+
+
+def recording_polish(monkeypatch):
+    """Patch ``metrology._polish`` to append each call's list of finished
+    flags to the list returned; a trial that did not finish takes the zooms."""
+    calls = []
+    real = metrology._polish
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append(result[2].tolist())
+        return result
+
+    monkeypatch.setattr(metrology, "_polish", recorded)
+    return calls
+
+
+class TestPhaseMaximiser:
+    def test_matches_or_beats_the_nested_zoom(self, monkeypatch):
+        # A maximum at a zero of a class probability sits in F's rounding
+        # noise, about 1e-16 / p relative, so it is held to 1e-9 there and
+        # to 1e-12 elsewhere.
+        trials = 0
+        for label, coeff, harmonics, domain in maximiser_corpus(monkeypatch):
+            grid, values, theta, f = _maximize_fourier_fisher(coeff, harmonics, domain)
+            ref_theta, ref_f = zoom_reference(coeff, harmonics, domain)
+            assert values.shape == (len(coeff), 256), label
+            assert np.all((domain[0] <= theta) & (theta <= domain[1])), label
+            at_theta = reference_fisher(coeff, harmonics, theta[:, None])[:, 0]
+            assert np.allclose(f, at_theta, rtol=1e-9, atol=0), label
+            at_ref = (coeff @ np.moveaxis(_basis(harmonics, ref_theta), 0, -1)[..., None])[..., 0]
+            vanishing = at_ref.min(axis=1) < 1e-6
+            low = (ref_f - f) / ref_f
+            assert np.all(low[~vanishing] <= 1e-12), (label, low[~vanishing].max())
+            assert np.all(low[vanishing] <= 1e-9), (label, low[vanishing].max())
+            trials += len(coeff)
+        assert trials > 1_000
+
+    def test_readme_sweep_never_falls_back_to_zooms(self, monkeypatch, tmp_path):
+        calls = recording_polish(monkeypatch)
+        cfg = tmp_path / "fig3.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "iprimes": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                    "zeta": 0.0119,
+                    "phases": {"count": 32},
+                    "expected_counts_per_point": 100000,
+                    "seed": 7,
+                    "restarts": 8,
+                    "bootstrap_trials": 100,
+                }
+            )
+        )
+        assert cli.main(["reproduce-fig3", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        # Six points, each a fit, its 100 refits and the predicted optimum.
+        finished = sum(calls, [])
+        assert len(finished) == 6 * 102 and all(finished)
+
+    def test_vanishing_class_takes_the_zooms(self, monkeypatch):
+        calls = recording_polish(monkeypatch)
+        report = maximize_fisher(two_photon_family(0.6, 0.0, (0.0, math.pi / 2)))
+        assert calls == [[False]]
+        assert report.max_fisher == pytest.approx(3.2, rel=1e-6)
+
+    def test_mirror_maxima_report_the_lower_phase(self):
+        # F(theta) = F(pi - theta) here; the two scan cells agree to rounding.
+        family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0282, (0.0, math.pi))
+        report = maximize_fisher(family)
+        assert report.argmax_theta == pytest.approx(0.27614, abs=1e-5)
+        coeff, harmonics = _family_coefficients(family)
+        for index in np.ndindex(coeff.shape):
+            for direction in (-np.inf, np.inf):
+                nudged = coeff.copy()
+                nudged[index] = np.nextafter(nudged[index], direction)
+                theta = _maximize_fourier_fisher(nudged[None], harmonics, (0.0, math.pi))[2][0]
+                assert theta == pytest.approx(report.argmax_theta, abs=1e-6), index
+
+    def test_extremes_are_one_batch_of_the_two_overlaps(self, monkeypatch):
+        calls = recording_polish(monkeypatch)
+        full, zero = predict_four_photon_extremes(0.479, 0.0282)
+        assert calls == [[True, True]]
+        monkeypatch.undo()
+        for tau, got in ((1.0, full), (0.0, zero)):
+            family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282, (0.0, math.pi))
+            assert got == pytest.approx(maximize_fisher(family).per_photon, rel=1e-13)

@@ -395,6 +395,15 @@ class TestHomDipFit:
             fit = fit_hom_dip(points)
         assert all(math.isfinite(v) for v in (fit.a, fit.b, fit.sigma, fit.residual))
 
+    def test_delays_spanning_the_float_bounds_fit_the_dip(self):
+        # A 17-cell scan over 200 decades had one cell per 12 decades and
+        # settled on an ill-posed sigma of 1.3e12; seven cells a decade find 2.
+        xs = [sign * x for x in (1e-100, 1.0, 2.0, 3.0, 1e100) for sign in (1, -1)]
+        points = [(x, 0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0), 1.0) for x in xs]
+        fit = fit_hom_dip(points)
+        assert fit.converged and not fit.ill_posed
+        assert fit.sigma == pytest.approx(2.0, rel=1e-9)
+
     def test_fit_report_keys(self):
         import json
 
