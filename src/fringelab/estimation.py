@@ -1,21 +1,21 @@
 """Poisson maximum-likelihood fitting of Fourier fringe models with
-per-outcome detection efficiencies, one damped Newton solve per fit, and
-parametric-bootstrap error bars whose refits are solved as one batch.
+per-outcome detection efficiencies, damped Newton solves with walls that keep
+every class probability nonnegative, and parametric-bootstrap error bars
+whose refits are solved as one batch.
 
 The observed counts x of outcome class d at phase theta are modeled as
 Poisson with mean lambda = lambda_t * p(d|theta) * eta_d, where lambda_t is
 the efficiency-corrected total-event estimate sum_d x_d/eta_d and p(d|theta)
 is a truncated Fourier series per class.  Normalization over classes is
-enforced exactly by eliminating one class's coefficients; nonnegativity is
-enforced by a quadratic penalty on a dense phase grid and, at cells with no
-counts, by linear constraints.  The log-likelihood is concave in the
-remaining coefficients and the penalty is too, so every local maximum is
-global, and Newton's method with an active set for those constraints
-reaches one from the uniform model.  The fitting code carries a leading
-trial axis, so a bootstrap refits all of its resamples in lockstep, and a
-single fit is a batch of one.  The constant -sum log(x!) cancels in every
-comparison the solve makes; it is added once, with ``math.lgamma``, to the
-log-likelihoods reported.
+enforced exactly by eliminating one class's coefficients; nonnegativity by
+linear walls p(d|theta) >= 0, at cells with no counts and at the model's own
+dips between cells.  The log-likelihood is concave in the remaining
+coefficients and the walls are linear, so every local maximum is global, and
+Newton's method with an active set on the walls reaches one.  The fitting
+code carries a leading trial axis, so a bootstrap refits all of its
+resamples in lockstep, and a single fit is a batch of one.  The constant
+-sum log(x!) cancels in every comparison the solve makes; it is added once,
+with ``math.lgamma``, to the log-likelihoods reported.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import IllPosedError
 from .metrology import FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
+_MAX_ITER = 200  # Newton steps per solve
+_MAX_ROUNDS = 32  # solves per fit, each walling off the dips of the last
 _TINY = np.finfo(float).tiny
 
 
@@ -88,8 +90,8 @@ class FourierFringeModel:
 
     ``coefficients`` has one row per class: [c0, cos_k, sin_k, ...] following
     the harmonic order.  Rows sum columnwise to [1, 0, 0, ...] so the class
-    probabilities are normalized at every phase, and the probabilities are
-    nonnegative on a 360-point grid.
+    probabilities are normalized at every phase, and no local minimum of a
+    class probability lies below -_NEG_TOL (rounding).
     """
 
     classes: tuple[int, ...]
@@ -111,9 +113,8 @@ class FourierFringeModel:
         target[0] = 1.0
         if not np.allclose(colsum, target, atol=1e-9):
             raise ValueError(f"columns sum to {colsum}, breaking normalization")
-        grid = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-        if float((coeff @ _basis(harmonics, grid)).min()) < -_NEG_TOL:
-            raise ValueError("model probabilities are negative on the phase grid")
+        if _local_minima(coeff[None], harmonics)[3].min(initial=0.0) < -_NEG_TOL:
+            raise ValueError("model probabilities are negative at some phase")
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "harmonics", harmonics)
         object.__setattr__(self, "coefficients", coeff)
@@ -200,13 +201,13 @@ def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
 
 class _Geometry:
     """What every trial of a batch shares: classes, harmonics, phases, and
-    the affine maps from the free coefficients to the class probabilities.
+    the affine map from the free coefficients to the class probabilities.
 
     The free coefficients are the rows of every class but the last,
-    flattened; a class probability is ``rows @ free + offset``, with
-    ``cell_rows`` at the data cells (class-major) and ``grid_rows`` on the
-    base penalty grid.  Phases a period of the model apart give the same
-    constraint row; cells with the same row share a ``row_group``.
+    flattened; a class probability is ``row @ free + offset`` (``affine``),
+    with ``cell_rows`` at the data cells, class-major.  Phases a period of
+    the model apart give the same constraint row; cells with the same row
+    share a ``row_group``.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
@@ -218,8 +219,8 @@ class _Geometry:
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
         if np.linalg.matrix_rank(_basis(harmonics, distinct)) < 1 + 2 * len(harmonics):
-            # Only the penalty would set a term that vanishes at every phase,
-            # as sin(6 theta) does at 12 equally spaced phases.
+            # No count would set a term that vanishes at every phase, as
+            # sin(6 theta) does at 12 equally spaced phases.
             raise IllPosedError(f"{distinct.size} phases alias harmonics {list(harmonics)}")
         self.thetas = thetas
         self.classes = classes
@@ -228,25 +229,21 @@ class _Geometry:
         self.n_coef = 1 + 2 * len(harmonics)
         self.target = np.zeros(self.n_coef)
         self.target[0] = 1.0
-        self.cell_rows, self.cell_offset = self.affine(thetas)
-        self.grid_rows, self.grid_offset = self.affine(
-            np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+        self.cell_rows, self.cell_offset = self.affine(
+            np.repeat(np.arange(len(classes)), thetas.size), np.tile(thetas, len(classes))
         )
-        self.rows = np.vstack([self.cell_rows, self.grid_rows])
-        self.offset = np.concatenate([self.cell_offset, self.grid_offset])
         self.row_norms = np.linalg.norm(self.cell_rows, axis=1)
         self.row_group = np.unique(self.cell_rows.round(12), axis=0, return_inverse=True)[1]
 
-    def affine(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (..., classes * phases, free) and offsets giving every class
-        at ``thetas`` (..., phases), class-major: a class is its own free row,
-        the last is 1 minus the sum of them."""
-        mix = np.vstack([np.eye(self.n_free), -np.ones(self.n_free)])
-        basis = np.moveaxis(_basis(self.harmonics, thetas), 0, -1)
-        rows = mix[:, None, :, None] * basis[..., None, :, None, :]
-        shape = thetas.shape[:-1] + (mix.shape[0] * thetas.shape[-1], mix.shape[1] * self.n_coef)
-        offset = np.repeat(np.eye(self.n_free + 1)[-1], thetas.shape[-1])
-        return rows.reshape(shape), offset
+    def affine(self, cls: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (m, free) and offsets (m,) giving class index ``cls`` (m,) at
+        ``thetas`` (m,): a class is its own free row, the last is 1 minus the
+        sum of them."""
+        mix = np.vstack([np.eye(self.n_free), -np.ones(self.n_free)])[cls]
+        # C order: the products' rounding follows the layout.
+        basis = np.ascontiguousarray(_basis(self.harmonics, thetas).T)
+        rows = mix[:, :, None] * basis[:, None, :]
+        return rows.reshape(len(cls), self.n_free * self.n_coef), (cls == self.n_free).astype(float)
 
     def uniform(self, trials: int) -> np.ndarray:
         return np.tile(self.target / len(self.classes), (trials, self.n_free))
@@ -258,84 +255,84 @@ class _Geometry:
 
 
 class _FitProblem:
-    """The penalized objective of a batch of trials on one geometry.
+    """The log-likelihood of a batch of trials on one geometry, and the
+    walls that keep their class probabilities nonnegative.
 
     Per-trial arrays lead with the trial axis: counts, rates per unit
-    probability, the penalty weight, and the walls.  A zero-count cell with
-    a nonzero total adds only -lambda, so the optimum may sit on its wall
-    lambda >= 0; ``walls`` marks one cell per distinct wall.  ``extra``
-    (trials, points) densifies each trial's penalty grid where its fit
-    dipped between the base grid points.
+    probability, and the constraints.  A trial's constraints are its data
+    cells, then its dip walls, padded to the batch's most.  A zero-count
+    cell with a nonzero total adds only -lambda, so the optimum may sit on
+    its wall lambda >= 0; one cell of each distinct wall row carries it.
+    ``dips`` (trial, class index, theta), flat, walls p(class|theta) >= 0
+    between the cells.  ``walls`` marks every wall.
     """
 
-    def __init__(self, geometry: _Geometry, counts: np.ndarray, eta: np.ndarray, extra: np.ndarray):
+    def __init__(self, geometry: _Geometry, counts: np.ndarray, eta: np.ndarray, dips: Sequence):
         self.geometry = geometry
         lam_t = (counts / eta[:, None]).sum(axis=-2)
         self.counts = counts.reshape(len(counts), -1)
         self.rate_scale = (eta[:, None] * lam_t[:, None, :]).reshape(self.counts.shape)
         self.seen = self.counts > 0
-        # A dip below zero at the optimum shrinks as 1/mu.  At 10 per count
-        # the exact maximum of a zero-count fit dipped by up to 7e-5, which
-        # the final nonnegativity check rejects.
-        self.mu = 1e4 * (1.0 + self.counts.sum(axis=1))
         # Keep the first wall cell of each group.
         trial, cell = np.nonzero(~self.seen & (self.rate_scale > 0))
         key = trial * (geometry.row_group.max() + 1) + geometry.row_group[cell]
         first = np.unique(key, return_index=True)[1]
-        self.walls = np.zeros_like(self.seen)
-        self.walls[trial[first], cell[first]] = True
-        self.extra_rows, self.extra_offset = geometry.affine(extra)
+        cell_walls = np.zeros_like(self.seen)
+        cell_walls[trial[first], cell[first]] = True
+        # Slot each dip after the earlier dips of its trial.
+        owner = dips[0]
+        order = np.argsort(owner, kind="stable")
+        slot = np.empty_like(owner)
+        slot[order] = np.arange(owner.size) - np.searchsorted(owner[order], owner[order])
+        shape = (len(counts), slot.max(initial=-1) + 1)
+        rows, offset = geometry.affine(dips[1], dips[2])
+        self.dip_rows = np.zeros(shape + rows.shape[1:])
+        dip_offset, dip_walls = np.zeros(shape), np.zeros(shape, dtype=bool)
+        self.dip_rows[owner, slot], dip_offset[owner, slot], dip_walls[owner, slot] = rows, offset, True
+        cells = np.ones((len(counts), 1))
+        self.walls = np.concatenate([cell_walls, dip_walls], axis=1)
+        self.offset = np.concatenate([cells * geometry.cell_offset, dip_offset], axis=1)
+        dip_norms = np.linalg.norm(self.dip_rows, axis=-1)
+        self.row_norms = np.concatenate([cells * geometry.row_norms, dip_norms], axis=1)
 
     def objective(
         self, free: np.ndarray, trials: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Penalized log-likelihood without log(x!) (b,) of ``trials`` at
-        ``free`` (b, n), with its gradient (b, n) and Hessian (b, n, n); the
-        value is -inf, and the derivatives meaningless, unless lambda > 0
-        where a count was seen and lambda >= -_NEG_TOL (rounding) on the
+        """Log-likelihood without log(x!) (b,) of ``trials`` at ``free``
+        (b, n), with its gradient (b, n) and Hessian (b, n, n); the value is
+        -inf, and the derivatives meaningless, unless lambda > 0 where a
+        count was seen and lambda >= -_NEG_TOL (rounding) on the cell
         walls."""
         g = self.geometry
         x, scale, seen = self.counts[trials], self.rate_scale[trials], self.seen[trials]
-        mu = self.mu[trials]
-        values = _each(g.rows, free)
-        values += g.offset
-        p, grid = values[:, : x.shape[1]], values[:, x.shape[1] :]
-        feasible = ~((seen & (p <= 0.0)) | (self.walls[trials] & (p < -_NEG_TOL))).any(axis=1)
+        p = _each(g.cell_rows, free)
+        p += g.cell_offset
+        walls = self.walls[trials, : x.shape[1]]
+        feasible = ~((seen & (p <= 0.0)) | (walls & (p < -_NEG_TOL))).any(axis=1)
         lam = scale * p
         # log(tiny) only where no count was seen, so it is multiplied by 0.
         ll = (x * np.log(np.maximum(lam, _TINY))).sum(axis=1) - lam.sum(axis=1)
         p_seen = np.where(seen, p, 1.0)
         grad = _each(g.cell_rows.T, np.where(seen, x / p_seen, 0.0) - scale)
-        # Curvature -x/p^2 at each cell with counts and -2 mu at each penalty
-        # point below zero.
         weight = np.where(seen, x / p_seen**2, 0.0)
         hess = -(g.cell_rows.T * weight[:, None, :]) @ g.cell_rows
-        penalty = np.zeros(len(free))
-        dips = np.flatnonzero((grid < 0.0).any(axis=1))
-        if dips.size:
-            below = grid[dips]
-            np.minimum(below, 0.0, out=below)
-            penalty[dips] = (below * below).sum(axis=1)
-            grad[dips] -= 2.0 * mu[dips, None] * _each(g.grid_rows.T, below)
-            trial, point = np.nonzero(below < 0.0)
-            count = np.bincount(trial, minlength=dips.size)
-            # Each trial sums its own points as one product of its own
-            # size, so its bits do not depend on the batch.
-            for size in np.unique(count[count > 0]):
-                group = np.flatnonzero(count == size)
-                r = g.grid_rows[point[np.isin(trial, group)]].reshape(group.size, size, -1)
-                curvature = r.transpose(0, 2, 1) @ r
-                hess[dips[group]] -= 2.0 * mu[dips[group], None, None] * curvature
-        if self.extra_rows.shape[1]:
-            rows = self.extra_rows[trials]
-            extra = np.minimum((rows @ free[:, :, None])[..., 0] + self.extra_offset, 0.0)
-            penalty += (extra * extra).sum(axis=1)
-            grad -= 2.0 * mu[:, None] * (extra[:, None, :] @ rows)[:, 0]
-            hess -= 2.0 * mu[:, None, None] * (
-                (rows.transpose(0, 2, 1) * (extra < 0.0)[:, None, :]) @ rows
-            )
-        value = np.where(feasible, ll - mu * penalty, -np.inf)
-        return value, grad, hess
+        return np.where(feasible, ll, -np.inf), grad, hess
+
+    def apply(self, vectors: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """Every constraint row of each of ``trials`` times its vector of
+        ``vectors`` (b, n); a dip row is summed on its own, so its bits do
+        not depend on the padding."""
+        dips = (self.dip_rows[trials] * vectors[:, None, :]).sum(axis=-1)
+        return np.concatenate([_each(self.geometry.cell_rows, vectors), dips], axis=1)
+
+    def rows(self, trials: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Constraint rows (b, k, n) at the indices ``held`` (b, k) of each
+        of ``trials``."""
+        cells = len(self.geometry.cell_rows)
+        rows = self.geometry.cell_rows[np.minimum(held, cells - 1)]
+        dip = held >= cells
+        rows[dip] = self.dip_rows[np.broadcast_to(trials[:, None], held.shape)[dip], held[dip] - cells]
+        return rows
 
 
 def _each(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -358,9 +355,7 @@ def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton(
-    problem: _FitProblem, free0: np.ndarray, max_iter: int = 200
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton ascent of every trial from ``free0`` (trials, n) with an
     active set on its walls; returns (free, objective, converged).
 
@@ -374,19 +369,20 @@ def _newton(
     conditions hold and the trial stops.  A ridge of 1e-12 of the largest
     curvature lets a step run along a direction the data leave flat until a
     wall stops it.  The KKT systems of the running trials are solved as one
-    stack per active-set size.
+    stack per active-set size.  A trial still running after ``_MAX_ITER``
+    steps has not converged.
     """
-    g = problem.geometry
-    rows, offset = g.cell_rows, g.cell_offset
     z = np.array(free0, dtype=float)
     n_trials, n = z.shape
     value, grad, hess = problem.objective(z, np.arange(n_trials))
     tol = 1e-12 * (1.0 + problem.counts.sum(axis=1))
-    candidates = problem.seen | problem.walls
+    walls, seen = problem.walls, np.zeros_like(problem.walls)
+    seen[:, : problem.seen.shape[1]] = problem.seen
+    candidates = seen | walls
     active = np.zeros(candidates.shape, dtype=bool)
     converged = np.zeros(n_trials, dtype=bool)
     running = np.isfinite(value)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         idx = np.flatnonzero(running)
         if not idx.size:
             break
@@ -403,9 +399,9 @@ def _newton(
             group = np.flatnonzero(size == width)
             kkt, rhs = curvature[group], -grad[idx[group]]
             if width:
-                held = order[group, :width]
-                a = rows[held]
-                slack = (a @ z[idx[group], :, None])[..., 0] + offset[held]
+                trials, held = idx[group], order[group, :width]
+                a = problem.rows(trials, held)
+                slack = (a @ z[trials, :, None])[..., 0] + problem.offset[trials[:, None], held]
                 kkt = np.block([[kkt, a.transpose(0, 2, 1)], [a, np.zeros((group.size, width, width))]])
                 rhs = np.concatenate([rhs, -slack], axis=1)
             solution[group, : n + width] = _solve_stack(kkt, rhs)
@@ -426,20 +422,20 @@ def _newton(
         if not move.size:
             continue
         trials, step = idx[move], step[move]
-        slope = _each(rows, step)
+        slope = problem.apply(step, trials)
         crossing = (
             candidates[trials]
             & ~active[trials]
-            & (slope < -1e-9 * np.sqrt((step * step).sum(axis=1))[:, None] * g.row_norms)
+            & (slope < -1e-9 * np.sqrt((step * step).sum(axis=1))[:, None] * problem.row_norms[trials])
         )
-        level = np.maximum(_each(rows, z[trials]) + offset, 0.0)
+        level = np.maximum(problem.apply(z[trials], trials) + problem.offset[trials], 0.0)
         ratios = np.full(slope.shape, np.inf)
         ratios[crossing] = level[crossing] / -slope[crossing]
-        ratios[problem.seen[trials]] *= 0.9
+        ratios[seen[trials]] *= 0.9
         r = np.argmin(ratios, axis=1)
         nearest = ratios[np.arange(move.size), r]
         alpha = np.minimum(1.0, nearest)
-        blocker = (nearest < 1.0) & problem.walls[trials, r]
+        blocker = (nearest < 1.0) & walls[trials, r]
         gain = (grad[trials] * step).sum(axis=1)
         searching = np.arange(move.size)
         for _ in range(60):
@@ -447,7 +443,11 @@ def _newton(
             t_value, t_grad, t_hess = problem.objective(
                 z[t] + alpha[searching, None] * step[searching], t
             )
-            ok = t_value >= value[t] + 1e-4 * alpha[searching] * gain[searching]
+            # The objective cannot resolve a step to a wall that gains less
+            # than the tolerance: it only has to stay within it.
+            rise = alpha[searching] * gain[searching]
+            unresolved = blocker[searching] & (rise <= tol[t])
+            ok = t_value >= value[t] + np.where(unresolved, -tol[t], 1e-4 * rise)
             accept, t = searching[ok], t[ok]
             z[t] += alpha[accept, None] * step[accept]
             value[t], grad[t], hess[t] = t_value[ok], t_grad[ok], t_hess[ok]
@@ -469,33 +469,44 @@ def _fit_batch(
     fits one; returns the coefficients (trials, classes, coefficients), the
     log-likelihoods without their log(x!) constants and the converged flags.
 
-    Each round re-solves, as a smaller batch, only the trials whose
-    continuous minimum still dips below zero, with three more penalty points
-    around each one's dip; every trial's arithmetic is its own, so a trial
-    gets the same bits in any batch.
+    Nonnegativity at every phase is met by an exchange method (Hettich &
+    Kortanek, SIAM Rev. 35, 380 (1993)): each round re-solves, as a smaller
+    batch, the trials whose model still dips below -_NEG_TOL, with a wall at
+    every such local minimum beside the earlier walls that still hold it up,
+    from the last solution mixed toward uniform until every wall holds.  A
+    trial still dipping after ``_MAX_ROUNDS`` solves has not converged.
+    Every trial's arithmetic is its own, so it gets the same bits in any batch.
     """
     n_trials = len(counts)
     coeff = np.empty((n_trials, len(geometry.classes), geometry.n_coef))
     converged = np.empty(n_trials, dtype=bool)
-    worst = np.empty(n_trials)
-    todo, extra = np.arange(n_trials), np.zeros((n_trials, 0))
-    for _ in range(4):
-        problem = _FitProblem(geometry, counts[todo], eta, extra)
-        free, _value, converged[todo] = _newton(problem, geometry.uniform(todo.size))
+    worst = np.zeros(n_trials)
+    todo, free = np.arange(n_trials), geometry.uniform(n_trials)
+    # The walls of the trials in ``todo``: (position in todo, class, theta).
+    dips = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)]
+    for _ in range(_MAX_ROUNDS):
+        free, _value, converged[todo] = _newton(_FitProblem(geometry, counts[todo], eta, dips), free)
         coeff[todo] = geometry.assemble(free)
-        worst[todo], theta = _continuous_minimum(coeff[todo], geometry.harmonics)
-        dips = worst[todo] < -_NEG_TOL
-        todo = todo[dips]
+        # A wall with slack only crowds the next solve; it comes back as a
+        # dip if it is needed again.
+        held = (coeff[todo][dips[0], dips[1]] * _basis(geometry.harmonics, dips[2]).T).sum(axis=-1)
+        trial, cls, theta, value = _local_minima(coeff[todo], geometry.harmonics)
+        worst[todo] = 0.0
+        np.minimum.at(worst, todo[trial], value)
+        new = value < -_NEG_TOL
+        dipping = np.bincount(trial[new], minlength=todo.size) > 0
+        todo = todo[dipping]
         if not todo.size:
             break
-        extra = np.concatenate([extra[dips], theta[dips, None] + [-2e-3, 0.0, 2e-3]], axis=1)
+        kept = dipping[dips[0]] & (held <= _NEG_TOL)
+        dips = [np.concatenate([old[kept], now[new]]) for old, now in zip(dips, (trial, cls, theta))]
+        dips[0] = (np.cumsum(dipping) - 1)[dips[0]]
+        free = _toward_uniform(coeff[todo], worst[todo])[:, :-1].reshape(todo.size, -1)
+    converged[todo] = False
 
+    # Lift what rounding or the round bound left below zero.
     negative = np.flatnonzero(worst < 0.0)
-    if negative.size:
-        coeff[negative], retained = _project_feasible(coeff[negative], geometry.harmonics)
-        # The penalty left a material violation; the projected model is
-        # kept but flagged.
-        converged[negative[retained < 1.0 - 1e-4]] = False
+    coeff[negative] = _toward_uniform(coeff[negative], worst[negative])
     lam_t = (counts / eta[:, None]).sum(axis=-2)
     probs = coeff @ _basis(geometry.harmonics, geometry.thetas)
     ll = _poisson_loglik(counts, _rates(probs, lam_t, eta))
@@ -505,17 +516,18 @@ def _fit_batch(
 def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     """Maximum-likelihood Fourier fringe fit.
 
-    The penalized Poisson log-likelihood is concave in the free coefficients
-    (one class eliminated to enforce normalization exactly), so one damped
-    Newton solve from the uniform model finds the maximum (see ``_newton``).
-    A model dip that slips between the penalty grid points is added to the
-    grid and the solve repeated.  The fit is converged when the Newton solve
-    ends with its KKT certificate, the final projection onto nonnegative
-    probabilities keeps at least 1 - 1e-4 of the model, and the
-    log-likelihood is finite.  This is the one-trial case of the batch the
-    bootstrap refits with.  The reported log-likelihood is the one
-    ``log_likelihood`` gives: it includes the log(x!) constant that the
-    solve leaves out.
+    The Poisson log-likelihood is concave in the free coefficients (one
+    class eliminated to enforce normalization exactly) and every constraint
+    p(class|theta) >= 0 is linear, so one damped Newton solve from the
+    uniform model finds the maximum under a set of walls (see ``_newton``).
+    A model that dips below zero between the data cells gets a wall at each
+    dip and is solved again (see ``_fit_batch``).  The fit is converged when
+    the last solve ends with its KKT certificate, no class probability dips
+    below -_NEG_TOL at any phase, and the log-likelihood is finite; a dip
+    within that slack is lifted to zero by mixing toward the uniform model.
+    This is the one-trial case of the batch the bootstrap refits with.  The
+    reported log-likelihood is the one ``log_likelihood`` gives: it includes
+    the log(x!) constant that the solve leaves out.
     """
     harmonics = tuple(sorted(int(k) for k in harmonics))
     thetas, counts, eta = dataset.arrays()
@@ -529,69 +541,52 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     )
 
 
-def _continuous_minimum(
-    coeff: np.ndarray, harmonics: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous minimum over classes and phase of each trial's class
-    probabilities, and its phase; ``coeff`` is (trials, classes, coefficients).
+def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Every local minimum over phase of every class probability of each
+    trial, flat: (trial, class index, theta, value); ``coeff`` is (trials,
+    classes, coefficients).
 
     One period, 2 pi / gcd(harmonics), is scanned, so no dip ties with its
     copy a period on.  Grid minima sit between samples for oscillatory
-    models; Newton steps on the exact series derivatives pin each class's
-    dip, which matters because a model crossing zero between grid points
-    has divergent information there.
+    models; Newton steps on the exact series derivatives pin each dip, which
+    matters because a model crossing zero between grid points has divergent
+    information there.  A polished dip no lower than its grid point keeps
+    the grid point.
     """
     period = 2.0 * math.pi / math.gcd(*harmonics)
-    grid = np.linspace(0.0, period, 720, endpoint=False)
+    # 720 cells, and a period on, the last before the first and the first after.
+    grid = np.arange(-1.0, 721.0) * (period / 720)
     probs = coeff @ _basis(harmonics, grid)
-    flat = probs.reshape(len(probs), -1)
-    lowest = np.argmin(flat, axis=1)
+    cells = probs[..., 1:-1]
+    row, cell = np.divmod(np.flatnonzero((cells < probs[..., :-2]) & (cells <= probs[..., 2:])), 720)
+    trial, cls = np.divmod(row, coeff.shape[1])
     k = np.asarray(harmonics, dtype=float)
-    cos_k, sin_k = coeff[..., 1::2], coeff[..., 2::2]
-    theta = grid[np.argmin(probs, axis=-1)]
+    dip = coeff[trial, cls]
+    cos_k, sin_k = dip[:, 1::2], dip[:, 2::2]
+    theta = grid[cell + 1]
     for _ in range(3):
-        c, s = np.cos(k * theta[..., None]), np.sin(k * theta[..., None])
+        c, s = np.cos(k * theta[:, None]), np.sin(k * theta[:, None])
         slope = (k * (sin_k * c - cos_k * s)).sum(axis=-1)
         curve = -(k * k * (cos_k * c + sin_k * s)).sum(axis=-1)
         theta = theta - slope / np.where(curve > 0.0, curve, np.inf)
     theta = theta % period
     theta[theta == period] = 0.0  # a step just below 0 wraps to period
-    value = (coeff * np.moveaxis(_basis(harmonics, theta), 0, -1)).sum(axis=-1)
-    # Candidates in order: the grid minimum, then each class's polished dip;
-    # the first of equal values wins.
-    values = np.concatenate([flat[np.arange(len(flat)), lowest][:, None], value], axis=1)
-    thetas = np.concatenate([grid[lowest % grid.size][:, None], theta], axis=1)
-    pick = np.argmin(values, axis=1)[:, None]
-    return (
-        np.take_along_axis(values, pick, axis=1)[:, 0],
-        np.take_along_axis(thetas, pick, axis=1)[:, 0],
-    )
+    value = (dip * _basis(harmonics, theta).T).sum(axis=-1)
+    on_grid = cells[trial, cls, cell]
+    polished = value < on_grid
+    return trial, cls, np.where(polished, theta, grid[cell + 1]), np.where(polished, value, on_grid)
 
 
-def _project_feasible(
-    coeff: np.ndarray, harmonics: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mix each trial toward the uniform model until its probabilities are
-    nonnegative; ``coeff`` is (trials, classes, coefficients).
-
-    The mixture (1-t)*model + t*uniform keeps both sum constraints for any
-    t, and boundary-touching optima only need t within rounding of zero.
-    The continuous minimum is used so no sub-grid zero crossing survives.
-    Returns the projected coefficients and the retained fractions 1 - t.
-    """
+def _toward_uniform(coeff: np.ndarray, worst: np.ndarray) -> np.ndarray:
+    """Each trial's (1-t)*model + t*uniform, with t lifting its lowest class
+    probability ``worst`` (<= 0) to 1e-15, past the rounding of evaluating
+    the series; ``coeff`` is (trials, classes, coefficients).  The mixture
+    keeps both sum constraints, and the lowest point stays where it is."""
     n_classes = coeff.shape[1]
-    projected = coeff
-    retained = np.ones(len(coeff))
-    for _ in range(3):
-        worst = np.minimum(_continuous_minimum(projected, harmonics)[0], 0.0)
-        if not worst.any():
-            break
-        t = -worst / (1.0 / n_classes - worst)
-        t = np.where(worst < 0.0, np.minimum(1.0, t * (1.0 + 1e-12) + 1e-16), 0.0)
-        projected = projected * (1.0 - t)[:, None, None]
-        projected[:, :, 0] += t[:, None] / n_classes
-        retained *= 1.0 - t
-    return projected, retained
+    t = np.minimum(1.0, (1e-15 - worst) / (1.0 / n_classes - worst))
+    mixed = coeff * (1.0 - t)[:, None, None]
+    mixed[:, :, 0] += t[:, None] / n_classes
+    return mixed
 
 
 def fisher_from_model(model: FourierFringeModel) -> FisherReport:

@@ -14,10 +14,10 @@ from fringelab.errors import IllPosedError
 from fringelab.estimation import (
     FourierFringeModel,
     FringeDataset,
-    _continuous_minimum,
     _FitProblem,
     _fit_batch,
     _Geometry,
+    _local_minima,
     _newton,
     bootstrap_errors,
     fisher_from_model,
@@ -28,6 +28,7 @@ from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_p
 from fringelab.metrology import (
     _basis,
     _maximize_fourier_fisher,
+    counting_family,
     optimal_fisher_two_photon,
     two_photon_family,
 )
@@ -65,6 +66,32 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
     phases = 2 * math.pi * np.arange(n_phases) / n_phases
     _, etas, points, _ = _simulate_points(probe, noise, phases, total, seed)
     return FringeDataset(tuple(points), etas)
+
+
+def dual_fock_corpus(indices):
+    """Datasets ``indices`` of a seeded stream of dual-Fock n = 3 fringes:
+    random indistinguishability, background zeta in {0, 0.0119, 0.05},
+    50-3,000 expected counts per point and 9-20 phases from theta = 0.
+    Fitted with harmonics [2, 4, 6], the low-count ones dip below zero
+    between data cells next to cells with no counts."""
+    rng = np.random.default_rng(20261018)
+    etas = class_efficiencies(6, 8)
+    datasets = []
+    for i in range(max(indices) + 1):
+        indist = rng.uniform()
+        zeta = float(rng.choice([0.0, 0.0119, 0.05]))
+        total = rng.choice([50, 100, 300, 3000])
+        n_phases = rng.choice([9, 11, 13, 14, 15, 16, 20])
+        family = counting_family(dual_fock_mismatched(3, indist), zeta)
+        thetas = 2 * math.pi * np.arange(n_phases) / n_phases
+        eta = np.array([etas[c] for c in family.classes])
+        counts = rng.poisson(total * family.evaluator(thetas) * eta)
+        if i in indices:
+            points = tuple(
+                (float(t), dict(zip(family.classes, row.tolist()))) for t, row in zip(thetas, counts)
+            )
+            datasets.append(FringeDataset(points, etas))
+    return datasets
 
 
 def bootstrap_loop(fit, dataset, trials, seed):
@@ -239,13 +266,25 @@ class TestFitMle:
             fit_mle(ds, [2])
 
     def test_aliased_harmonics_are_ill_posed(self):
-        # sin(6 theta) vanishes at all 12 equally spaced phases, so only the
-        # penalty would set its coefficient.
+        # sin(6 theta) vanishes at all 12 equally spaced phases, so no count
+        # would set its coefficient.
         noise = NoiseAndEfficiencyConfig(zeta=0.0119, bins_per_arm=6)
         phases = 2 * math.pi * np.arange(12) / 12
         _, etas, points, _ = _simulate_points(dual_fock_mismatched(3, 0.5), noise, phases, 300, 5)
         with pytest.raises(IllPosedError, match="12 phases alias harmonics"):
             fit_mle(FringeDataset(tuple(points), etas), [2, 4, 6])
+
+    def test_low_count_fits_that_dip_converge(self):
+        # Two dual-Fock n = 3 datasets, at 100 and 50 counts per point, whose
+        # fits dip between data cells next to cells with no counts until
+        # walls at the dips close them.
+        for dataset in dual_fock_corpus((20, 32)):
+            fit = fit_mle(dataset, [2, 4, 6])
+            assert fit.converged
+            assert _local_minima(fit.model.coefficients[None], (2, 4, 6))[3].min() >= 0.0
+            assert fit.log_likelihood == pytest.approx(
+                log_likelihood(fit.model, dataset), rel=1e-12, abs=0
+            )
 
     def test_normalization_holds_identically(self):
         ds = synth_dataset(0.5, 0.0119, total=5000, n_phases=16, seed=5)
@@ -295,34 +334,57 @@ class TestFitMle:
                 ),
                 (2, 4),
             ),
+            # Dual-Fock n = 3 at 100 counts: the fit dips between the data
+            # cells, so its last solve holds walls at the dips as well.
+            (dual_fock_corpus((20,))[0], (2, 4, 6)),
         ],
-        ids=["interior", "zero-counts", "four-photon"],
+        ids=["interior", "zero-counts", "four-photon", "dips"],
     )
-    def test_one_optimum_from_any_start(self, dataset, harmonics):
-        # The seven starts run as one batch of the same data.
+    def test_one_optimum_from_any_start(self, monkeypatch, dataset, harmonics):
+        # The walls are those of the fit's last solve; the seven starts run
+        # as one batch of the same data and walls.
+        walls = []
+
+        def recorded(geometry, counts, eta, dips):
+            walls.append(dips)
+            return _FitProblem(geometry, counts, eta, dips)
+
+        monkeypatch.setattr(estimation, "_FitProblem", recorded)
+        fit_mle(dataset, harmonics)
+        _, cls, theta = walls[-1]
+        assert (len(walls) > 1) == (cls.size > 0)
         thetas, counts, eta = dataset.arrays()
         geometry = _Geometry(thetas, dataset.classes, harmonics)
-        problem = _FitProblem(geometry, np.repeat(counts[None], 7, axis=0), eta, np.zeros((7, 0)))
+        dips = (np.repeat(np.arange(7), cls.size), np.tile(cls, 7), np.tile(theta, 7))
+        problem = _FitProblem(geometry, np.repeat(counts[None], 7, axis=0), eta, dips)
         tol = 1e-9 * (1.0 + counts.sum())
         uniform = geometry.uniform(1).reshape(geometry.n_free, geometry.n_coef)
+
+        def feasible(start):
+            z = start.reshape(1, -1)
+            levels = problem.apply(z, np.array([0]))[0] + problem.offset[0]
+            finite = np.isfinite(problem.objective(z, np.array([0]))[0][0])
+            return finite and np.all(levels[problem.walls[0]] >= 0.0)
+
         rng = np.random.default_rng(5)
         starts = [uniform]
         for _ in range(6):
             start = uniform.copy()
             start[:, 1:] += rng.uniform(-0.3, 0.3, size=start[:, 1:].shape)
-            while not np.isfinite(problem.objective(start.reshape(1, -1), np.array([0]))[0][0]):
+            while not feasible(start):
                 start = 0.5 * (start + uniform)
             starts.append(start)
         free, values, converged = _newton(problem, np.array([s.ravel() for s in starts]))
         assert converged.all()
         _, grads, hessians = problem.objective(free, np.arange(7))
-        for z, grad, hess, walls in zip(free, grads, hessians, problem.walls):
-            # KKT certificate, checked apart from the solver: on the cells at
-            # their wall the gradient must be a nonnegative combination of the
-            # outward constraint normals, and what is left along the face
-            # must promise no gain.
-            rows = geometry.cell_rows[walls]
-            slack = rows @ z + geometry.cell_offset[walls]
+        for i, (z, grad, hess) in enumerate(zip(free, grads, hessians)):
+            # KKT certificate, checked apart from the solver: on the walls
+            # that hold with equality, cells and dips alike, the gradient
+            # must be a nonnegative combination of the outward constraint
+            # normals, and what is left along the face must promise no gain.
+            walls = problem.walls[i]
+            rows = np.concatenate([geometry.cell_rows, problem.dip_rows[i]])[walls]
+            slack = rows @ z + problem.offset[i, walls]
             assert np.all(slack >= -1e-9)
             rows = rows[slack <= 1e-9]
             multipliers = nnls(rows.T, -grad)[0] if rows.size else np.zeros(0)
@@ -335,23 +397,28 @@ class TestFitMle:
         assert values.max() - values.min() <= tol
 
 
-class TestContinuousMinimum:
-    def test_one_period_and_exact_dip(self):
-        # Harmonics (2, 4) repeat every pi, so the phase lies in [0, pi).
-        # The reference refines a dense grid's minimum on a finer grid.
+class TestLocalMinima:
+    def test_every_dip_over_one_period(self):
+        # Harmonics (2, 4) repeat every pi, so the phases lie in [0, pi).
+        # The reference refines each local minimum of a dense grid on a
+        # finer grid.
         rng = np.random.default_rng(8)
         harmonics = (2, 4)
-        grid = np.linspace(0.0, 2 * math.pi, 20_001)
+        grid = np.linspace(0.0, math.pi, 20_000, endpoint=False)
         basis = _basis(harmonics, grid)
+        step = np.linspace(-1.0, 1.0, 20_001) * (grid[1] - grid[0])
         for _ in range(200):
             coeff = rng.normal(size=(1, 3, 5))
-            value, theta = _continuous_minimum(coeff, harmonics)
-            assert 0.0 <= theta[0] < math.pi
-            probs = coeff[0] @ basis
-            cls, i = np.unravel_index(np.argmin(probs), probs.shape)
-            fine = grid[i] + np.linspace(-1.0, 1.0, 20_001) * (grid[1] - grid[0])
-            brute = float((coeff[0, cls] @ _basis(harmonics, fine)).min())
-            assert abs(value[0] - brute) < 1e-12
+            trial, cls, theta, value = _local_minima(coeff, harmonics)
+            assert np.all(trial == 0) and np.all((0.0 <= theta) & (theta < math.pi))
+            for c, probs in enumerate(coeff[0] @ basis):
+                dips = np.flatnonzero((probs < np.roll(probs, 1)) & (probs <= np.roll(probs, -1)))
+                brute = [(coeff[0, c] @ _basis(harmonics, grid[i] + step)).min() for i in dips]
+                found = np.sort(value[cls == c])
+                assert found.shape == (len(brute),)
+                assert np.abs(found - np.sort(brute)).max() < 1e-12
+            lowest = coeff[0] @ _basis(harmonics, theta[np.argmin(value)])
+            assert lowest.min() == pytest.approx(value.min(), abs=1e-15)
 
 
 class TestFisherFromModel:
@@ -463,8 +530,8 @@ class TestBootstrap:
         [
             # Interior optimum, no walls: one Newton solve of the whole batch.
             (synth_dataset(0.6, 0.0119, 5000, 16, seed=2), (2,), False, False),
-            # No background: every trial has walls, and most refine the
-            # penalty grid over several rounds.
+            # No background: every trial has walls, and most dip between the
+            # data cells, so they are solved again with walls at the dips.
             (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), True, True),
             (
                 cli_dataset(
@@ -496,7 +563,8 @@ class TestBootstrap:
 
         thetas, _, eta = dataset.arrays()
         geometry = _Geometry(thetas, dataset.classes, harmonics)
-        has_walls = _FitProblem(geometry, draws, eta, np.zeros((20, 0))).walls.any(axis=1)
+        no_dips = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        has_walls = _FitProblem(geometry, draws, eta, no_dips).walls.any(axis=1)
         if walls is not None:
             assert has_walls.all() if walls else not has_walls.any()
         batch_coefs, _, batch_converged = _fit_batch(geometry, draws, eta)
