@@ -13,6 +13,7 @@ ill-posed data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import reprlib
@@ -521,7 +522,10 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fringelab",
         description="Simulate, fit, and predict photon-counting interference fringes.",
@@ -533,7 +537,11 @@ def main(argv: list[str] | None = None) -> int:
         if table.tag is None and "seed" in table.kind:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         if getattr(args, "seed", None) is not None:

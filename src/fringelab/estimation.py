@@ -11,11 +11,14 @@ enforced exactly by eliminating one class's coefficients; nonnegativity by
 linear walls p(d|theta) >= 0, at cells with no counts and at the model's own
 dips between cells.  The log-likelihood is concave in the remaining
 coefficients and the walls are linear, so every local maximum is global, and
-Newton's method with an active set on the walls reaches one.  The fitting
-code carries a leading trial axis, so a bootstrap refits all of its
-resamples in lockstep, and a single fit is a batch of one.  The constant
--sum log(x!) cancels in every comparison the solve makes; it is added once,
-with ``math.lgamma``, to the log-likelihoods reported.
+Newton's method with an active set on the walls reaches one; the start only
+sets how many steps that takes.  Each fit starts at the least-squares
+projection of its observed class fractions onto the model, the
+method-of-moments estimate, a step or two from the maximum when counts are
+high.  The fitting code carries a leading trial axis, so a bootstrap refits
+all of its resamples in lockstep, and a single fit is a batch of one.  The
+constant -sum log(x!) cancels in every comparison the solve makes; it is
+added once, with ``math.lgamma``, to the log-likelihoods reported.
 """
 
 from __future__ import annotations
@@ -207,7 +210,8 @@ class _Geometry:
     flattened; a class probability is ``row @ free + offset`` (``affine``),
     with ``cell_rows`` at the data cells, class-major.  Phases a period of
     the model apart give the same constraint row; cells with the same row
-    share a ``row_group``.
+    share a ``row_group``.  ``projector`` maps a series' values at the
+    phases to its least-squares coefficients; it starts every fit.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
@@ -218,10 +222,13 @@ class _Geometry:
             )
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
-        if np.linalg.matrix_rank(_basis(harmonics, distinct)) < 1 + 2 * len(harmonics):
+        u, sv, vt = np.linalg.svd(_basis(harmonics, thetas).T, full_matrices=False)
+        if (sv > sv[0] * max(thetas.size, sv.size) * np.finfo(float).eps).sum() < 1 + 2 * len(harmonics):
             # No count would set a term that vanishes at every phase, as
             # sin(6 theta) does at 12 equally spaced phases.
             raise IllPosedError(f"{distinct.size} phases alias harmonics {list(harmonics)}")
+        # Least-squares coefficients of a series from its values at the phases.
+        self.projector = (vt.T / sv) @ u.T
         self.thetas = thetas
         self.classes = classes
         self.harmonics = harmonics
@@ -245,8 +252,24 @@ class _Geometry:
         rows = mix[:, :, None] * basis[:, None, :]
         return rows.reshape(len(cls), self.n_free * self.n_coef), (cls == self.n_free).astype(float)
 
-    def uniform(self, trials: int) -> np.ndarray:
-        return np.tile(self.target / len(self.classes), (trials, self.n_free))
+    def start(self, counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """Free coefficients (trials, free) projecting each trial's observed
+        class fractions x/(eta lambda_t) onto the model by least squares,
+        the method-of-moments estimate; a phase with no counts takes 1/C for
+        every class.  A projection not positive at every data cell is mixed
+        toward uniform until its lowest cell is 1% of uniform: a start next
+        to a cell's zero makes Newton crawl away from it, about one doubling
+        per step."""
+        corrected = counts / eta[:, None]
+        lam_t = corrected.sum(axis=-2, keepdims=True)
+        fractions = np.where(lam_t > 0, corrected / np.where(lam_t > 0, lam_t, 1.0), 1.0 / len(self.classes))
+        free = _each(self.projector, fractions[:, :-1].reshape(-1, self.thetas.size))
+        free = free.reshape(len(counts), -1)
+        worst = (_each(self.cell_rows, free) + self.cell_offset).min(axis=1)
+        low = np.flatnonzero(worst <= 0.0)
+        lifted = _toward_uniform(self.assemble(free[low]), worst[low], 0.01 / len(self.classes))
+        free[low] = lifted[:, :-1].reshape(low.size, free.shape[1])
+        return free
 
     def assemble(self, free: np.ndarray) -> np.ndarray:
         """Coefficients (trials, classes, coefficients) from free (trials, free)."""
@@ -330,8 +353,8 @@ class _FitProblem:
         of ``trials``."""
         cells = len(self.geometry.cell_rows)
         rows = self.geometry.cell_rows[np.minimum(held, cells - 1)]
-        dip = held >= cells
-        rows[dip] = self.dip_rows[np.broadcast_to(trials[:, None], held.shape)[dip], held[dip] - cells]
+        i, j = np.nonzero(held >= cells)
+        rows[i, j] = self.dip_rows[trials[i], held[i, j] - cells]
         return rows
 
 
@@ -355,6 +378,40 @@ def _solve_stack(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _kkt_solve(
+    curvature: np.ndarray, grad: np.ndarray, a: np.ndarray, slack: np.ndarray
+) -> np.ndarray:
+    """[step, multipliers] (b, n + k) of each stacked Newton problem: the
+    step d maximizes grad.d + d.curvature.d/2 subject to a d = -slack, and
+    the multipliers mu balance what is left, a^T mu = -grad - curvature d.
+
+    Two walls that close in on one tangent point from both sides have
+    nearly parallel rows, and the block KKT system of such rows is nearly
+    singular.  So it is solved rank-revealingly, in the coordinates y = v d
+    of an SVD a = u s v of the rows, cut at 1e-9 of the largest singular
+    value: the first ``rank`` meet the slack by least squares, the rest are
+    a Newton step on the null space of the rows, and the multipliers follow
+    by the pseudo-inverse.  Trials are solved as one stack per rank, so a
+    trial's bits do not depend on the batch.
+    """
+    n = a.shape[2]
+    u, sv, vt = np.linalg.svd(a)
+    rank = (sv > 1e-9 * sv[:, :1]).sum(axis=1)
+    solution = np.empty((len(a), n + a.shape[1]))
+    ranks = np.flatnonzero(np.bincount(rank))
+    for r in ranks:
+        group = slice(None) if ranks.size == 1 else rank == r
+        u_r, s_r, v = u[group, :, :r], sv[group, :r], vt[group]
+        h = v @ curvature[group] @ v.transpose(0, 2, 1)
+        fixed = -_each(u_r.transpose(0, 2, 1), slack[group]) / s_r
+        force = -_each(v, grad[group]) - _each(h[..., :r], fixed)
+        free = _solve_stack(h[:, r:, r:], force[:, r:])
+        y = np.concatenate([fixed, free], axis=1)
+        mu = _each(u_r, (force[:, :r] - _each(h[:, :r, r:], free)) / s_r)
+        solution[group] = np.concatenate([_each(v.transpose(0, 2, 1), y), mu], axis=1)
+    return solution
+
+
 def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton ascent of every trial from ``free0`` (trials, n) with an
     active set on its walls; returns (free, objective, converged).
@@ -369,7 +426,9 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     conditions hold and the trial stops.  A ridge of 1e-12 of the largest
     curvature lets a step run along a direction the data leave flat until a
     wall stops it.  The KKT systems of the running trials are solved as one
-    stack per active-set size.  A trial still running after ``_MAX_ITER``
+    stack per active-set size, rank-revealingly (see ``_kkt_solve``), so
+    nearly parallel walls neither blow up the multipliers nor stall the
+    line search.  A trial still running after ``_MAX_ITER``
     steps has not converged.
     """
     z = np.array(free0, dtype=float)
@@ -382,29 +441,32 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     active = np.zeros(candidates.shape, dtype=bool)
     converged = np.zeros(n_trials, dtype=bool)
     running = np.isfinite(value)
+    eye = np.eye(n)
     for _ in range(_MAX_ITER):
         idx = np.flatnonzero(running)
         if not idx.size:
             break
+        # The slack of every constraint, for the KKT systems and the ratio test.
+        levels = problem.apply(z[idx], idx) + problem.offset[idx]
         order = np.argsort(~active[idx], axis=1, kind="stable")
         size = active[idx].sum(axis=1)
         h = hess[idx]
         ridge = 1e-12 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
-        curvature = h - ridge[:, None, None] * np.eye(n)
+        curvature = h - ridge[:, None, None] * eye
         solution = np.zeros((idx.size, n + size.max()))
         # LAPACK's rounding depends on the size of a system, padding
         # included, so each trial is solved at the size of its own active
         # set: its steps are then the same bits in any batch.
         for width in np.flatnonzero(np.bincount(size)):
             group = np.flatnonzero(size == width)
-            kkt, rhs = curvature[group], -grad[idx[group]]
+            trials = idx[group]
             if width:
-                trials, held = idx[group], order[group, :width]
+                held = order[group, :width]
+                slack = levels[group[:, None], held]
                 a = problem.rows(trials, held)
-                slack = (a @ z[trials, :, None])[..., 0] + problem.offset[trials[:, None], held]
-                kkt = np.block([[kkt, a.transpose(0, 2, 1)], [a, np.zeros((group.size, width, width))]])
-                rhs = np.concatenate([rhs, -slack], axis=1)
-            solution[group, : n + width] = _solve_stack(kkt, rhs)
+                solution[group, : n + width] = _kkt_solve(curvature[group], grad[trials], a, slack)
+            else:
+                solution[group, :n] = _solve_stack(curvature[group], -grad[trials])
         step, multipliers = solution[:, :n], solution[:, n:]
         solved = np.isfinite(solution).all(axis=1)
         running[idx[~solved]] = False
@@ -428,7 +490,7 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
             & ~active[trials]
             & (slope < -1e-9 * np.sqrt((step * step).sum(axis=1))[:, None] * problem.row_norms[trials])
         )
-        level = np.maximum(problem.apply(z[trials], trials) + problem.offset[trials], 0.0)
+        level = np.maximum(levels[move], 0.0)
         ratios = np.full(slope.shape, np.inf)
         ratios[crossing] = level[crossing] / -slope[crossing]
         ratios[seen[trials]] *= 0.9
@@ -469,19 +531,22 @@ def _fit_batch(
     fits one; returns the coefficients (trials, classes, coefficients), the
     log-likelihoods without their log(x!) constants and the converged flags.
 
-    Nonnegativity at every phase is met by an exchange method (Hettich &
-    Kortanek, SIAM Rev. 35, 380 (1993)): each round re-solves, as a smaller
-    batch, the trials whose model still dips below -_NEG_TOL, with a wall at
-    every such local minimum beside the earlier walls that still hold it up,
-    from the last solution mixed toward uniform until every wall holds.  A
-    trial still dipping after ``_MAX_ROUNDS`` solves has not converged.
-    Every trial's arithmetic is its own, so it gets the same bits in any batch.
+    The first solve starts each trial at the projection of its own class
+    fractions (``_Geometry.start``), the same start whether the trial is a
+    fit or a bootstrap refit.  Nonnegativity at every phase is met by an
+    exchange method (Hettich & Kortanek, SIAM Rev. 35, 380 (1993)): each
+    round re-solves, as a smaller batch, the trials whose model still dips
+    below -_NEG_TOL, with a wall at every such local minimum beside the
+    earlier walls that still hold it up, from the last solution mixed toward
+    uniform until every wall holds.  A trial still dipping after
+    ``_MAX_ROUNDS`` solves has not converged.  Every trial's arithmetic is
+    its own, so it gets the same bits in any batch.
     """
     n_trials = len(counts)
     coeff = np.empty((n_trials, len(geometry.classes), geometry.n_coef))
     converged = np.empty(n_trials, dtype=bool)
     worst = np.zeros(n_trials)
-    todo, free = np.arange(n_trials), geometry.uniform(n_trials)
+    todo, free = np.arange(n_trials), geometry.start(counts, eta)
     # The walls of the trials in ``todo``: (position in todo, class, theta).
     dips = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)]
     for _ in range(_MAX_ROUNDS):
@@ -518,8 +583,11 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
 
     The Poisson log-likelihood is concave in the free coefficients (one
     class eliminated to enforce normalization exactly) and every constraint
-    p(class|theta) >= 0 is linear, so one damped Newton solve from the
-    uniform model finds the maximum under a set of walls (see ``_newton``).
+    p(class|theta) >= 0 is linear, so one damped Newton solve finds the
+    maximum under a set of walls (see ``_newton``).  It starts at the
+    least-squares projection of the observed class fractions onto the
+    Fourier basis at the data phases, lifted toward the uniform model if it
+    is not positive at every data cell (see ``_Geometry.start``).
     A model that dips below zero between the data cells gets a wall at each
     dip and is solved again (see ``_fit_batch``).  The fit is converged when
     the last solve ends with its KKT certificate, no class probability dips
@@ -577,13 +645,14 @@ def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.nda
     return trial, cls, np.where(polished, theta, grid[cell + 1]), np.where(polished, value, on_grid)
 
 
-def _toward_uniform(coeff: np.ndarray, worst: np.ndarray) -> np.ndarray:
+def _toward_uniform(coeff: np.ndarray, worst: np.ndarray, floor: float = 1e-15) -> np.ndarray:
     """Each trial's (1-t)*model + t*uniform, with t lifting its lowest class
-    probability ``worst`` (<= 0) to 1e-15, past the rounding of evaluating
-    the series; ``coeff`` is (trials, classes, coefficients).  The mixture
-    keeps both sum constraints, and the lowest point stays where it is."""
+    probability ``worst`` (<= 0) to ``floor``, by default 1e-15, past the
+    rounding of evaluating the series; ``coeff`` is (trials, classes,
+    coefficients).  The mixture keeps both sum constraints, and the lowest
+    point stays where it is."""
     n_classes = coeff.shape[1]
-    t = np.minimum(1.0, (1e-15 - worst) / (1.0 / n_classes - worst))
+    t = np.minimum(1.0, (floor - worst) / (1.0 / n_classes - worst))
     mixed = coeff * (1.0 - t)[:, None, None]
     mixed[:, :, 0] += t[:, None] / n_classes
     return mixed

@@ -807,6 +807,34 @@ class TestTopLevel:
         main(["simulate", "--config", cfg, "--seed", "2", "--out", str(out_b)])
         assert (out_a / "fringe.csv").read_bytes() != (out_b / "fringe.csv").read_bytes()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # The parser is built once per process; no call leaves a value
+        # behind for the next, whatever its subcommand.
+        sim = write_config(
+            tmp_path / "sim.json",
+            {
+                "probe": {"type": "two_photon", "iprime": 0.5},
+                "phases": {"count": 8},
+                "expected_counts_per_point": 1000,
+                "seed": 1,
+            },
+        )
+        pred = write_config(tmp_path / "p.json", {"mode": "small_angle", "n": 3, "indist": 1.0})
+        runs = {name: tmp_path / name for name in ("seed2", "predict", "config", "seed1")}
+        assert main(["simulate", "--config", sim, "--seed", "2", "--out", str(runs["seed2"])]) == 0
+        assert main(["predict", "--config", pred, "--out", str(runs["predict"])]) == 0
+        assert main(["simulate", "--config", sim, "--out", str(runs["config"])]) == 0
+        assert main(["simulate", "--config", sim, "--seed", "1", "--out", str(runs["seed1"])]) == 0
+        fringe = {name: (out / "fringe.csv").read_bytes() for name, out in runs.items() if name != "predict"}
+        assert fringe["config"] == fringe["seed1"] != fringe["seed2"]
+        assert cli._parser() is cli._parser()
+        for argv in (["simulate"], ["banana", "--config", sim], ["predict", "--config", pred, "--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["predict", "--config", pred, "--out", str(runs["predict"])]) == 0
+
     @pytest.mark.parametrize("command", ["hom", "predict"])
     def test_seed_flag_rejected_where_nothing_is_drawn(self, tmp_path, capsys, command):
         cfg = write_config(

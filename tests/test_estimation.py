@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,28 +322,32 @@ class TestFitMle:
             assert aggregated == pytest.approx(direct, abs=0.02)
 
     @pytest.mark.parametrize(
-        "dataset,harmonics",
+        "dataset,harmonics,doubled",
         [
             # Interior optimum: every class probability stays positive.
-            (synth_dataset(0.8, 0.0119, 10_000, 16, seed=77), (2,)),
+            (synth_dataset(0.8, 0.0119, 10_000, 16, seed=77), (2,), 0.0),
             # The fit CLI test's data: zero counts at theta = 0 and pi.
-            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,)),
+            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), 0.0),
             # Four photons without background: zero counts next to class zeros.
             (
                 cli_dataset(
                     four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0, 3000, 32, seed=11
                 ),
                 (2, 4),
+                0.0,
             ),
             # Dual-Fock n = 3 at 100 counts: the fit dips between the data
             # cells, so its last solve holds walls at the dips as well.
-            (dual_fock_corpus((20,))[0], (2, 4, 6)),
+            (dual_fock_corpus((20,))[0], (2, 4, 6), 0.0),
+            # The same walls, each doubled 1e-6 rad on: pairs of nearly
+            # parallel rows, whose block KKT systems are nearly singular.
+            (dual_fock_corpus((20,))[0], (2, 4, 6), 1e-6),
         ],
-        ids=["interior", "zero-counts", "four-photon", "dips"],
+        ids=["interior", "zero-counts", "four-photon", "dips", "doubled-dips"],
     )
-    def test_one_optimum_from_any_start(self, monkeypatch, dataset, harmonics):
-        # The walls are those of the fit's last solve; the seven starts run
-        # as one batch of the same data and walls.
+    def test_one_optimum_from_any_start(self, monkeypatch, dataset, harmonics, doubled):
+        # The walls are those of the fit's last solve; the 40 starts run as
+        # one batch of the same data and walls.
         walls = []
 
         def recorded(geometry, counts, eta, dips):
@@ -353,12 +358,16 @@ class TestFitMle:
         fit_mle(dataset, harmonics)
         _, cls, theta = walls[-1]
         assert (len(walls) > 1) == (cls.size > 0)
+        if doubled:
+            assert cls.size
+            cls, theta = np.tile(cls, 2), np.concatenate([theta, theta + doubled])
         thetas, counts, eta = dataset.arrays()
         geometry = _Geometry(thetas, dataset.classes, harmonics)
-        dips = (np.repeat(np.arange(7), cls.size), np.tile(cls, 7), np.tile(theta, 7))
-        problem = _FitProblem(geometry, np.repeat(counts[None], 7, axis=0), eta, dips)
+        n_starts = 40
+        dips = (np.repeat(np.arange(n_starts), cls.size), np.tile(cls, n_starts), np.tile(theta, n_starts))
+        problem = _FitProblem(geometry, np.repeat(counts[None], n_starts, axis=0), eta, dips)
         tol = 1e-9 * (1.0 + counts.sum())
-        uniform = geometry.uniform(1).reshape(geometry.n_free, geometry.n_coef)
+        uniform = np.tile(geometry.target / len(dataset.classes), (geometry.n_free, 1))
 
         def feasible(start):
             z = start.reshape(1, -1)
@@ -368,7 +377,7 @@ class TestFitMle:
 
         rng = np.random.default_rng(5)
         starts = [uniform]
-        for _ in range(6):
+        for _ in range(n_starts - 1):
             start = uniform.copy()
             start[:, 1:] += rng.uniform(-0.3, 0.3, size=start[:, 1:].shape)
             while not feasible(start):
@@ -376,7 +385,7 @@ class TestFitMle:
             starts.append(start)
         free, values, converged = _newton(problem, np.array([s.ravel() for s in starts]))
         assert converged.all()
-        _, grads, hessians = problem.objective(free, np.arange(7))
+        _, grads, hessians = problem.objective(free, np.arange(n_starts))
         for i, (z, grad, hess) in enumerate(zip(free, grads, hessians)):
             # KKT certificate, checked apart from the solver: on the walls
             # that hold with equality, cells and dips alike, the gradient
@@ -395,6 +404,75 @@ class TestFitMle:
             gain = along @ np.linalg.lstsq(-face.T @ hess @ face, along, rcond=None)[0]
             assert gain <= tol
         assert values.max() - values.min() <= tol
+
+
+NO_DIPS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+
+
+def count_objective(monkeypatch):
+    """Count the objective evaluations of every later solve."""
+    calls = []
+    real = _FitProblem.objective
+
+    def counted(self, free, trials):
+        calls.append(len(trials))
+        return real(self, free, trials)
+
+    monkeypatch.setattr(_FitProblem, "objective", counted)
+    return calls
+
+
+class TestStart:
+    def test_noise_free_fractions_start_at_the_optimum(self, monkeypatch):
+        # Counts proportional to the model give its coefficients back by
+        # projection, at phases neither equally spaced nor distinct.
+        coeff = np.array(
+            [
+                [0.4, 0.1, 0.03, 0.05, -0.02],
+                [0.35, -0.05, 0.01, -0.05, 0.0],
+                [0.25, -0.05, -0.04, 0.0, 0.02],
+            ]
+        )
+        harmonics = (2, 4)
+        thetas = np.sort(np.random.default_rng(4).uniform(0.0, 2 * math.pi, size=20))
+        thetas[5] = thetas[4]
+        eta = np.array([0.9, 0.6, 0.4])
+        counts = 1e5 * (coeff @ _basis(harmonics, thetas)) * eta[:, None]
+        geometry = _Geometry(thetas, (0, 2, 4), harmonics)
+        start = geometry.start(counts[None], eta)
+        assert np.abs(geometry.assemble(start)[0] - coeff).max() <= 1e-12
+        calls = count_objective(monkeypatch)
+        free, _, converged = _newton(_FitProblem(geometry, counts[None], eta, NO_DIPS), start)
+        assert converged.all() and len(calls) <= 2
+        assert np.abs(free - start).max() <= 1e-12
+
+    def test_phase_without_counts_fits_without_warning(self):
+        ds = synth_dataset(0.7, 0.0119, 5000, 16, seed=3)
+        points = list(ds.points)
+        points[6] = (points[6][0], {0: 0, 2: 0})
+        ds = FringeDataset(tuple(points), ds.efficiencies)
+        thetas, counts, eta = ds.arrays()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = _Geometry(thetas, ds.classes, (2,)).start(counts[None], eta)
+            fit = fit_mle(ds, [2])
+        assert np.isfinite(start).all()
+        assert fit.converged
+        assert fit.log_likelihood == pytest.approx(log_likelihood(fit.model, ds), rel=1e-12, abs=0)
+
+    def test_high_count_fits_take_few_evaluations(self, monkeypatch):
+        # A four-photon fit at 1e5 counts per point, started from the
+        # projection of its data, needs two or three Newton steps; from the
+        # uniform model it took nine.  The bootstrap's refits run in lockstep.
+        ds = cli_dataset(
+            four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 100_000, 32, seed=11
+        )
+        calls = count_objective(monkeypatch)
+        fit = fit_mle(ds, [2, 4])
+        assert fit.converged and len(calls) <= 4
+        calls.clear()
+        boot = bootstrap_errors(fit, ds, trials=20, seed=3)
+        assert boot.failed_refits == 0 and len(calls) <= 4
 
 
 class TestLocalMinima:
@@ -563,8 +641,7 @@ class TestBootstrap:
 
         thetas, _, eta = dataset.arrays()
         geometry = _Geometry(thetas, dataset.classes, harmonics)
-        no_dips = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-        has_walls = _FitProblem(geometry, draws, eta, no_dips).walls.any(axis=1)
+        has_walls = _FitProblem(geometry, draws, eta, NO_DIPS).walls.any(axis=1)
         if walls is not None:
             assert has_walls.all() if walls else not has_walls.any()
         batch_coefs, _, batch_converged = _fit_batch(geometry, draws, eta)
