@@ -36,6 +36,8 @@ EXIT_NONCONVERGENCE = 4
 MAX_PHASES = 10_000
 MAX_IPRIMES = 1_000
 MAX_TRIALS = 10_000
+# Counts are exact as floats in the fit below 2^53.
+MAX_COUNT = 2**53
 
 
 class ConfigError(ValueError):
@@ -259,7 +261,17 @@ def _experiment(cfg: dict, photons: int):
         noise = detection.NoiseAndEfficiencyConfig(zeta=cfg["zeta"], bins_per_arm=bins)
     except ValueError as exc:
         raise ConfigError(f"zeta: {exc}") from exc
-    return noise, start + (stop - start) * np.arange(count) / count
+    with np.errstate(over="ignore"):  # the check below names an overflow
+        phases = start + (stop - start) * np.arange(count) / count
+    _check_phase(float(np.abs(phases).max()), photons, ConfigError, "phases")
+    return noise, phases
+
+
+def _check_phase(theta: float, harmonic: int, error: type, where: str) -> None:
+    """Raise ``error`` at ``where`` unless ``harmonic`` * ``theta`` is a
+    float: a fringe's top harmonic turns a phase beyond that into NaN."""
+    if not math.isfinite(harmonic * abs(theta)):
+        raise error(f"{where}: phase {theta!r} is beyond the float range at harmonic {harmonic}")
 
 
 def _iprime_values(iprimes) -> np.ndarray:
@@ -397,13 +409,12 @@ def _efficiencies(path: str) -> dict[int, float]:
             cls = int(key)
         except ValueError:
             raise ParseError(f"{path}: class '{key}' is not an integer") from None
-        try:
-            eff[cls] = float(value)
-            valid = 0.0 < eff[cls] <= 1.0
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ParseError(f"{path}: efficiency of class {key} must be in (0, 1], got {value!r}")
+        # A JSON number: float() would read true as 1.0 and "0.5" as 0.5.
+        if not (type(value) in (int, float) and 0.0 < value <= 1.0):
+            raise ParseError(
+                f"{path}: efficiency of class {key} must be a number in (0, 1], got {reprlib.repr(value)}"
+            )
+        eff[cls] = float(value)
     return eff
 
 
@@ -415,12 +426,13 @@ def cmd_fit(cfg: dict, out: Path) -> int:
     by_theta: dict[float, dict[int, int]] = {}
     for line, (ts, cs, xs) in _read_csv(csv_path, "theta,class,count"):
         theta = _float_field(csv_path, line, ts, "theta")
+        _check_phase(theta, max(harmonics), ParseError, f"{csv_path}:{line}")
         try:
             cls, count = int(cs), int(xs)
         except ValueError:
             raise ParseError(f"{csv_path}:{line}: class and count must be integers") from None
-        if count < 0:
-            raise ParseError(f"{csv_path}:{line}: count must be nonnegative, got {count}")
+        if not 0 <= count < MAX_COUNT:
+            raise ParseError(f"{csv_path}:{line}: count must be in [0, 2^53), got {reprlib.repr(count)}")
         if cls in by_theta.setdefault(theta, {}):
             raise ParseError(f"{csv_path}:{line}: repeats class {cls} at theta {ts}")
         by_theta[theta][cls] = count

@@ -208,10 +208,9 @@ class _Geometry:
 
     The free coefficients are the rows of every class but the last,
     flattened; a class probability is ``row @ free + offset`` (``affine``),
-    with ``cell_rows`` at the data cells, class-major.  Phases a period of
-    the model apart give the same constraint row; cells with the same row
-    share a ``row_group``.  ``projector`` maps a series' values at the
-    phases to its least-squares coefficients; it starts every fit.
+    with ``cell_rows`` at the data cells, class-major.  ``projector`` maps
+    a series' values at the phases to its least-squares coefficients; it
+    starts every fit.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
@@ -240,7 +239,6 @@ class _Geometry:
             np.repeat(np.arange(len(classes)), thetas.size), np.tile(thetas, len(classes))
         )
         self.row_norms = np.linalg.norm(self.cell_rows, axis=1)
-        self.row_group = np.unique(self.cell_rows.round(12), axis=0, return_inverse=True)[1]
 
     def affine(self, cls: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows (m, free) and offsets (m,) giving class index ``cls`` (m,) at
@@ -285,9 +283,10 @@ class _FitProblem:
     probability, and the constraints.  A trial's constraints are its data
     cells, then its dip walls, padded to the batch's most.  A zero-count
     cell with a nonzero total adds only -lambda, so the optimum may sit on
-    its wall lambda >= 0; one cell of each distinct wall row carries it.
-    ``dips`` (trial, class index, theta), flat, walls p(class|theta) >= 0
-    between the cells.  ``walls`` marks every wall.
+    its wall lambda >= 0; cells a period of the model apart repeat a wall
+    row, which the rank-revealing KKT solve takes as it comes.  ``dips``
+    (trial, class index, theta), flat, walls p(class|theta) >= 0 between
+    the cells.  ``walls`` marks every wall.
     """
 
     def __init__(self, geometry: _Geometry, counts: np.ndarray, eta: np.ndarray, dips: Sequence):
@@ -296,12 +295,7 @@ class _FitProblem:
         self.counts = counts.reshape(len(counts), -1)
         self.rate_scale = (eta[:, None] * lam_t[:, None, :]).reshape(self.counts.shape)
         self.seen = self.counts > 0
-        # Keep the first wall cell of each group.
-        trial, cell = np.nonzero(~self.seen & (self.rate_scale > 0))
-        key = trial * (geometry.row_group.max() + 1) + geometry.row_group[cell]
-        first = np.unique(key, return_index=True)[1]
-        cell_walls = np.zeros_like(self.seen)
-        cell_walls[trial[first], cell[first]] = True
+        cell_walls = ~self.seen & (self.rate_scale > 0)
         # Slot each dip after the earlier dips of its trial.
         owner = dips[0]
         order = np.argsort(owner, kind="stable")

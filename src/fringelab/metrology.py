@@ -306,11 +306,17 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
     phases.  The sum carries rounding of order 1e-16 where a class
     probability vanishes; values within ``_ROUNDING`` of zero are set to
     exactly zero, so that a vanishing class takes no Poisson draw, and
-    anything lower raises ValueError as a defect of the family.  Columns
-    follow ``family.classes``.
+    anything lower raises ValueError as a defect of the family, as does a
+    value that is not finite, at a phase that the top harmonic carries past
+    the float range.  Columns follow ``family.classes``.
     """
     coeff, harmonics = _family_coefficients(family)
-    probs = (coeff @ _basis(harmonics, np.asarray(thetas, dtype=float))).T
+    thetas = np.asarray(thetas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = (coeff @ _basis(harmonics, thetas)).T
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"class probability is not finite at phase {float(thetas[np.argmin(finite)])!r}")
     if np.any(probs < -_ROUNDING):
         raise ValueError(
             f"class probability {probs.min()!r} is negative beyond rounding "

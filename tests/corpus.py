@@ -1,0 +1,147 @@
+"""A seeded corpus of low-count dual-Fock fringes, and the checks every fit
+of it must pass.
+
+At a few hundred counts per point some class probabilities sit near zero,
+cells see no counts, and the fits meet their nonnegativity walls, at cells
+and at the model's dips between them; no benchmark fit does.  The tests fit
+a slice of the corpus.  Run as a script, it fits all of it:
+
+    PYTHONPATH=src python tests/corpus.py
+
+prints the number of fits, how many did not converge and how many
+objective evaluations they took, lists every fit that fails a check, and
+exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+from scipy.optimize import nnls
+
+from fringelab import estimation
+from fringelab.detection import class_efficiencies
+from fringelab.estimation import FringeDataset, _local_minima, fit_mle, log_likelihood
+from fringelab.fock import dual_fock_mismatched
+from fringelab.metrology import counting_family
+
+SIZE = 300
+HARMONICS = (2, 4, 6)
+
+
+def dual_fock_corpus(indices):
+    """Datasets ``indices`` of a seeded stream of dual-Fock n = 3 fringes:
+    random indistinguishability, background zeta in {0, 0.0119, 0.05},
+    50-3,000 expected counts per point and 9-20 phases from theta = 0.
+    Fitted with harmonics [2, 4, 6], the low-count ones dip below zero
+    between data cells next to cells with no counts."""
+    rng = np.random.default_rng(20261018)
+    etas = class_efficiencies(6, 8)
+    datasets = []
+    for i in range(max(indices) + 1):
+        indist = rng.uniform()
+        zeta = float(rng.choice([0.0, 0.0119, 0.05]))
+        total = rng.choice([50, 100, 300, 3000])
+        n_phases = rng.choice([9, 11, 13, 14, 15, 16, 20])
+        family = counting_family(dual_fock_mismatched(3, indist), zeta)
+        thetas = 2 * math.pi * np.arange(n_phases) / n_phases
+        eta = np.array([etas[c] for c in family.classes])
+        counts = rng.poisson(total * family.evaluator(thetas) * eta)
+        if i in indices:
+            points = tuple(
+                (float(t), dict(zip(family.classes, row.tolist()))) for t, row in zip(thetas, counts)
+            )
+            datasets.append(FringeDataset(points, etas))
+    return datasets
+
+
+def certificate_failures(problem, trial: int, z: np.ndarray) -> list[str]:
+    """What fails of the KKT certificate of ``z`` (free coefficients) as the
+    maximum of trial ``trial`` of ``problem`` (an ``estimation._FitProblem``)
+    under its walls, checked apart from the solver; empty when it holds.
+
+    No wall may be crossed by more than 1e-9, and no step that keeps the
+    walls holding with equality, cells and dips alike, may gain more than
+    1e-9 * (1 + the trial's counts) by the quadratic model of the
+    log-likelihood at ``z``, with the solver's ridge along directions the
+    data leave flat.  By duality that gain is the least r.C^-1.r / 2 over
+    multipliers mu >= 0, with r = grad + A^T mu the gradient less a
+    combination of the outward wall normals A and C the model's curvature:
+    a nonnegative least-squares problem once C is factored.  The gain is in
+    the unit of the tolerance, so a gradient left over where the curvature
+    is steep counts for what it is worth.
+    """
+    tol = 1e-9 * (1.0 + problem.counts[trial].sum())
+    value, grad, hess = (out[0] for out in problem.objective(z[None], np.array([trial])))
+    if not np.isfinite(value):
+        return ["the log-likelihood is not finite"]
+    walls = problem.walls[trial]
+    rows = np.concatenate([problem.geometry.cell_rows, problem.dip_rows[trial]])[walls]
+    slack = rows @ z + problem.offset[trial, walls]
+    failures = []
+    if slack.min(initial=0.0) < -1e-9:
+        failures.append(f"a wall is crossed by {-slack.min():.3g}")
+    rows = rows[slack <= 1e-9]
+    ridge = 1e-12 * (1.0 + np.abs(np.diagonal(hess)).max())
+    factor = np.linalg.cholesky(ridge * np.eye(z.size) - hess)
+    normals = np.linalg.solve(factor, rows.T.reshape(z.size, -1))
+    force = np.linalg.solve(factor, grad)
+    left = nnls(normals, -force)[1] if rows.size else np.linalg.norm(force)
+    gain = left**2 / 2
+    if gain > tol:
+        failures.append(f"a step along the walls gains {gain:.3g}")
+    return failures
+
+
+def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
+    """``fit_mle`` of ``dataset`` with (fit, objective evaluations, failures):
+    the failures name each check the fit fails, and are empty when it is
+    converged, no class probability dips below zero, its log-likelihood is
+    ``log_likelihood`` of its model to 1e-12, and the last solve's result
+    carries the KKT certificate on that solve's walls."""
+    solves, evaluations = [], []
+    newton, objective = estimation._newton, estimation._FitProblem.objective
+
+    def recorded(problem, free0):
+        free, value, converged = newton(problem, free0)
+        solves.append((problem, free))
+        return free, value, converged
+
+    def counted(self, free, trials):
+        evaluations.append(len(trials))
+        return objective(self, free, trials)
+
+    estimation._newton, estimation._FitProblem.objective = recorded, counted
+    try:
+        fit = fit_mle(dataset, harmonics)
+    finally:
+        estimation._newton, estimation._FitProblem.objective = newton, objective
+    failures = [] if fit.converged else ["did not converge"]
+    lowest = _local_minima(fit.model.coefficients[None], fit.model.harmonics)[3].min(initial=0.0)
+    if lowest < 0.0:
+        failures.append(f"a class probability dips to {lowest:.3g}")
+    reference = log_likelihood(fit.model, dataset)
+    if not abs(fit.log_likelihood - reference) <= 1e-12 * abs(reference):
+        failures.append(f"log-likelihood {fit.log_likelihood!r} against {reference!r}")
+    problem, free = solves[-1]
+    failures += certificate_failures(problem, 0, free[0])
+    return fit, sum(evaluations), failures
+
+
+def main() -> int:
+    evaluations, non_converged, failed = 0, 0, 0
+    for i, dataset in enumerate(dual_fock_corpus(range(SIZE))):
+        fit, used, failures = checked_fit(dataset)
+        evaluations += used
+        non_converged += not fit.converged
+        if failures:
+            failed += 1
+            print(f"dataset {i}: " + "; ".join(failures))
+    print(f"{SIZE} fits, {non_converged} non-converged, {evaluations} objective evaluations")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fringelab import cli
+from fringelab import cli, estimation
 from fringelab.cli import main
 from fringelab.spectral import quartic_gaussian_overlap
 
@@ -270,6 +270,25 @@ class TestFitCommand:
         assert "12 phases alias harmonics [2, 4, 6]" in capsys.readouterr().err
         assert not (tmp_path / "fit_report.json").exists()
 
+    def test_non_converged_fit_exits_4_after_its_report(self, tmp_path, capsys, monkeypatch):
+        # One Newton step is too few for this fit.
+        monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+        (tmp_path / "fringe.csv").write_text(_FRINGE_CSV)
+        (tmp_path / "eff.json").write_text('{"0": 1.0, "2": 1.0}')
+        cfg = write_config(
+            tmp_path / "fit.json",
+            {
+                "fringe_csv": str(tmp_path / "fringe.csv"),
+                "efficiency_json": str(tmp_path / "eff.json"),
+                "harmonics": [2],
+                "bootstrap_trials": 4,
+            },
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "non-convergence: maximum-likelihood fit did not converge\n"
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["fit"]["converged"] is False
+
 
 @pytest.mark.parametrize(
     "fringe,efficiencies,where",
@@ -282,11 +301,29 @@ class TestFitCommand:
         ("0.1,0,12\n0.1,2,-3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: count"),
         ("nan,0,12\n0.1,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:2: bad theta"),
         ("0.1,0,12\n0.1,2,3\n0.1,0,7\n", {"0": 1.0, "2": 1.0}, "fringe.csv:4: repeats class 0"),
+        ("0.1,0,12,1\n0.1,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:2: expected 3 fields, got 4"),
+        ("", {"0": 1.0, "2": 1.0}, "fringe.csv: no data rows"),
+        # A string is written as it is.
+        ("0.1,0,12\n0.1,2,3\n", '{"0": 1.0,', "eff.json: Expecting"),
+        ("0.1,0,12\n0.1,2,3\n", {"zero": 1.0, "2": 1.0}, "eff.json: class 'zero' is not an integer"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": True, "2": 1.0}, "eff.json: efficiency of class 0"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": "0.5", "2": 1.0}, "eff.json: efficiency of class 0"),
+        # Counts are exact as floats below 2^53; phases times the top
+        # harmonic stay floats.
+        pytest.param(
+            "0.1,0,1" + "0" * 400 + "\n0.1,2,3\n",
+            {"0": 1.0, "2": 1.0},
+            "fringe.csv:2: count must be in [0, 2^53)",
+            id="count-10^400",
+        ),
+        ("0.1,0,12\n0.1,2,9007199254740992\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: count must be in"),
+        ("0.1,0,12\n1e308,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: phase 1e+308 is beyond"),
     ],
 )
 def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, where):
     (tmp_path / "fringe.csv").write_text("theta,class,count\n" + fringe)
-    (tmp_path / "eff.json").write_text(json.dumps(efficiencies))
+    text = efficiencies if isinstance(efficiencies, str) else json.dumps(efficiencies)
+    (tmp_path / "eff.json").write_text(text)
     cfg = write_config(
         tmp_path / "fit.json",
         {
@@ -298,6 +335,30 @@ def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, whe
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: {tmp_path}/{where}")
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "header,efficiency_json,where",
+    [
+        ("theta,count", "eff.json", "{tmp}/fringe.csv:1: expected header 'theta,class,count'"),
+        ("theta,class,count", ".", "cannot read {tmp}:"),
+    ],
+    ids=["wrong-header", "unreadable-efficiencies"],
+)
+def test_unusable_fit_file_is_parse_error(tmp_path, capsys, header, efficiency_json, where):
+    (tmp_path / "fringe.csv").write_text(header + "\n0.1,0,12\n0.1,2,3\n")
+    (tmp_path / "eff.json").write_text('{"0": 1.0, "2": 1.0}')
+    cfg = write_config(
+        tmp_path / "fit.json",
+        {
+            "fringe_csv": str(tmp_path / "fringe.csv"),
+            "efficiency_json": str(tmp_path / efficiency_json),
+            "harmonics": [2],
+        },
+    )
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("parse error: " + where.format(tmp=tmp_path))
     assert not (tmp_path / "fit_report.json").exists()
 
 
@@ -541,6 +602,16 @@ def test_reproduce_fig3_rejects_probe(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_reproduce_fig3_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+    cfg = write_config(tmp_path / "c.json", _FIG3)
+    assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "non-convergence: stage failure at iprime=0.5: fit did not converge\n"
+    )
+    assert not list(tmp_path.glob("fig3*"))
+
+
 @pytest.mark.parametrize(
     "iprimes", [{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], [], [0.5] * 1001]
 )
@@ -613,6 +684,10 @@ _INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
         ("fit", {**_FIT, "efficiency_json": ["eff.json"]}, "efficiency_json"),
         ("predict", {"mode": "small_angle", "n": 10**200, "indist": 1.0}, "n"),
         ("simulate", {**_SIMULATE, "probe": {"type": "four_photon", "lambdas": [13**-0.5] * 13, "tau": 0.7}}, "probe.lambdas"),
+        # The grid stays finite, but not twice its phases.
+        ("simulate", {**_SIMULATE, "phases": {"start": 1e308, "stop": 1.1e308, "count": 2}}, "phases: phase 1.05e+308"),
+        ("simulate", {**_SIMULATE, "phases": {"start": 1e308, "stop": 1.5e308}}, "phases"),
+        ("reproduce-fig3", {**_FIG3, "phases": {"start": 1e308, "stop": 1.5e308}}, "phases"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):
@@ -791,6 +866,16 @@ def test_any_config_ends_in_a_documented_exit_code(command_config):
 class TestTopLevel:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,what",
+        [("{", "invalid JSON"), ("[1, 2]", "config must be a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_unusable_config_file(self, tmp_path, capsys, text, what):
+        (tmp_path / "c.json").write_text(text)
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path / 'c.json'}: {what}")
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(

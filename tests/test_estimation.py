@@ -5,8 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
-from scipy.optimize import nnls
+from corpus import certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
 from fringelab.cli import _simulate_points
@@ -20,6 +19,7 @@ from fringelab.estimation import (
     _Geometry,
     _local_minima,
     _newton,
+    _solve_stack,
     bootstrap_errors,
     fisher_from_model,
     fit_mle,
@@ -29,7 +29,6 @@ from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_p
 from fringelab.metrology import (
     _basis,
     _maximize_fourier_fisher,
-    counting_family,
     optimal_fisher_two_photon,
     two_photon_family,
 )
@@ -67,32 +66,6 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
     phases = 2 * math.pi * np.arange(n_phases) / n_phases
     _, etas, points, _ = _simulate_points(probe, noise, phases, total, seed)
     return FringeDataset(tuple(points), etas)
-
-
-def dual_fock_corpus(indices):
-    """Datasets ``indices`` of a seeded stream of dual-Fock n = 3 fringes:
-    random indistinguishability, background zeta in {0, 0.0119, 0.05},
-    50-3,000 expected counts per point and 9-20 phases from theta = 0.
-    Fitted with harmonics [2, 4, 6], the low-count ones dip below zero
-    between data cells next to cells with no counts."""
-    rng = np.random.default_rng(20261018)
-    etas = class_efficiencies(6, 8)
-    datasets = []
-    for i in range(max(indices) + 1):
-        indist = rng.uniform()
-        zeta = float(rng.choice([0.0, 0.0119, 0.05]))
-        total = rng.choice([50, 100, 300, 3000])
-        n_phases = rng.choice([9, 11, 13, 14, 15, 16, 20])
-        family = counting_family(dual_fock_mismatched(3, indist), zeta)
-        thetas = 2 * math.pi * np.arange(n_phases) / n_phases
-        eta = np.array([etas[c] for c in family.classes])
-        counts = rng.poisson(total * family.evaluator(thetas) * eta)
-        if i in indices:
-            points = tuple(
-                (float(t), dict(zip(family.classes, row.tolist()))) for t, row in zip(thetas, counts)
-            )
-            datasets.append(FringeDataset(points, etas))
-    return datasets
 
 
 def bootstrap_loop(fit, dataset, trials, seed):
@@ -275,17 +248,17 @@ class TestFitMle:
         with pytest.raises(IllPosedError, match="12 phases alias harmonics"):
             fit_mle(FringeDataset(tuple(points), etas), [2, 4, 6])
 
-    def test_low_count_fits_that_dip_converge(self):
-        # Two dual-Fock n = 3 datasets, at 100 and 50 counts per point, whose
-        # fits dip between data cells next to cells with no counts until
-        # walls at the dips close them.
-        for dataset in dual_fock_corpus((20, 32)):
-            fit = fit_mle(dataset, [2, 4, 6])
-            assert fit.converged
-            assert _local_minima(fit.model.coefficients[None], (2, 4, 6))[3].min() >= 0.0
-            assert fit.log_likelihood == pytest.approx(
-                log_likelihood(fit.model, dataset), rel=1e-12, abs=0
-            )
+    def test_low_count_corpus_fits_carry_their_certificates(self):
+        # Datasets 0-59 of the low-count corpus; ``python tests/corpus.py``
+        # fits all 300.  Most meet walls at zero-count cells, several of
+        # them a period of the model apart, and many dip between the data
+        # cells until walls at the dips close them.
+        failures = {}
+        for i, dataset in enumerate(dual_fock_corpus(range(60))):
+            _, _, found = checked_fit(dataset)
+            if found:
+                failures[i] = found
+        assert failures == {}
 
     def test_normalization_holds_identically(self):
         ds = synth_dataset(0.5, 0.0119, total=5000, n_phases=16, seed=5)
@@ -385,24 +358,10 @@ class TestFitMle:
             starts.append(start)
         free, values, converged = _newton(problem, np.array([s.ravel() for s in starts]))
         assert converged.all()
-        _, grads, hessians = problem.objective(free, np.arange(n_starts))
-        for i, (z, grad, hess) in enumerate(zip(free, grads, hessians)):
-            # KKT certificate, checked apart from the solver: on the walls
-            # that hold with equality, cells and dips alike, the gradient
-            # must be a nonnegative combination of the outward constraint
-            # normals, and what is left along the face must promise no gain.
-            walls = problem.walls[i]
-            rows = np.concatenate([geometry.cell_rows, problem.dip_rows[i]])[walls]
-            slack = rows @ z + problem.offset[i, walls]
-            assert np.all(slack >= -1e-9)
-            rows = rows[slack <= 1e-9]
-            multipliers = nnls(rows.T, -grad)[0] if rows.size else np.zeros(0)
-            residual = grad + rows.T @ multipliers
-            face = null_space(rows) if rows.size else np.eye(grad.size)
-            along = face.T @ residual
-            assert np.linalg.norm(residual - face @ along) <= tol
-            gain = along @ np.linalg.lstsq(-face.T @ hess @ face, along, rcond=None)[0]
-            assert gain <= tol
+        for i, z in enumerate(free):
+            assert not certificate_failures(problem, i, z)
+        # A point a hundredth of the way back to uniform is feasible, and short.
+        assert certificate_failures(problem, 0, 0.99 * free[0] + 0.01 * uniform.ravel())
         assert values.max() - values.min() <= tol
 
 
@@ -473,6 +432,44 @@ class TestStart:
         calls.clear()
         boot = bootstrap_errors(fit, ds, trials=20, seed=3)
         assert boot.failed_refits == 0 and len(calls) <= 4
+
+
+class TestSolverSafety:
+    def test_singular_system_in_a_stack_is_nan_alone(self):
+        rng = np.random.default_rng(0)
+        kkt, rhs = rng.normal(size=(4, 5, 5)), rng.normal(size=(4, 5))
+        kkt[2, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, rhs[..., None])
+        out = _solve_stack(kkt, rhs)
+        assert np.isnan(out[2]).all()
+        for i in (0, 1, 3):
+            assert np.array_equal(out[i], np.linalg.solve(kkt[i], rhs[i]))
+
+    def test_exhausted_line_search_stops_only_its_trial(self):
+        ds = synth_dataset(0.6, 0.0119, 5000, 16, seed=2)
+        thetas, counts, eta = ds.arrays()
+        draws = np.random.default_rng(3).poisson(counts, size=(3,) + counts.shape).astype(float)
+        geometry = _Geometry(thetas, ds.classes, (2,))
+        start = geometry.start(draws, eta)
+        problem = _FitProblem(geometry, draws, eta, NO_DIPS)
+        evaluate, stuck = problem.objective, []
+
+        def never_rises(free, trials):
+            # Trial 1 never rises above its start.
+            value, grad, hess = evaluate(free, trials)
+            stuck.append((trials == 1).sum())
+            return np.where((trials == 1) & (len(stuck) > 1), -np.inf, value), grad, hess
+
+        problem.objective = never_rises
+        free, values, converged = _newton(problem, start)
+        # Its start, then the 60 halvings of one line search.
+        assert sum(stuck) == 61
+        assert not converged[1] and np.array_equal(free[1], start[1])
+        for j in (0, 2):
+            alone = _newton(_FitProblem(geometry, draws[j : j + 1], eta, NO_DIPS), start[j : j + 1])
+            assert alone[2][0] and converged[j]
+            assert np.array_equal(free[j], alone[0][0]) and values[j] == alone[1][0]
 
 
 class TestLocalMinima:

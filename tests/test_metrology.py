@@ -404,6 +404,13 @@ class TestReports:
                 fisher_at(family, report.argmax_theta), rel=1e-6
             )
 
+    def test_fringe_probabilities_reject_a_phase_past_the_float_range(self):
+        # Harmonic 2 carries 1e308 to infinity, where the series is NaN.
+        family = counting_family(*REFERENCE_PROBES[0])
+        assert family.n_photons == 2
+        with pytest.raises(ValueError, match=r"not finite at phase 1e\+308"):
+            fringe_probabilities(family, [1.0, 1e308])
+
     def test_fringe_probabilities_match_rotation(self, monkeypatch):
         for probe, zeta in REFERENCE_PROBES:
             probs = fringe_probabilities(counting_family(probe, zeta), REFERENCE_THETAS)
