@@ -283,7 +283,8 @@ def _iprime_values(iprimes) -> np.ndarray:
 
 
 def _simulate_points(probe, noise, phases, expected, seed):
-    """Per-phase sampled class counts plus the ground-truth probabilities.
+    """Per-phase sampled class counts plus the ground-truth probabilities,
+    shaped (phases, classes) with columns in ``family.classes`` order.
 
     The probabilities at every phase come from one exact Fourier table
     (``metrology.fringe_probabilities``, the probe rotated at 2N + 1 phases
@@ -295,14 +296,10 @@ def _simulate_points(probe, noise, phases, expected, seed):
     table = metrology.fringe_probabilities(family, phases)
     children = np.random.SeedSequence(seed).spawn(len(phases))
     points = []
-    truth = []
     for child, theta, row in zip(children, phases, table):
-        probs = dict(zip(family.classes, row.tolist()))
-        means = {c: probs[c] * etas[c] for c in family.classes}
-        counts = detection.sample_counts(means, expected, child)
-        points.append((float(theta), counts))
-        truth.append(probs)
-    return family, etas, points, truth
+        means = {c: p * etas[c] for c, p in zip(family.classes, row.tolist())}
+        points.append((float(theta), detection.sample_counts(means, expected, child)))
+    return family, etas, points, table
 
 
 def _write_fringe_csv(path: Path, points) -> None:
@@ -321,7 +318,7 @@ def _write_truth_json(path: Path, family, etas, truth, points, noise, expected) 
         "efficiencies": {str(c): etas[c] for c in family.classes},
         "expected_counts_per_point": expected,
         "theta": [theta for theta, _ in points],
-        "probs": [[row[c] for c in family.classes] for row in truth],
+        "probs": truth.tolist(),
     }
     path.write_text(json.dumps(payload, indent=1) + "\n")
 

@@ -123,20 +123,13 @@ def multiplex_efficiency(n: int, m: int) -> float:
     return math.perm(m, n) / m**n
 
 
-def pattern_efficiency(n1: int, n2: int, bins_per_arm: int) -> float:
-    """Joint distinct-bin probability for a two-arm detection pattern."""
-    return multiplex_efficiency(n1, bins_per_arm) * multiplex_efficiency(
-        n2, bins_per_arm
-    )
-
-
 def class_efficiencies(total_photons: int, bins_per_arm: int) -> dict[int, float]:
     """Detection efficiency of each |n1 - n2| class for N total photons."""
     n = int(total_photons)
     out = {}
     for d in range(n % 2, n + 1, 2):
         n1 = (n + d) // 2
-        out[d] = pattern_efficiency(n1, n - n1, bins_per_arm)
+        out[d] = multiplex_efficiency(n1, bins_per_arm) * multiplex_efficiency(n - n1, bins_per_arm)
     return out
 
 

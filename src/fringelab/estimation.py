@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -176,9 +176,11 @@ def _log_factorials(counts: np.ndarray) -> float:
     return math.fsum(math.lgamma(x + 1.0) for x in np.ravel(counts).tolist())
 
 
-def _rates(
-    model_probs: np.ndarray, lam_t: np.ndarray, eta: np.ndarray
-) -> np.ndarray:
+def _rates(model_probs: np.ndarray, counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Poisson rates lambda_t * p * eta of ``counts`` (..., classes, phases)
+    under ``model_probs``, lambda_t being each phase's efficiency-corrected
+    total sum_d x_d / eta_d."""
+    lam_t = (counts / eta[:, None]).sum(axis=-2)
     return lam_t[..., None, :] * model_probs * eta[:, None]
 
 
@@ -193,8 +195,7 @@ def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
     if tuple(model.classes) != dataset.classes:
         raise ValueError("model and dataset classes differ")
     thetas, counts, eta = dataset.arrays()
-    lam_t = (counts / eta[:, None]).sum(axis=0)
-    lam = _rates(model.probs_at(thetas), lam_t, eta)
+    lam = _rates(model.probs_at(thetas), counts, eta)
     return float(_poisson_loglik(counts, lam)) - _log_factorials(counts)
 
 
@@ -566,9 +567,8 @@ def _fit_batch(
     # Lift what rounding or the round bound left below zero.
     negative = np.flatnonzero(worst < 0.0)
     coeff[negative] = _toward_uniform(coeff[negative], worst[negative])
-    lam_t = (counts / eta[:, None]).sum(axis=-2)
     probs = coeff @ _basis(geometry.harmonics, geometry.thetas)
-    ll = _poisson_loglik(counts, _rates(probs, lam_t, eta))
+    ll = _poisson_loglik(counts, _rates(probs, counts, eta))
     return coeff, ll, converged & np.isfinite(ll)
 
 
@@ -677,15 +677,7 @@ class BootstrapReport:
     failed_refits: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigma_max_fisher": self.sigma_max_fisher,
-                "sigma_per_photon": self.sigma_per_photon,
-                "sigma_coefficients": self.sigma_coefficients.tolist(),
-                "trials": self.trials,
-                "failed_refits": self.failed_refits,
-            }
-        )
+        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
 
 def bootstrap_errors(
@@ -704,9 +696,7 @@ def bootstrap_errors(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     thetas, counts, eta = dataset.arrays()
-    lam_t = (counts / eta[:, None]).sum(axis=0)
-    lam = _rates(fit.model.probs_at(thetas), lam_t, eta)
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
     children = np.random.SeedSequence(seed).spawn(trials)
     fake = np.array([np.random.default_rng(child).poisson(lam) for child in children], dtype=float)
     harmonics = tuple(sorted(fit.model.harmonics))

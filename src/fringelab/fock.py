@@ -297,7 +297,8 @@ def dual_fock_mismatched(n: int, indist: float) -> MultimodeFockState:
 
 
 def spdc_two_photon(iprime: float) -> MultimodeFockState:
-    """Canonical two-photon state with exchange symmetry ``iprime``.
+    """Canonical two-photon state with exchange symmetry ``iprime``: the
+    n = 1 dual-Fock probe ``dual_fock_mismatched(1, iprime)``.
 
     One photon in path 1 (internal mode 0); the path-2 photon is in the
     superposition sqrt(iprime)*mode0 + sqrt(1-iprime)*mode1, so the balanced
@@ -305,12 +306,7 @@ def spdc_two_photon(iprime: float) -> MultimodeFockState:
     """
     if not 0.0 <= iprime <= 1.0:
         raise ValueError(f"iprime {iprime} outside [0, 1]")
-    amps: dict[Occupation, complex] = {}
-    if iprime > 0.0:
-        amps[_canonical([(1, 0, 1), (2, 0, 1)])] = math.sqrt(iprime)
-    if iprime < 1.0:
-        amps[_canonical([(1, 0, 1), (2, 1, 1)])] = math.sqrt(1.0 - iprime)
-    return MultimodeFockState(amps)
+    return dual_fock_mismatched(1, iprime)
 
 
 def four_photon_schmidt(

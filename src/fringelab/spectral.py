@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -197,16 +197,7 @@ class HomDipFit:
                 )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "sigma": self.sigma,
-                "residual": self.residual,
-                "ill_posed": self.ill_posed,
-                "converged": self.converged,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _linear(
