@@ -175,7 +175,9 @@ def _polish(
     - 5 d^2 r/P^2 + 2 d^4/P^3 to F'', r and s being p'' and p'''.  Returns
     the phases, F there, and whether each trial finished there: a next step
     of at most 1e-8 (quadratic convergence leaves F within rounding of its
-    local maximum), F'' < 0, and every class probability above 1e-6.
+    local maximum), F'' < 0, and every class probability above 1e-6.  A
+    trial stops where it finishes while the others step on, so its result
+    does not depend on its batch.
     """
     orders = [coeff]
     for _ in range(3):
@@ -195,7 +197,7 @@ def _polish(
         done = np.abs(moved - theta) <= 1e-8
         if steps == 6 or np.all(done):
             break
-        theta = moved
+        theta = np.where(done, theta, moved)
     return theta, f, done & concave & (p.min(axis=-1) > 1e-6)
 
 
@@ -226,7 +228,9 @@ def _maximize_fourier_fisher(
     a class probability (zeta = 0, or a fitted class on a wall), takes three
     nested zooms from its cell instead, as before the polish: 129 points
     over one spacing of the previous level either side, within the domain.
-    Returns the grid, the scan values (trials, 256), argmaxes and maxima.
+    Every step is per trial, so a trial's maximum is the same bits alone and
+    in any batch.  Returns the grid, the scan values (trials, 256), argmaxes
+    and maxima.
     """
     lo, hi = theta_domain
     h = (hi - lo) / 256

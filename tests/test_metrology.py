@@ -655,4 +655,13 @@ class TestPhaseMaximiser:
         monkeypatch.undo()
         for tau, got in ((1.0, full), (0.0, zero)):
             family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282, (0.0, math.pi))
-            assert got == pytest.approx(maximize_fisher(family).per_photon, rel=1e-13)
+            assert got == maximize_fisher(family).per_photon
+
+    def test_a_trial_gets_the_same_bits_in_any_batch(self, monkeypatch):
+        # A trial that finishes early must not take the rest of the batch's
+        # steps: each refit's maximum alone is its maximum among the 100.
+        coeff = refit_coefficients(monkeypatch, two_photon_dataset(0.6, 0.0119, 1e5, 0), 100)
+        _, _, theta, f = _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+        for i in range(len(coeff)):
+            _, _, one_theta, one_f = _maximize_fourier_fisher(coeff[i : i + 1], (2,), (0.0, math.pi))
+            assert (one_theta[0], one_f[0]) == (theta[i], f[i]), i
