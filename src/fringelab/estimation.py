@@ -211,10 +211,15 @@ class _Geometry:
     flattened; a class probability is ``row @ free + offset`` (``affine``),
     with ``cell_rows`` at the data cells, class-major.  ``projector`` maps
     a series' values at the phases to its least-squares coefficients; it
-    starts every fit.
+    starts every fit.  Phases that cannot identify the model raise
+    ``IllPosedError``, checked first for a phase that the top harmonic
+    carries past the float range, where the basis would be NaN.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
+        top = float(np.abs(thetas).max(initial=0.0))
+        if not math.isfinite(max(harmonics) * top):
+            raise IllPosedError(f"phase {top!r} is beyond the float range at harmonic {max(harmonics)}")
         distinct = np.unique(thetas)
         if distinct.size < 8:
             raise IllPosedError(
@@ -696,11 +701,12 @@ def bootstrap_errors(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     thetas, counts, eta = dataset.arrays()
+    harmonics = tuple(sorted(fit.model.harmonics))
+    geometry = _Geometry(thetas, dataset.classes, harmonics)
     lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
     children = np.random.SeedSequence(seed).spawn(trials)
     fake = np.array([np.random.default_rng(child).poisson(lam) for child in children], dtype=float)
-    harmonics = tuple(sorted(fit.model.harmonics))
-    coefs, _ll, converged = _fit_batch(_Geometry(thetas, dataset.classes, harmonics), fake, eta)
+    coefs, _ll, converged = _fit_batch(geometry, fake, eta)
     max_fs = _maximize_fourier_fisher(coefs, harmonics, (0.0, math.pi))[3]
     n_photons = max(dataset.classes)
     return BootstrapReport(

@@ -248,6 +248,18 @@ class TestFitMle:
         with pytest.raises(IllPosedError, match="12 phases alias harmonics"):
             fit_mle(FringeDataset(tuple(points), etas), [2, 4, 6])
 
+    def test_phase_beyond_the_float_range_is_ill_posed(self):
+        # 2 * 1e308 overflows, so the harmonic-2 basis there would be NaN.
+        points = tuple((float(t), {0: 50, 2: 20}) for t in [*np.linspace(0, 4, 9), 1e308])
+        far = FringeDataset(points, {0: 1.0, 2: 1.0})
+        fit = fit_mle(FringeDataset(points[:-1], far.efficiencies), [2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllPosedError, match="beyond the float range at harmonic 2"):
+                fit_mle(far, [2])
+            with pytest.raises(IllPosedError, match="beyond the float range at harmonic 2"):
+                bootstrap_errors(fit, far, trials=10, seed=3)
+
     def test_low_count_corpus_fits_carry_their_certificates(self):
         # Datasets 0-59 of the low-count corpus; ``python tests/corpus.py``
         # fits all 300.  Most meet walls at zero-count cells, several of
@@ -655,11 +667,13 @@ class TestBootstrap:
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
         fit = fit_mle(ds, [2])
         boot = bootstrap_errors(fit, ds, trials=10, seed=3)
-        data = json.loads(boot.to_json())
-        assert set(data) == {
-            "sigma_max_fisher",
-            "sigma_per_photon",
-            "sigma_coefficients",
-            "trials",
-            "failed_refits",
-        }
+        # The fields in their declared order, as ``fit_report.json`` has them.
+        assert boot.to_json() == json.dumps(
+            {
+                "sigma_max_fisher": boot.sigma_max_fisher,
+                "sigma_per_photon": boot.sigma_per_photon,
+                "sigma_coefficients": boot.sigma_coefficients.tolist(),
+                "trials": 10,
+                "failed_refits": boot.failed_refits,
+            }
+        )

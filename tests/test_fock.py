@@ -138,6 +138,11 @@ class TestSpdcTwoPhoton:
         assert set(spdc_two_photon(1.0).amplitudes) == {((1, 0, 1), (2, 0, 1))}
         assert set(spdc_two_photon(0.0).amplitudes) == {((1, 0, 1), (2, 1, 1))}
 
+    def test_is_the_one_photon_dual_fock_probe(self):
+        for iprime in (0.0, 0.1, 0.25, 0.5, 0.64, 0.9, 1.0):
+            two, dual = spdc_two_photon(iprime), dual_fock_mismatched(1, iprime)
+            assert list(two.amplitudes.items()) == list(dual.amplitudes.items()), iprime
+
     def test_hom_coincidence_matches_exchange_symmetry(self):
         # Coincidence after the balanced point equals (1 - iprime)/2.
         iprime = 0.64

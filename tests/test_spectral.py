@@ -405,17 +405,11 @@ class TestHomDipFit:
         assert fit.sigma == pytest.approx(2.0, rel=1e-9)
 
     def test_fit_report_keys(self):
-        import json
-
         fit = HomDipFit(a=0.5, b=-0.4, sigma=2.0, residual=0.0)
-        assert set(json.loads(fit.to_json())) == {
-            "a",
-            "b",
-            "sigma",
-            "residual",
-            "ill_posed",
-            "converged",
-        }
+        # The fields in their declared order, as ``hom_fit.json`` has them.
+        assert fit.to_json() == (
+            '{"a": 0.5, "b": -0.4, "sigma": 2.0, "residual": 0.0, "ill_posed": false, "converged": true}'
+        )
 
     def test_unphysical_zero_delay_probability_rejected(self):
         with pytest.raises(ValueError):
