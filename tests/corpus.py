@@ -1,16 +1,17 @@
-"""A seeded corpus of low-count dual-Fock fringes, and the checks every fit
-of it must pass.
+"""Seeded corpora of low-count fringes, and the checks every fit of them
+must pass: 300 dual-Fock n = 3 fringes fitted with harmonics [2, 4, 6], 150
+four-photon fringes with [2, 4] and 150 two-photon fringes with [2].
 
 At a few hundred counts per point some class probabilities sit near zero,
 cells see no counts, and the fits meet their nonnegativity walls, at cells
 and at the model's dips between them; no benchmark fit does.  The tests fit
-a slice of the corpus.  Run as a script, it fits all of it:
+a slice of each corpus.  Run as a script, it fits all of them:
 
     PYTHONPATH=src python tests/corpus.py
 
-prints the number of fits, how many did not converge and how many
-objective evaluations they took, lists every fit that fails a check, and
-exits 1 if any does.
+prints, per corpus, the number of fits, how many did not converge and how
+many objective evaluations they took, lists every fit that fails a check,
+and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -25,10 +26,20 @@ from fringelab import estimation
 from fringelab.detection import class_efficiencies
 from fringelab.estimation import FringeDataset, _local_minima, fit_mle, log_likelihood
 from fringelab.fock import dual_fock_mismatched
-from fringelab.metrology import counting_family
+from fringelab.metrology import counting_family, four_photon_pair_ensemble, two_photon_family
 
-SIZE = 300
 HARMONICS = (2, 4, 6)
+PAIR_CORPUS = 150  # fringes in each of the four- and two-photon corpora
+
+
+def _fringes(rng, family, etas, total, n_phases) -> FringeDataset:
+    """Poisson counts of ``family`` at ``n_phases`` phases from theta = 0,
+    drawn phase-major from ``rng``."""
+    thetas = 2 * math.pi * np.arange(n_phases) / n_phases
+    eta = np.array([etas[c] for c in family.classes])
+    counts = rng.poisson(total * family.evaluator(thetas) * eta)
+    points = tuple((float(t), dict(zip(family.classes, row.tolist()))) for t, row in zip(thetas, counts))
+    return FringeDataset(points, etas)
 
 
 def dual_fock_corpus(indices):
@@ -45,16 +56,58 @@ def dual_fock_corpus(indices):
         zeta = float(rng.choice([0.0, 0.0119, 0.05]))
         total = rng.choice([50, 100, 300, 3000])
         n_phases = rng.choice([9, 11, 13, 14, 15, 16, 20])
-        family = counting_family(dual_fock_mismatched(3, indist), zeta)
-        thetas = 2 * math.pi * np.arange(n_phases) / n_phases
-        eta = np.array([etas[c] for c in family.classes])
-        counts = rng.poisson(total * family.evaluator(thetas) * eta)
+        dataset = _fringes(rng, counting_family(dual_fock_mismatched(3, indist), zeta), etas, total, n_phases)
         if i in indices:
-            points = tuple(
-                (float(t), dict(zip(family.classes, row.tolist()))) for t, row in zip(thetas, counts)
-            )
-            datasets.append(FringeDataset(points, etas))
+            datasets.append(dataset)
     return datasets
+
+
+def _pair_stream():
+    """One seeded stream of PAIR_CORPUS four-photon fringes, then
+    PAIR_CORPUS two-photon fringes, each drawn in the order: state
+    parameters, zeta, counts per point, phase count, counts.
+
+    Four-photon: the purity-weighted pair ensemble with lambda4 ~ U(0.3, 1)
+    and cross overlap ~ U(0, 1), zeta in {0, 0.0282}, 20-300 expected counts
+    per point, 16, 20 or 32 phases, four bins per arm.  Two-photon: I' ~
+    U(0, 1), zeta in {0, 0.0119}, 50-1e5 expected counts per point, 12, 16
+    or 32 phases, four bins per arm."""
+    rng = np.random.default_rng(20261019)
+    etas = class_efficiencies(4, 4)
+    for _ in range(PAIR_CORPUS):
+        lam4, tau = rng.uniform(0.3, 1.0), rng.uniform()
+        zeta = float(rng.choice([0.0, 0.0282]))
+        total = rng.choice([20, 50, 100, 300])
+        n_phases = rng.choice([16, 20, 32])
+        yield _fringes(rng, counting_family(four_photon_pair_ensemble(lam4, tau), zeta), etas, total, n_phases)
+    etas = class_efficiencies(2, 4)
+    for _ in range(PAIR_CORPUS):
+        iprime = rng.uniform()
+        zeta = float(rng.choice([0.0, 0.0119]))
+        total = rng.choice([50, 300, 3000, 1e5])
+        n_phases = rng.choice([12, 16, 32])
+        yield _fringes(rng, two_photon_family(iprime, zeta), etas, total, n_phases)
+
+
+def four_photon_corpus(indices):
+    """Datasets ``indices`` of the four-photon half of ``_pair_stream``,
+    fitted with harmonics [2, 4]."""
+    return [d for i, d in zip(range(max(indices) + 1), _pair_stream()) if i in indices]
+
+
+def two_photon_corpus(indices):
+    """Datasets ``indices`` of the two-photon half of ``_pair_stream``,
+    fitted with harmonics [2]."""
+    stream = enumerate(_pair_stream(), -PAIR_CORPUS)
+    return [d for i, d in stream if i in indices]
+
+
+# Name, datasets ``indices``, size and harmonics of each corpus.
+CORPORA = (
+    ("dual-Fock", dual_fock_corpus, 300, HARMONICS),
+    ("four-photon", four_photon_corpus, PAIR_CORPUS, (2, 4)),
+    ("two-photon", two_photon_corpus, PAIR_CORPUS, (2,)),
+)
 
 
 def certificate_failures(problem, trial: int, z: np.ndarray) -> list[str]:
@@ -131,15 +184,17 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
 
 
 def main() -> int:
-    evaluations, non_converged, failed = 0, 0, 0
-    for i, dataset in enumerate(dual_fock_corpus(range(SIZE))):
-        fit, used, failures = checked_fit(dataset)
-        evaluations += used
-        non_converged += not fit.converged
-        if failures:
-            failed += 1
-            print(f"dataset {i}: " + "; ".join(failures))
-    print(f"{SIZE} fits, {non_converged} non-converged, {evaluations} objective evaluations")
+    failed = 0
+    for name, corpus, size, harmonics in CORPORA:
+        evaluations, non_converged = 0, 0
+        for i, dataset in enumerate(corpus(range(size))):
+            fit, used, failures = checked_fit(dataset, harmonics)
+            evaluations += used
+            non_converged += not fit.converged
+            if failures:
+                failed += 1
+                print(f"{name} dataset {i}: " + "; ".join(failures))
+        print(f"{name}: {size} fits, {non_converged} non-converged, {evaluations} objective evaluations")
     return 1 if failed else 0
 
 
