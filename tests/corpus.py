@@ -98,8 +98,7 @@ def four_photon_corpus(indices):
 def two_photon_corpus(indices):
     """Datasets ``indices`` of the two-photon half of ``_pair_stream``,
     fitted with harmonics [2]."""
-    stream = enumerate(_pair_stream(), -PAIR_CORPUS)
-    return [d for i, d in stream if i in indices]
+    return [d for i, d in zip(range(-PAIR_CORPUS, max(indices) + 1), _pair_stream()) if i in indices]
 
 
 # Name, datasets ``indices``, size and harmonics of each corpus.

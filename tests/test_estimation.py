@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from corpus import certificate_failures, checked_fit, dual_fock_corpus, four_photon_corpus, two_photon_corpus
+from corpus import CORPORA, certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
 from fringelab.cli import _simulate_points
@@ -261,31 +261,17 @@ class TestFitMle:
                 bootstrap_errors(fit, far, trials=10, seed=3)
 
     def test_low_count_corpus_fits_carry_their_certificates(self):
-        # Datasets 0-59 of the low-count corpus; ``python tests/corpus.py``
-        # fits all 300.  Most meet walls at zero-count cells, several of
-        # them a period of the model apart, and many dip between the data
-        # cells until walls at the dips close them.
+        # Datasets 0-59 of each corpus; ``python tests/corpus.py`` fits all
+        # of them.  Most meet walls at zero-count cells (every four-photon
+        # fringe has some), several of them a period of the model apart, and
+        # many dual-Fock fits dip between the data cells until walls at the
+        # dips close them.
         failures = {}
-        for i, dataset in enumerate(dual_fock_corpus(range(60))):
-            _, _, found = checked_fit(dataset)
-            if found:
-                failures[i] = found
-        assert failures == {}
-
-    @pytest.mark.parametrize(
-        "corpus, harmonics",
-        [(four_photon_corpus, (2, 4)), (two_photon_corpus, (2,))],
-        ids=["four-photon", "two-photon"],
-    )
-    def test_pair_corpus_fits_carry_their_certificates(self, corpus, harmonics):
-        # Datasets 0-59 of each 150-fringe corpus; ``python tests/corpus.py``
-        # fits all of them.  Every four-photon fringe and most two-photon
-        # ones have cells with no counts.
-        failures = {}
-        for i, dataset in enumerate(corpus(range(60))):
-            _, _, found = checked_fit(dataset, harmonics)
-            if found:
-                failures[i] = found
+        for name, corpus, _, harmonics in CORPORA:
+            for i, dataset in enumerate(corpus(range(60))):
+                _, _, found = checked_fit(dataset, harmonics)
+                if found:
+                    failures[name, i] = found
         assert failures == {}
 
     def test_normalization_holds_identically(self):
