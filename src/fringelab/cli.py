@@ -3,11 +3,13 @@
     fringelab <hom|predict> --config cfg.json [--out DIR]
     fringelab <simulate|fit|reproduce-fig3> --config cfg.json [--seed N] [--out DIR]
 
-Every subcommand reads a JSON config, writes CSV/JSON artifacts into the
-output directory, and is deterministic given its config; ``--seed``
-overrides the config seed of the three that draw random numbers.  Exit
-codes: 0 success, 2 config error, 3 parse error, 4 non-convergence or
-ill-posed data.
+Every subcommand reads a JSON config and returns the text of its CSV/JSON
+artifacts; ``main`` alone writes them into the output directory and prints
+one "wrote" line.  Each subcommand is deterministic given its config;
+``--seed`` overrides the config seed of the three that draw random numbers.
+Exit codes: 0 success, 2 config error, 3 parse error, 4 non-convergence or
+ill-posed data.  A fit that ends unconverged still has its report written
+before the exit 4; a command that fails part-way writes nothing.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def _float_field(path: str, line: int, value: str, name: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Config tables.  ``main`` reads a config through its subcommand's table
-# (``_COMMANDS``), and each ``cmd_*`` gets the normalised dict.
+# (``_COMMANDS``), each ``cmd_*`` gets the normalised dict and returns its
+# files, and ``main`` writes them.
 
 
 @dataclass(frozen=True)
@@ -302,25 +305,13 @@ def _simulate_points(probe, noise, phases, expected, seed):
     return family, etas, points, table
 
 
-def _write_fringe_csv(path: Path, points) -> None:
-    lines = ["theta,class,count"]
-    for theta, counts in points:
-        for c in sorted(counts):
-            lines.append(f"{_fmt(theta)},{c},{counts[c]}")
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of formatted fields."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
 
 
-def _write_truth_json(path: Path, family, etas, truth, points, noise, expected) -> None:
-    payload = {
-        "classes": list(family.classes),
-        "zeta": noise.zeta,
-        "bins_per_arm": noise.bins_per_arm,
-        "efficiencies": {str(c): etas[c] for c in family.classes},
-        "expected_counts_per_point": expected,
-        "theta": [theta for theta, _ in points],
-        "probs": truth.tolist(),
-    }
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=1) + "\n"
 
 
 def _fit_pipeline(dataset, harmonics, trials, seed):
@@ -330,23 +321,13 @@ def _fit_pipeline(dataset, harmonics, trials, seed):
     return fit, fisher, boot
 
 
-def _fit_report_payload(fit, fisher, boot) -> dict:
-    return {
-        "fit": {
-            "model": json.loads(fit.model.to_json()),
-            "log_likelihood": fit.log_likelihood,
-            "converged": fit.converged,
-        },
-        "fisher": json.loads(fisher.to_json()),
-        "bootstrap": json.loads(boot.to_json()),
-    }
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each returns (files, failure): the text of every file it
+# made, by file name, and the non-convergence message that ``main`` exits 4
+# with after writing them, or None.
 
 
-def cmd_hom(cfg: dict, out: Path) -> int:
+def cmd_hom(cfg: dict) -> tuple[dict[str, str], str | None]:
     if cfg.get("init", {}).get("sigma") == 0.0:
         raise ConfigError("init.sigma: must be nonzero, got 0")
     path = cfg["input"]
@@ -364,30 +345,31 @@ def cmd_hom(cfg: dict, out: Path) -> int:
         fit = spectral.fit_hom_dip(points)
     except IllPosedError as exc:
         raise NonConvergence(f"dip fit is ill-posed: {exc}") from exc
-    (out / "hom_fit.json").write_text(fit.to_json() + "\n")
     xs = sorted({x for x, _, _ in points})
     qs = spectral.quartic_gaussian_overlap(xs, fit.sigma) if not fit.ill_posed else [0.0] * len(xs)
-    lines = ["x,iprime"]
-    for x, q in zip(xs, qs):
-        lines.append(f"{_fmt(x)},{_fmt(1.0 - 2.0 * (fit.a + fit.b * q))}")
-    (out / "iprime_curve.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'hom_fit.json'} and {out / 'iprime_curve.csv'}")
+    curve = [(_fmt(x), _fmt(1.0 - 2.0 * (fit.a + fit.b * q))) for x, q in zip(xs, qs)]
+    files = {"hom_fit.json": fit.to_json() + "\n", "iprime_curve.csv": _csv("x,iprime", curve)}
     if fit.ill_posed:
-        raise NonConvergence("dip fit is ill-posed (sigma unidentifiable)")
-    if not fit.converged:
-        raise NonConvergence("dip fit did not converge")
-    return EXIT_OK
+        return files, "dip fit is ill-posed (sigma unidentifiable)"
+    return files, None if fit.converged else "dip fit did not converge"
 
 
-def cmd_simulate(cfg: dict, out: Path) -> int:
+def cmd_simulate(cfg: dict) -> tuple[dict[str, str], str | None]:
     probe = _build_probe(cfg["probe"])
     noise, phases = _experiment(cfg, probe.total_photons)
     expected = cfg["expected_counts_per_point"]
     family, etas, points, truth = _simulate_points(probe, noise, phases, expected, cfg["seed"])
-    _write_fringe_csv(out / "fringe.csv", points)
-    _write_truth_json(out / "fringe_truth.json", family, etas, truth, points, noise, expected)
-    print(f"wrote {out / 'fringe.csv'} and {out / 'fringe_truth.json'}")
-    return EXIT_OK
+    rows = [(_fmt(theta), str(c), str(counts[c])) for theta, counts in points for c in sorted(counts)]
+    truth_payload = {
+        "classes": list(family.classes),
+        "zeta": noise.zeta,
+        "bins_per_arm": noise.bins_per_arm,
+        "efficiencies": {str(c): etas[c] for c in family.classes},
+        "expected_counts_per_point": expected,
+        "theta": [theta for theta, _ in points],
+        "probs": truth.tolist(),
+    }
+    return {"fringe.csv": _csv("theta,class,count", rows), "fringe_truth.json": _json(truth_payload)}, None
 
 
 def _efficiencies(path: str) -> dict[int, float]:
@@ -415,7 +397,7 @@ def _efficiencies(path: str) -> dict[int, float]:
     return eff
 
 
-def cmd_fit(cfg: dict, out: Path) -> int:
+def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
     harmonics = cfg["harmonics"]
     if len(set(harmonics)) < len(harmonics):
         raise ConfigError(f"harmonics: must be unique positive integers, got {harmonics!r}")
@@ -442,38 +424,38 @@ def cmd_fit(cfg: dict, out: Path) -> int:
         fit, fisher, boot = _fit_pipeline(dataset, harmonics, cfg["bootstrap_trials"], cfg["seed"])
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
-    (out / "fit_report.json").write_text(
-        json.dumps(_fit_report_payload(fit, fisher, boot), indent=1) + "\n"
-    )
-    print(f"wrote {out / 'fit_report.json'}")
-    if not fit.converged:
-        raise NonConvergence("maximum-likelihood fit did not converge")
-    return EXIT_OK
+    report = {
+        "fit": {
+            "model": json.loads(fit.model.to_json()),
+            "log_likelihood": fit.log_likelihood,
+            "converged": fit.converged,
+        },
+        "fisher": json.loads(fisher.to_json()),
+        "bootstrap": json.loads(boot.to_json()),
+    }
+    failure = None if fit.converged else "maximum-likelihood fit did not converge"
+    return {"fit_report.json": _json(report)}, failure
 
 
-def cmd_predict(cfg: dict, out: Path) -> int:
+def cmd_predict(cfg: dict) -> tuple[dict[str, str], str | None]:
     mode = cfg["mode"]
-    path = out / "prediction.csv"
     try:
         if mode == "two_photon_curve":
             grid = _iprime_values(cfg["iprimes"])
             curve = metrology.predicted_fprime_curve(grid, cfg["zeta"])
-            lines = ["iprime,fprime"]
-            lines += [f"{_fmt(ip)},{_fmt(fp)}" for ip, fp in zip(grid, curve)]
+            header, rows = "iprime,fprime", [(_fmt(ip), _fmt(fp)) for ip, fp in zip(grid, curve)]
         elif mode == "four_photon_extremes":
             full, zero = metrology.predict_four_photon_extremes(cfg["lambda4"], cfg["zeta"])
-            lines = ["iprime,fprime", f"1,{_fmt(full)}", f"0,{_fmt(zero)}"]
+            header, rows = "iprime,fprime", [("1", _fmt(full)), ("0", _fmt(zero))]
         else:
             value = metrology.small_angle_fisher(cfg["n"], cfg["indist"])
-            lines = ["n,indist,fisher", f"{cfg['n']},{_fmt(cfg['indist'])},{_fmt(value)}"]
+            header, rows = "n,indist,fisher", [(str(cfg["n"]), _fmt(cfg["indist"]), _fmt(value))]
     except ValueError as exc:  # a physics range, or an iprime outside [0, 1]
         raise ConfigError(str(exc)) from exc
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {"prediction.csv": _csv(header, rows)}, None
 
 
-def cmd_reproduce_fig3(cfg: dict, out: Path) -> int:
+def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
     # Every point simulates a two-photon probe.
     noise, phases = _experiment(cfg, 2)
     grid = _iprime_values(cfg["iprimes"])
@@ -503,12 +485,7 @@ def cmd_reproduce_fig3(cfg: dict, out: Path) -> int:
                 "predicted": predicted,
             }
         )
-    lines = ["iprime,fprime,sigma,predicted"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r['iprime'])},{_fmt(r['fprime'])},{_fmt(r['sigma'])},{_fmt(r['predicted'])}"
-        )
-    (out / "fig3.csv").write_text("\n".join(lines) + "\n")
+    table = _csv("iprime,fprime,sigma,predicted", ([_fmt(v) for v in r.values()] for r in rows))
     deviations = [
         abs(r["fprime"] - r["predicted"]) / r["sigma"] if r["sigma"] > 0 else math.inf
         for r in rows
@@ -517,9 +494,7 @@ def cmd_reproduce_fig3(cfg: dict, out: Path) -> int:
         "points": rows,
         "max_abs_deviation_sigma": max(deviations),
     }
-    (out / "fig3_summary.json").write_text(json.dumps(summary, indent=1) + "\n")
-    print(f"wrote {out / 'fig3.csv'} and {out / 'fig3_summary.json'}")
-    return EXIT_OK
+    return {"fig3.csv": table, "fig3_summary.json": _json(summary)}, None
 
 
 _COMMANDS = {
@@ -559,7 +534,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _read(config, table)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return command(cfg, out)
+        files, failure = command(cfg)
+        paths = [out / name for name in files]
+        for path, text in zip(paths, files.values()):
+            path.write_text(text)
+        print("wrote " + " and ".join(map(str, paths)))
+        if failure is not None:
+            raise NonConvergence(failure)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

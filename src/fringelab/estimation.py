@@ -87,6 +87,16 @@ class FringeDataset:
         return thetas, counts, eta
 
 
+def _harmonics(harmonics: Sequence[int]) -> tuple[int, ...]:
+    """``harmonics`` as ints, in the order given; a ValueError unless they are
+    non-empty, integral, unique and positive."""
+    given = tuple(harmonics)
+    ints = tuple(int(k) for k in given)
+    if not ints or ints != given or min(ints) <= 0 or len(set(ints)) < len(ints):
+        raise ValueError(f"harmonics must be non-empty, integral, unique and positive, got {given!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class FourierFringeModel:
     """Per-class truncated Fourier series p(class|theta).
@@ -103,11 +113,9 @@ class FourierFringeModel:
 
     def __post_init__(self) -> None:
         classes = tuple(int(c) for c in self.classes)
-        harmonics = tuple(int(k) for k in self.harmonics)
+        harmonics = _harmonics(self.harmonics)
         if len(set(classes)) != len(classes) or not classes:
             raise ValueError("classes must be non-empty and unique")
-        if len(set(harmonics)) != len(harmonics) or any(k <= 0 for k in harmonics):
-            raise ValueError("harmonics must be unique positive frequencies")
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.shape != (len(classes), 1 + 2 * len(harmonics)):
             raise ValueError(f"coefficient array has shape {coeff.shape}")
@@ -596,7 +604,7 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     reported log-likelihood is the one ``log_likelihood`` gives: it includes
     the log(x!) constant that the solve leaves out.
     """
-    harmonics = tuple(sorted(int(k) for k in harmonics))
+    harmonics = tuple(sorted(_harmonics(harmonics)))
     thetas, counts, eta = dataset.arrays()
     coeff, ll, converged = _fit_batch(
         _Geometry(thetas, dataset.classes, harmonics), counts[None], eta
@@ -701,7 +709,7 @@ def bootstrap_errors(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     thetas, counts, eta = dataset.arrays()
-    harmonics = tuple(sorted(fit.model.harmonics))
+    harmonics = fit.model.harmonics
     geometry = _Geometry(thetas, dataset.classes, harmonics)
     lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
     children = np.random.SeedSequence(seed).spawn(trials)

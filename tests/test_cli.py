@@ -318,6 +318,7 @@ class TestFitCommand:
         ),
         ("0.1,0,12\n0.1,2,9007199254740992\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: count must be in"),
         ("0.1,0,12\n1e308,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: phase 1e+308 is beyond"),
+        ("abc,0,12\n0.1,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:2: bad theta value 'abc'"),
     ],
 )
 def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, where):
@@ -339,20 +340,21 @@ def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, whe
 
 
 @pytest.mark.parametrize(
-    "header,efficiency_json,where",
+    "fringe_csv,header,efficiency_json,where",
     [
-        ("theta,count", "eff.json", "{tmp}/fringe.csv:1: expected header 'theta,class,count'"),
-        ("theta,class,count", ".", "cannot read {tmp}:"),
+        ("fringe.csv", "theta,count", "eff.json", "{tmp}/fringe.csv:1: expected header 'theta,class,count'"),
+        ("fringe.csv", "theta,class,count", ".", "cannot read {tmp}:"),
+        ("missing.csv", "theta,class,count", "eff.json", "cannot read {tmp}/missing.csv:"),
     ],
-    ids=["wrong-header", "unreadable-efficiencies"],
+    ids=["wrong-header", "unreadable-efficiencies", "unreadable-fringe"],
 )
-def test_unusable_fit_file_is_parse_error(tmp_path, capsys, header, efficiency_json, where):
+def test_unusable_fit_file_is_parse_error(tmp_path, capsys, fringe_csv, header, efficiency_json, where):
     (tmp_path / "fringe.csv").write_text(header + "\n0.1,0,12\n0.1,2,3\n")
     (tmp_path / "eff.json").write_text('{"0": 1.0, "2": 1.0}')
     cfg = write_config(
         tmp_path / "fit.json",
         {
-            "fringe_csv": str(tmp_path / "fringe.csv"),
+            "fringe_csv": str(tmp_path / fringe_csv),
             "efficiency_json": str(tmp_path / efficiency_json),
             "harmonics": [2],
         },
@@ -688,6 +690,9 @@ _INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
         ("simulate", {**_SIMULATE, "phases": {"start": 1e308, "stop": 1.1e308, "count": 2}}, "phases: phase 1.05e+308"),
         ("simulate", {**_SIMULATE, "phases": {"start": 1e308, "stop": 1.5e308}}, "phases"),
         ("reproduce-fig3", {**_FIG3, "phases": {"start": 1e308, "stop": 1.5e308}}, "phases"),
+        # In range for the table, out of range for the detector model.
+        ("simulate", {**_SIMULATE, "zeta": 1.0}, "zeta:"),
+        ("reproduce-fig3", {**_FIG3, "zeta": -0.1}, "zeta:"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):

@@ -187,6 +187,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             FourierFringeModel((0, 2), (2,), coeff)
 
+    @pytest.mark.parametrize(
+        "harmonics", [[], (), [2, 2], [0, 2], [2.5]], ids=["empty-list", "empty-tuple", "repeated", "zero", "fraction"]
+    )
+    def test_one_harmonics_rule_for_fit_and_model(self, harmonics):
+        ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
+        with pytest.raises(ValueError, match="harmonics must be"):
+            fit_mle(ds, harmonics)
+        with pytest.raises(ValueError, match="harmonics must be"):
+            FourierFringeModel((0, 2), harmonics, two_photon_model(0.6).coefficients)
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             FringeDataset(((0.0, {0: -1}),), {0: 1.0})
@@ -664,6 +674,17 @@ class TestBootstrap:
         part_coefs, _, part_converged = _fit_batch(geometry, draws[3:10], eta)
         assert np.array_equal(part_coefs, batch_coefs[3:10])
         assert np.array_equal(part_converged, batch_converged[3:10])
+
+    def test_model_harmonic_order_is_kept(self):
+        ds = cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11)
+        fit = fit_mle(ds, [2, 4])
+        # Columns [c0, cos 2, sin 2, cos 4, sin 4] as [c0, cos 4, sin 4, cos 2, sin 2].
+        swap = [0, 3, 4, 1, 2]
+        model = FourierFringeModel(fit.model.classes, (4, 2), fit.model.coefficients[:, swap])
+        boot = bootstrap_errors(fit, ds, trials=20, seed=3)
+        swapped = bootstrap_errors(dataclasses.replace(fit, model=model), ds, trials=20, seed=3)
+        assert swapped.sigma_coefficients == pytest.approx(boot.sigma_coefficients[:, swap], rel=1e-9)
+        assert swapped.sigma_max_fisher == pytest.approx(boot.sigma_max_fisher, rel=1e-9)
 
     def test_report_json(self):
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)

@@ -169,6 +169,10 @@ class TestFisherAt:
         with pytest.raises(ValueError):
             fisher_at(family, 0.3, step=0.0)
 
+    def test_coarse_step_warns(self):
+        with pytest.warns(UserWarning, match="step may be too large"):
+            fisher_at(two_photon_family(0.7, 0.0119), 0.7, step=0.3)
+
     def test_non_finite_probabilities_rejected(self):
         family = FringeFamily(
             evaluator=lambda thetas: np.column_stack([np.full(len(thetas), math.nan), np.ones(len(thetas))]),
