@@ -2,9 +2,9 @@
 
 Mirrors what `fringelab reproduce-fig3` does per point: synthesize Poisson
 counts for a two-photon probe under background noise and multiplexed
-detection, fit the class fringes by penalized Poisson maximum likelihood,
-evaluate the fitted model's information, and attach a parametric-bootstrap
-error bar.
+detection, fit the class fringes by Poisson maximum likelihood with walls
+that keep every class probability nonnegative, evaluate the fitted model's
+information, and attach a parametric-bootstrap error bar.
 """
 
 import math

@@ -47,7 +47,7 @@ class NoiseAndEfficiencyConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.zeta < 1.0:
             raise ValueError(f"zeta {self.zeta} outside [0, 1)")
-        if int(self.bins_per_arm) < 1:
+        if self.bins_per_arm != int(self.bins_per_arm) or self.bins_per_arm < 1:
             raise ValueError("bins_per_arm must be a positive integer")
         object.__setattr__(self, "zeta", float(self.zeta))
         object.__setattr__(self, "bins_per_arm", int(self.bins_per_arm))
@@ -115,9 +115,9 @@ def background_fraction(matched_rate: float, accidental_rate: float) -> float:
 
 def multiplex_efficiency(n: int, m: int) -> float:
     """Probability that n photons spread over m equal bins stay in distinct bins."""
-    n, m = int(n), int(m)
-    if n < 0 or m < 1:
+    if n != int(n) or m != int(m) or n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
+    n, m = int(n), int(m)
     if n > m:
         raise ValueError(f"{n} photons cannot occupy distinct bins among {m}")
     return math.perm(m, n) / m**n
@@ -126,6 +126,8 @@ def multiplex_efficiency(n: int, m: int) -> float:
 def class_efficiencies(total_photons: int, bins_per_arm: int) -> dict[int, float]:
     """Detection efficiency of each |n1 - n2| class for N total photons."""
     n = int(total_photons)
+    if n != total_photons:
+        raise ValueError("total_photons must be an integer")
     out = {}
     for d in range(n % 2, n + 1, 2):
         n1 = (n + d) // 2

@@ -184,7 +184,7 @@ def _log_factorials(counts: np.ndarray) -> float:
     return math.fsum(math.lgamma(x + 1.0) for x in np.ravel(counts).tolist())
 
 
-def _rates(model_probs: np.ndarray, counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _rates(model_probs: np.ndarray | float, counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Poisson rates lambda_t * p * eta of ``counts`` (..., classes, phases)
     under ``model_probs``, lambda_t being each phase's efficiency-corrected
     total sum_d x_d / eta_d."""
@@ -305,9 +305,8 @@ class _FitProblem:
 
     def __init__(self, geometry: _Geometry, counts: np.ndarray, eta: np.ndarray, dips: Sequence):
         self.geometry = geometry
-        lam_t = (counts / eta[:, None]).sum(axis=-2)
         self.counts = counts.reshape(len(counts), -1)
-        self.rate_scale = (eta[:, None] * lam_t[:, None, :]).reshape(self.counts.shape)
+        self.rate_scale = _rates(1.0, counts, eta).reshape(self.counts.shape)
         self.seen = self.counts > 0
         cell_walls = ~self.seen & (self.rate_scale > 0)
         # Slot each dip after the earlier dips of its trial.

@@ -60,10 +60,13 @@ class MultimodeFockState:
     def __post_init__(self) -> None:
         clean: dict[Occupation, complex] = {}
         for occ, amp in self.amplitudes.items():
-            occ = _canonical(occ)
+            key = _canonical(occ)
+            # A key canonicalization left unchanged holds integers already.
+            if key != occ and any(v != int(v) for entry in occ for v in entry):
+                raise ValueError(f"paths, internal indices and counts must be integers, got {occ}")
             amp = complex(amp)
             if amp != 0:
-                clean[occ] = clean.get(occ, 0.0) + amp
+                clean[key] = clean.get(key, 0.0) + amp
         if not clean:
             raise ValueError("state has no nonzero amplitude")
         totals = {sum(c for _, _, c in occ) for occ in clean}
@@ -281,11 +284,11 @@ def dual_fock_mismatched(n: int, indist: float) -> MultimodeFockState:
     path-1 mode (internal label 0) and the rest on an orthogonal mode
     (internal label 1); the binomial amplitude decomposition is exact.
     """
-    n = int(n)
-    if n < 1:
+    if n != int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     if not 0.0 <= indist <= 1.0:
         raise ValueError(f"indist {indist} outside [0, 1]")
+    n = int(n)
     amps: dict[Occupation, complex] = {}
     for k in range(n + 1):
         weight = math.comb(n, n - k) * indist ** (n - k) * (1.0 - indist) ** k
@@ -309,6 +312,16 @@ def spdc_two_photon(iprime: float) -> MultimodeFockState:
     return dual_fock_mismatched(1, iprime)
 
 
+def _pair(i: int, tau: float) -> dict[Occupation, complex]:
+    """Photon pair a1[f_i] (tau a2[f_i] + sqrt(1-tau^2) a2[f_i_perp]) as a
+    polynomial without its zero terms; f_i -> 2i, f_i_perp -> 2i+1."""
+    terms = {
+        _canonical([(1, 2 * i, 1), (2, 2 * i, 1)]): tau,
+        _canonical([(1, 2 * i, 1), (2, 2 * i + 1, 1)]): math.sqrt(max(0.0, 1.0 - tau * tau)),
+    }
+    return {occ: amp for occ, amp in terms.items() if amp != 0.0}
+
+
 def four_photon_schmidt(
     lambdas: Sequence[float], cross_overlap: float
 ) -> MultimodeFockState:
@@ -327,18 +340,12 @@ def four_photon_schmidt(
         raise ValueError(f"cross_overlap {tau} outside [0, 1]")
     if len(spectrum.lambdas) > 12:
         raise ResourceLimitError("spectra with more than 12 modes are not supported")
-    ortho = math.sqrt(max(0.0, 1.0 - tau * tau))
-    # One pair-creation term per Schmidt mode: a1[f_i] (tau a2[f_i] + ortho a2[f_i_perp]).
-    pair_sum: dict[Occupation, complex] = {}
-    for i, lam in enumerate(spectrum.lambdas):
-        if lam == 0.0:
-            continue
-        if tau != 0.0:
-            occ = _canonical([(1, 2 * i, 1), (2, 2 * i, 1)])
-            pair_sum[occ] = pair_sum.get(occ, 0.0) + lam * tau
-        if ortho != 0.0:
-            occ = _canonical([(1, 2 * i, 1), (2, 2 * i + 1, 1)])
-            pair_sum[occ] = pair_sum.get(occ, 0.0) + lam * ortho
+    pair_sum = {
+        occ: lam * amp
+        for i, lam in enumerate(spectrum.lambdas)
+        if lam != 0.0
+        for occ, amp in _pair(i, tau).items()
+    }
     squared = _poly_mul(pair_sum, pair_sum)
     return state_from_poly(squared)
 
@@ -353,13 +360,4 @@ def two_distinct_pairs(cross_overlap: float) -> MultimodeFockState:
     tau = float(cross_overlap)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"cross_overlap {tau} outside [0, 1]")
-    ortho = math.sqrt(max(0.0, 1.0 - tau * tau))
-    poly: dict[Occupation, complex] = {(): 1.0}
-    for i in (0, 1):
-        pair: dict[Occupation, complex] = {}
-        if tau != 0.0:
-            pair[_canonical([(1, 2 * i, 1), (2, 2 * i, 1)])] = tau
-        if ortho != 0.0:
-            pair[_canonical([(1, 2 * i, 1), (2, 2 * i + 1, 1)])] = ortho
-        poly = _poly_mul(poly, pair)
-    return state_from_poly(poly)
+    return state_from_poly(_poly_mul(_pair(0, tau), _pair(1, tau)))

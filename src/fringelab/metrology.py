@@ -226,11 +226,10 @@ def _maximize_fourier_fisher(
     last bits say.  ``_polish`` steps from there; its point is kept where it
     beats the scan.  A trial it does not finish, with a maximum at a zero of
     a class probability (zeta = 0, or a fitted class on a wall), takes three
-    nested zooms from its cell instead, as before the polish: 129 points
-    over one spacing of the previous level either side, within the domain.
-    Every step is per trial, so a trial's maximum is the same bits alone and
-    in any batch.  Returns the grid, the scan values (trials, 256), argmaxes
-    and maxima.
+    nested zooms from its cell instead: 129 points over one spacing of the
+    previous level either side, within the domain.  Every step is per trial,
+    so a trial's maximum is the same bits alone and in any batch.  Returns
+    the grid, the scan values (trials, 256), argmaxes and maxima.
     """
     lo, hi = theta_domain
     h = (hi - lo) / 256
@@ -344,16 +343,27 @@ def maximize_fisher(family: FringeFamily) -> FisherReport:
 
 def small_angle_fisher(n: int, indist: float) -> float:
     """Zero-phase Fisher information 2(n + I n^2) of an |n,n> probe."""
-    n = int(n)
-    if n < 1:
+    if n != int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     if not 0.0 <= indist <= 1.0:
         raise ValueError(f"indist {indist} outside [0, 1]")
+    n = int(n)
     return 2.0 * (n + indist * n * n)
 
 
 # ---------------------------------------------------------------------------
 # Fringe families.
+
+
+def _mixed_family(columns: Callable, classes: tuple[int, ...], n: int, zeta: float, domain) -> FringeFamily:
+    """Family whose evaluator mixes background fraction ``zeta`` into the
+    class columns ``columns(thetas)``, a dict, and stacks them in ``classes`` order."""
+
+    def evaluate(thetas: np.ndarray) -> np.ndarray:
+        mixed = add_background(columns(thetas), zeta)
+        return np.column_stack([mixed[c] for c in classes])
+
+    return FringeFamily(evaluator=evaluate, classes=classes, n_photons=n, theta_domain=domain)
 
 
 def two_photon_family(
@@ -365,16 +375,11 @@ def two_photon_family(
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
 
-    def evaluate(thetas: np.ndarray) -> np.ndarray:
+    def columns(thetas: np.ndarray) -> dict[int, np.ndarray]:
         c = np.cos(2.0 * np.asarray(thetas, dtype=float))
-        p0 = (3.0 - iprime + (1.0 + iprime) * c) / 4.0
-        p2 = (1.0 + iprime) * (1.0 - c) / 4.0
-        mixed = add_background({0: p0, 2: p2}, zeta)
-        return np.column_stack([mixed[0], mixed[2]])
+        return {0: (3.0 - iprime + (1.0 + iprime) * c) / 4.0, 2: (1.0 + iprime) * (1.0 - c) / 4.0}
 
-    return FringeFamily(
-        evaluator=evaluate, classes=(0, 2), n_photons=2, theta_domain=theta_domain
-    )
+    return _mixed_family(columns, (0, 2), 2, zeta, theta_domain)
 
 
 def counting_family(
@@ -395,14 +400,10 @@ def counting_family(
     n = sectors.n_photons
     classes = tuple(range(n % 2, n + 1, 2))
 
-    def evaluate(thetas: np.ndarray) -> np.ndarray:
-        columns = dict(zip(classes, sectors.class_probabilities(thetas).T))
-        mixed = add_background(columns, zeta)
-        return np.column_stack([mixed[c] for c in classes])
+    def columns(thetas: np.ndarray) -> dict[int, np.ndarray]:
+        return dict(zip(classes, sectors.class_probabilities(thetas).T))
 
-    return FringeFamily(
-        evaluator=evaluate, classes=classes, n_photons=n, theta_domain=theta_domain
-    )
+    return _mixed_family(columns, classes, n, zeta, theta_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +456,7 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
     ``_ROUNDING``); the analytic limit is returned and the numeric route,
     nested zooms there, is exercised against it in the tests.
     """
-    if not 0.0 <= iprime <= 1.0:
-        raise ValueError(f"iprime {iprime} outside [0, 1]")
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    family = two_photon_family(iprime, zeta, theta_domain=(0.0, math.pi / 2.0))
     root2 = zeta * (zeta - 2.0) * (iprime * iprime * (zeta - 1.0) ** 2 - 1.0)
     root = math.sqrt(max(root2, 0.0))
     base = 2.0 + 2.0 * iprime * (zeta - 1.0) ** 2
@@ -468,7 +466,6 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
     if zeta == 0.0:
         value, theta = 2.0 * (1.0 + iprime), 0.0
     else:
-        family = two_photon_family(iprime, zeta, theta_domain=(0.0, math.pi / 2.0))
         report = maximize_fisher(family)
         value, theta = report.max_fisher, report.argmax_theta
 

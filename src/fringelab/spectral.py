@@ -238,6 +238,8 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
         raise ValueError("points must be (x, p, weight) triples")
     if pts.shape[0] < 4:
         raise ValueError("need at least 4 points to fit (a, b, sigma)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     x, p, w = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")

@@ -153,6 +153,15 @@ class TestMultiplexEfficiency:
         with pytest.raises(ValueError):
             multiplex_efficiency(5, 4)
 
+    @pytest.mark.parametrize("n,m", [(2.5, 4), (2, 4.7)])
+    def test_fractional_arguments_rejected(self, n, m):
+        # int() truncated both to (2, 4), an efficiency of 0.75.
+        with pytest.raises(ValueError, match=r"need n >= 0 and m >= 1"):
+            multiplex_efficiency(n, m)
+        with pytest.raises(ValueError):
+            class_efficiencies(n, m)
+        assert multiplex_efficiency(np.int64(2), 4.0) == 0.75
+
     def test_class_efficiencies(self):
         etas = class_efficiencies(4, 4)
         assert etas == pytest.approx(
@@ -236,3 +245,6 @@ class TestNoiseConfig:
             NoiseAndEfficiencyConfig(zeta=1.0)
         with pytest.raises(ValueError):
             NoiseAndEfficiencyConfig(bins_per_arm=0)
+        with pytest.raises(ValueError, match="bins_per_arm must be a positive integer"):
+            NoiseAndEfficiencyConfig(bins_per_arm=4.5)  # int() stored 4
+        assert NoiseAndEfficiencyConfig(bins_per_arm=4.0).bins_per_arm == 4

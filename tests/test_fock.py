@@ -131,6 +131,9 @@ class TestDualFock:
             dual_fock_mismatched(2, 1.5)
         with pytest.raises(ResourceLimitError):
             dual_fock_mismatched(5, 0.5)  # ten photons exceeds the cap
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            dual_fock_mismatched(2.5, 0.5)  # int() built a four-photon state
+        assert dual_fock_mismatched(2.0, 0.5) == dual_fock_mismatched(2, 0.5)
 
 
 class TestSpdcTwoPhoton:
@@ -403,6 +406,9 @@ class TestSerialization:
             )
         with pytest.raises(ValueError):
             MultimodeFockState({((3, 0, 1),): 1.0})  # bad path label
+        with pytest.raises(ValueError, match="must be integers"):
+            # int() made this a one-photon state keyed by the count-0 triple (2, 0, 0).
+            MultimodeFockState({((1, 0, 1.5), (2, 0, 0.5)): 1.0})
 
     def test_photon_cap(self):
         with pytest.raises(ResourceLimitError):

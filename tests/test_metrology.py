@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,9 @@ class TestSmallAngleFisher:
             small_angle_fisher(0, 0.5)
         with pytest.raises(ValueError):
             small_angle_fisher(2, 1.2)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            small_angle_fisher(2.5, 1.0)  # int() gave 12.0
+        assert small_angle_fisher(np.int64(2), 1.0) == small_angle_fisher(2.0, 1.0) == 12.0
 
     @pytest.mark.parametrize("indist", [0.25, 0.5, 1.0])
     def test_heisenberg_proportional_scaling(self, indist):
@@ -273,6 +277,20 @@ class TestOptimalFisher:
         assert fisher_at(family, 1e-3, step=1e-4) == pytest.approx(
             result.value, rel=1e-4
         )
+
+    @pytest.mark.parametrize(
+        "iprime,zeta,message",
+        [
+            (1.5, 0.0, "iprime 1.5 outside [0, 1]"),
+            (-0.1, 0.0119, "iprime -0.1 outside [0, 1]"),
+            (1.5, 1.0, "iprime 1.5 outside [0, 1]"),
+            (0.5, -0.01, "zeta -0.01 outside [0, 1)"),
+            (0.5, 1.0, "zeta 1.0 outside [0, 1)"),
+        ],
+    )
+    def test_out_of_range_arguments(self, iprime, zeta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimal_fisher_two_photon(iprime, zeta)
 
     def test_negative_branch_matches_across_noise_grid(self):
         for iprime in (0.0, 0.4, 0.8, 1.0):

@@ -374,6 +374,18 @@ class TestHomDipFit:
             fit_hom_dip([(0, 0.1, 1), (1, 0.2, 1), (2, 0.3, 1)])
 
     @pytest.mark.parametrize(
+        "column,value",
+        [(0, math.nan), (1, math.nan), (2, math.nan), (2, math.inf)],
+        ids=["nan-delay", "nan-p", "nan-weight", "inf-weight"],
+    )
+    def test_non_finite_points_rejected(self, column, value):
+        # Each fitted silently (NaN a and b, or an ill-posed sigma) or warned.
+        points = [[x, 0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0), 1.0] for x in np.linspace(-6.0, 6.0, 13)]
+        points[3][column] = value
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit_hom_dip(points)
+
+    @pytest.mark.parametrize(
         "xs",
         [[5e-324, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 1.7e308], [1e-101, 1.0, 2.0, 3.0]],
         ids=["subnormal", "near-max", "below-bound"],
