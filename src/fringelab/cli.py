@@ -5,8 +5,11 @@
 
 Every subcommand reads a JSON config and returns the text of its CSV/JSON
 artifacts; ``main`` alone writes them into the output directory and prints
-one "wrote" line.  Each subcommand is deterministic given its config;
-``--seed`` overrides the config seed of the three that draw random numbers.
+one "wrote" line.  This module alone decides every artifact's format: the
+subcommands build their CSV rows and JSON payloads from the library's
+result fields, which serialise nothing themselves.  Each subcommand is
+deterministic given its config; ``--seed`` overrides the config seed of the
+three that draw random numbers.
 Exit codes: 0 success, 2 config error, 3 parse error, 4 non-convergence or
 ill-posed data.  A fit that ends unconverged still has its report written
 before the exit 4; a command that fails part-way writes nothing.
@@ -20,7 +23,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +351,7 @@ def cmd_hom(cfg: dict) -> tuple[dict[str, str], str | None]:
     xs = sorted({x for x, _, _ in points})
     qs = spectral.quartic_gaussian_overlap(xs, fit.sigma) if not fit.ill_posed else [0.0] * len(xs)
     curve = [(_fmt(x), _fmt(1.0 - 2.0 * (fit.a + fit.b * q))) for x, q in zip(xs, qs)]
-    files = {"hom_fit.json": fit.to_json() + "\n", "iprime_curve.csv": _csv("x,iprime", curve)}
+    files = {"hom_fit.json": json.dumps(asdict(fit)) + "\n", "iprime_curve.csv": _csv("x,iprime", curve)}
     if fit.ill_posed:
         return files, "dip fit is ill-posed (sigma unidentifiable)"
     return files, None if fit.converged else "dip fit did not converge"
@@ -424,14 +427,33 @@ def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
         fit, fisher, boot = _fit_pipeline(dataset, harmonics, cfg["bootstrap_trials"], cfg["seed"])
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
+    model = fit.model
+    keys = [str(k) for k in model.harmonics]
     report = {
         "fit": {
-            "model": json.loads(fit.model.to_json()),
+            "model": {
+                "classes": list(model.classes),
+                "harmonics": list(model.harmonics),
+                "coefficients": {
+                    str(c): {
+                        "c0": row[0],
+                        "cos": dict(zip(keys, row[1::2])),
+                        "sin": dict(zip(keys, row[2::2])),
+                    }
+                    for c, row in zip(model.classes, model.coefficients.tolist())
+                },
+            },
             "log_likelihood": fit.log_likelihood,
             "converged": fit.converged,
         },
-        "fisher": json.loads(fisher.to_json()),
-        "bootstrap": json.loads(boot.to_json()),
+        "fisher": {
+            "theta": list(fisher.theta_grid),
+            "fisher": list(fisher.fisher_values),
+            "max": fisher.max_fisher,
+            "argmax": fisher.argmax_theta,
+            "per_photon": fisher.per_photon,
+        },
+        "bootstrap": {**asdict(boot), "sigma_coefficients": boot.sigma_coefficients.tolist()},
     }
     failure = None if fit.converged else "maximum-likelihood fit did not converge"
     return {"fit_report.json": _json(report)}, failure

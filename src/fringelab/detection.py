@@ -23,13 +23,18 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         n = int(self.total_photons)
+        if n != self.total_photons:
+            raise ValueError(f"total_photons must be an integer, got {self.total_photons!r}")
         clean: dict[tuple[int, int], float] = {}
         for (n1, n2), p in self.probs.items():
+            key = (int(n1), int(n2))
+            if key != (n1, n2):
+                raise ValueError(f"outcome ({n1},{n2}) is not a pair of photon numbers")
             if n1 + n2 != n:
                 raise ValueError(f"outcome ({n1},{n2}) does not sum to {n}")
             if p < 0:
                 raise ValueError(f"negative probability for ({n1},{n2})")
-            clean[(int(n1), int(n2))] = float(p)
+            clean[key] = float(p)
         total = sum(clean.values())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -126,8 +131,8 @@ def multiplex_efficiency(n: int, m: int) -> float:
 def class_efficiencies(total_photons: int, bins_per_arm: int) -> dict[int, float]:
     """Detection efficiency of each |n1 - n2| class for N total photons."""
     n = int(total_photons)
-    if n != total_photons:
-        raise ValueError("total_photons must be an integer")
+    if n != total_photons or n < 0:
+        raise ValueError(f"total_photons must be a nonnegative integer, got {total_photons!r}")
     out = {}
     for d in range(n % 2, n + 1, 2):
         n1 = (n + d) // 2

@@ -23,9 +23,8 @@ added once, with ``math.lgamma``, to the log-likelihoods reported.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +38,14 @@ _MAX_ROUNDS = 32  # solves per fit, each walling off the dips of the last
 _TINY = np.finfo(float).tiny
 
 
+def _label(c) -> int:
+    """Class label ``c`` as an int; a ValueError unless it is integral."""
+    label = int(c)
+    if label != c:
+        raise ValueError(f"class labels must be integers, got {c!r}")
+    return label
+
+
 @dataclass(frozen=True)
 class FringeDataset:
     """Counts per outcome class at each scanned phase, with efficiencies."""
@@ -47,7 +54,7 @@ class FringeDataset:
     efficiencies: dict[int, float]
 
     def __post_init__(self) -> None:
-        effs = {int(k): float(v) for k, v in self.efficiencies.items()}
+        effs = {_label(k): float(v) for k, v in self.efficiencies.items()}
         for c, e in effs.items():
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"efficiency for class {c} must be in (0, 1], got {e}")
@@ -58,7 +65,7 @@ class FringeDataset:
                 raise ValueError("phases must be finite")
             clean = {}
             for c, x in counts.items():
-                c = int(c)
+                c = _label(c)
                 if c not in effs:
                     raise ValueError(f"class {c} has no efficiency entry")
                 xi = int(x)
@@ -112,7 +119,7 @@ class FourierFringeModel:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        classes = tuple(int(c) for c in self.classes)
+        classes = tuple(_label(c) for c in self.classes)
         harmonics = _harmonics(self.harmonics)
         if len(set(classes)) != len(classes) or not classes:
             raise ValueError("classes must be non-empty and unique")
@@ -136,27 +143,6 @@ class FourierFringeModel:
     def evaluate(self, theta: float) -> dict[int, float]:
         col = self.probs_at(np.array([theta]))[:, 0]
         return dict(zip(self.classes, col.tolist()))
-
-    def to_json(self) -> str:
-        payload = {
-            "classes": list(self.classes),
-            "harmonics": list(self.harmonics),
-            "coefficients": {
-                str(c): {
-                    "c0": self.coefficients[i, 0],
-                    "cos": {
-                        str(k): self.coefficients[i, 1 + 2 * j]
-                        for j, k in enumerate(self.harmonics)
-                    },
-                    "sin": {
-                        str(k): self.coefficients[i, 2 + 2 * j]
-                        for j, k in enumerate(self.harmonics)
-                    },
-                }
-                for i, c in enumerate(self.classes)
-            },
-        }
-        return json.dumps(payload)
 
 
 @dataclass(frozen=True)
@@ -687,9 +673,6 @@ class BootstrapReport:
     sigma_coefficients: np.ndarray
     trials: int
     failed_refits: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), default=np.ndarray.tolist)
 
 
 def bootstrap_errors(

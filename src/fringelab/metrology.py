@@ -6,7 +6,6 @@ probes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,17 +51,6 @@ class FisherReport:
     max_fisher: float
     argmax_theta: float
     per_photon: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta": list(self.theta_grid),
-                "fisher": list(self.fisher_values),
-                "max": self.max_fisher,
-                "argmax": self.argmax_theta,
-                "per_photon": self.per_photon,
-            }
-        )
 
 
 def fisher_terms(

@@ -8,9 +8,8 @@ normalized so q(0) = 1.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,17 +29,14 @@ _W = 4.0 * _NORM * _weights * np.exp(-(_Y**4))
 _WY = _W * _Y
 
 
-def _overlap(u: np.ndarray | float, slope: bool = True):
-    """q(u), and dq/du unless ``slope`` is False, at scaled delays
-    u = |x|/sigma >= 0, in the shape of u (a float for a scalar u).  dq/du
-    is the matching sine sum, so it is exact."""
+def _overlap(u: np.ndarray | float, slope: bool = False):
+    """q(u), or dq/du if ``slope``, at scaled delays u = |x|/sigma >= 0, in
+    the shape of u (a float for a scalar u).  dq/du is the matching sine
+    sum, so it is exact."""
     u = np.asarray(u, dtype=float)
     uy = np.multiply.outer(np.minimum(u, _UMAX), _Y)
-    inside = u <= _UMAX
-    q = np.where(inside, np.cos(uy) @ _W, 0.0)[()]
-    if not slope:
-        return q
-    return q, np.where(inside, -(np.sin(uy) @ _WY), 0.0)[()]
+    total = -(np.sin(uy) @ _WY) if slope else np.cos(uy) @ _W
+    return np.where(u <= _UMAX, total, 0.0)[()]
 
 
 def quartic_gaussian_overlap(x: float | np.ndarray, sigma: float) -> float | np.ndarray:
@@ -57,7 +53,7 @@ def quartic_gaussian_overlap(x: float | np.ndarray, sigma: float) -> float | np.
         raise ValueError("x must be finite")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be positive and finite")
-    q = _overlap(np.abs(x) / sigma, slope=False)
+    q = _overlap(np.abs(x) / sigma)
     return float(q) if x.ndim == 0 else q
 
 
@@ -196,9 +192,6 @@ class HomDipFit:
                     f"fitted zero-delay coincidence {p0!r} is not a probability"
                 )
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def _linear(
     q: np.ndarray, p: np.ndarray, w: np.ndarray
@@ -257,20 +250,20 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     if np.count_nonzero(weighted) < 3:
         # Two weighted delays or fewer are fitted exactly for any sigma.
         sigma = math.sqrt(lo * hi)  # the window's geometric mean
-        q = _overlap(ax / sigma, slope=False)[inv]
+        q = _overlap(ax / sigma)[inv]
         root_w = np.sqrt(w)
         (a, b), *_ = np.linalg.lstsq(np.column_stack([root_w, root_w * q]), root_w * p, rcond=None)
         residual = float(w @ (p - a - b * q) ** 2)
         return HomDipFit(a=float(a), b=float(b), sigma=sigma, residual=residual, ill_posed=True)
 
     def profile(sigmas: np.ndarray):
-        q = _overlap(ax / sigmas[:, None], slope=False)[:, inv]
+        q = _overlap(ax / sigmas[:, None])[:, inv]
         a, b, r = _linear(q, p, w)
         return a, b, (r * r) @ w, r, q
 
     def slope(sigma: float) -> np.ndarray:
         u = ax / sigma
-        return (_overlap(u)[1] * (-u / sigma))[inv]
+        return (_overlap(u, slope=True) * (-u / sigma))[inv]
 
     sigmas = np.geomspace(lo, hi, max(17, math.ceil(7.0 * math.log10(hi / lo))))
     # Blocks of at most 17 cells bound the (cells, delays, nodes) table of _overlap.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fringelab import cli, estimation
 from fringelab.cli import main
-from fringelab.spectral import quartic_gaussian_overlap
+from fringelab.spectral import HomDipFit, quartic_gaussian_overlap
 
 
 def write_config(path, payload):
@@ -214,6 +214,74 @@ class TestFitCommand:
             out_b / "fit_report.json"
         ).read_bytes()
 
+    def _fit_config(self, tmp_path, name, fringe_csv, trials):
+        (tmp_path / f"{name}.csv").write_text(fringe_csv)
+        (tmp_path / "eff.json").write_text('{"0": 1.0, "2": 1.0}')
+        return write_config(
+            tmp_path / f"{name}.json",
+            {
+                "fringe_csv": str(tmp_path / f"{name}.csv"),
+                "efficiency_json": str(tmp_path / "eff.json"),
+                "harmonics": [2],
+                "bootstrap_trials": trials,
+            },
+        )
+
+    def test_report_holds_the_results_in_field_order(self, tmp_path, monkeypatch):
+        real_fit_batch, real_pipeline = estimation._fit_batch, cli._fit_pipeline
+
+        def every_other_refit_fails(geometry, counts, eta):
+            coeff, ll, converged = real_fit_batch(geometry, counts, eta)
+            return coeff, ll, converged & ((len(counts) == 1) | (np.arange(len(counts)) % 2 == 1))
+
+        results = []
+        monkeypatch.setattr(estimation, "_fit_batch", every_other_refit_fails)
+        monkeypatch.setattr(cli, "_fit_pipeline", lambda *args: results.append(real_pipeline(*args)) or results[0])
+        cfg = self._fit_config(tmp_path, "fringe", _FRINGE_CSV, 10)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        (fit, fisher, boot), = results
+
+        assert list(report) == ["fit", "fisher", "bootstrap"]
+        assert list(report["fit"]) == ["model", "log_likelihood", "converged"]
+        assert report["fit"]["model"] == {
+            "classes": [0, 2],
+            "harmonics": [2],
+            "coefficients": {
+                str(c): {"c0": row[0], "cos": {"2": row[1]}, "sin": {"2": row[2]}}
+                for c, row in zip((0, 2), fit.model.coefficients.tolist())
+            },
+        }
+        assert report["fit"]["log_likelihood"] == fit.log_likelihood
+        assert report["fit"]["converged"] is True
+
+        assert list(report["fisher"]) == ["theta", "fisher", "max", "argmax", "per_photon"]
+        assert report["fisher"]["theta"] == list(fisher.theta_grid)
+        assert report["fisher"]["fisher"] == list(fisher.fisher_values)
+        assert len(report["fisher"]["theta"]) == len(report["fisher"]["fisher"]) == 256
+        assert (report["fisher"]["max"], report["fisher"]["argmax"]) == (fisher.max_fisher, fisher.argmax_theta)
+        assert report["fisher"]["per_photon"] == pytest.approx(report["fisher"]["max"] / 2)
+
+        assert list(report["bootstrap"]) == [
+            "sigma_max_fisher", "sigma_per_photon", "sigma_coefficients", "trials", "failed_refits"
+        ]
+        assert report["bootstrap"] == {
+            "sigma_max_fisher": boot.sigma_max_fisher,
+            "sigma_per_photon": boot.sigma_per_photon,
+            "sigma_coefficients": boot.sigma_coefficients.tolist(),
+            "trials": 10,
+            "failed_refits": 5,
+        }
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        header, *rows = _FRINGE_CSV.splitlines()
+        spaced = "\n".join([header, "", *rows[:3], "   ", *rows[3:], ""]) + "\n"
+        for name, text in (("plain", _FRINGE_CSV), ("spaced", spaced)):
+            cfg = self._fit_config(tmp_path, name, text, 4)
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        plain, spaced = ((tmp_path / name / "fit_report.json").read_bytes() for name in ("plain", "spaced"))
+        assert plain == spaced
+
     def test_empty_input_is_parse_error(self, tmp_path):
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "eff.json").write_text('{"0": 1.0, "2": 1.0}')
@@ -390,6 +458,26 @@ class TestHomCommand:
         # Zero delay is not sampled, but the deepest point approaches 1-2(a+b).
         values = [float(line.split(",")[1]) for line in curve[1:]]
         assert max(values) == pytest.approx(1 - 2 * (0.5 - 0.45), abs=0.05)
+
+    def test_fit_file_is_the_fields_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.spectral, "fit_hom_dip", lambda points: HomDipFit(0.5, -0.4, 2.0, 0.0))
+        (tmp_path / "dip.csv").write_text(_DIP_CSV)
+        cfg = write_config(tmp_path / "hom.json", {"input": str(tmp_path / "dip.csv")})
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "hom_fit.json").read_text() == (
+            '{"a": 0.5, "b": -0.4, "sigma": 2.0, "residual": 0.0, "ill_posed": false, "converged": true}\n'
+        )
+
+    def test_zero_delay_probability_above_one_exits_4(self, tmp_path, capsys):
+        # Noise-free a = 0.9, b = 0.3 fits exactly, with a + b = 1.2.
+        self._dip_csv(tmp_path / "dip.csv", 0.9, 0.3, 2.0)
+        cfg = write_config(tmp_path / "hom.json", {"input": str(tmp_path / "dip.csv")})
+        assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "non-convergence: dip fit is ill-posed (sigma unidentifiable)\n"
+        report = json.loads((tmp_path / "hom_fit.json").read_text())
+        assert report["ill_posed"] is True
+        assert report["a"] + report["b"] == pytest.approx(1.2, abs=1e-6)
+        assert len((tmp_path / "iprime_curve.csv").read_text().split()) == 26
 
     def test_empty_file_is_parse_error(self, tmp_path):
         (tmp_path / "dip.csv").write_text("")

@@ -68,6 +68,13 @@ class TestOutcomeDistribution:
             OutcomeDistribution(2, {(1, 1): 0.7, (2, 0): 0.2})  # not normalized
         with pytest.raises(ValueError):
             OutcomeDistribution(2, {(1, 1): 1.2, (2, 0): -0.2})
+        # int() truncated 2.5 photons to 2, and the key (1.5, 0.5) to (1, 0).
+        with pytest.raises(ValueError, match="total_photons must be an integer"):
+            OutcomeDistribution(2.5, {(1, 1): 1.0})
+        with pytest.raises(ValueError, match="not a pair of photon numbers"):
+            OutcomeDistribution(2, {(1.5, 0.5): 1.0})
+        dist = OutcomeDistribution(np.int64(2), {(1.0, np.int64(1)): 1.0})
+        assert dist.total_photons == 2 and dist.probs == {(1, 1): 1.0}
 
 
 class TestAggregate:
@@ -153,9 +160,10 @@ class TestMultiplexEfficiency:
         with pytest.raises(ValueError):
             multiplex_efficiency(5, 4)
 
-    @pytest.mark.parametrize("n,m", [(2.5, 4), (2, 4.7)])
+    @pytest.mark.parametrize("n,m", [(2.5, 4), (2, 4.7), (-2, 4)])
     def test_fractional_arguments_rejected(self, n, m):
-        # int() truncated both to (2, 4), an efficiency of 0.75.
+        # int() truncated the first two to (2, 4), an efficiency of 0.75; a
+        # negative photon number gave class_efficiencies no classes at all.
         with pytest.raises(ValueError, match=r"need n >= 0 and m >= 1"):
             multiplex_efficiency(n, m)
         with pytest.raises(ValueError):
