@@ -317,6 +317,22 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _fisher_section(fisher) -> dict:
+    """The ``fisher`` section of ``fit_report.json``."""
+    return {
+        "theta": list(fisher.theta_grid),
+        "fisher": list(fisher.fisher_values),
+        "max": fisher.max_fisher,
+        "argmax": fisher.argmax_theta,
+        "per_photon": fisher.per_photon,
+    }
+
+
+def _bootstrap_section(boot) -> dict:
+    """The ``bootstrap`` section of ``fit_report.json``: the fields in declared order."""
+    return {**asdict(boot), "sigma_coefficients": boot.sigma_coefficients.tolist()}
+
+
 def _fit_pipeline(dataset, harmonics, trials, seed):
     fit = estimation.fit_mle(dataset, harmonics)
     fisher = estimation.fisher_from_model(fit.model)
@@ -446,14 +462,8 @@ def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
             "log_likelihood": fit.log_likelihood,
             "converged": fit.converged,
         },
-        "fisher": {
-            "theta": list(fisher.theta_grid),
-            "fisher": list(fisher.fisher_values),
-            "max": fisher.max_fisher,
-            "argmax": fisher.argmax_theta,
-            "per_photon": fisher.per_photon,
-        },
-        "bootstrap": {**asdict(boot), "sigma_coefficients": boot.sigma_coefficients.tolist()},
+        "fisher": _fisher_section(fisher),
+        "bootstrap": _bootstrap_section(boot),
     }
     failure = None if fit.converged else "maximum-likelihood fit did not converge"
     return {"fit_report.json": _json(report)}, failure

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from corpus import CORPORA, certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
-from fringelab.cli import _simulate_points
+from fringelab.cli import _bootstrap_section, _simulate_points
 from fringelab.detection import NoiseAndEfficiencyConfig, class_efficiencies
 from fringelab.errors import IllPosedError
 from fringelab.estimation import (
@@ -700,3 +701,18 @@ class TestBootstrap:
         swapped = bootstrap_errors(dataclasses.replace(fit, model=model), ds, trials=20, seed=3)
         assert swapped.sigma_coefficients == pytest.approx(boot.sigma_coefficients[:, swap], rel=1e-9)
         assert swapped.sigma_max_fisher == pytest.approx(boot.sigma_max_fisher, rel=1e-9)
+
+    def test_report_json(self):
+        ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
+        fit = fit_mle(ds, [2])
+        boot = bootstrap_errors(fit, ds, trials=10, seed=3)
+        # The fields in their declared order, as ``fit_report.json`` has them.
+        assert json.dumps(_bootstrap_section(boot)) == json.dumps(
+            {
+                "sigma_max_fisher": boot.sigma_max_fisher,
+                "sigma_per_photon": boot.sigma_per_photon,
+                "sigma_coefficients": boot.sigma_coefficients.tolist(),
+                "trials": 10,
+                "failed_refits": boot.failed_refits,
+            }
+        )

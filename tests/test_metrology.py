@@ -477,6 +477,14 @@ class TestReports:
             cli._simulate_points(probe, noise, DEFAULT_PHASES, 1e5, 3)
             assert len(seen) == 2 * probe.total_photons + 1
 
+    def test_fisher_report_json(self):
+        family = two_photon_family(0.5, 0.0119, theta_domain=(0.0, math.pi))
+        report = maximize_fisher(family)
+        data = json.loads(json.dumps(cli._fisher_section(report)))
+        assert set(data) == {"theta", "fisher", "max", "argmax", "per_photon"}
+        assert len(data["theta"]) == len(data["fisher"]) == 256
+        assert data["per_photon"] == pytest.approx(data["max"] / 2)
+
 
 # ---------------------------------------------------------------------------
 # The phase maximiser against the nested zoom it replaced.
