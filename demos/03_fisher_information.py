@@ -7,8 +7,6 @@ fringe and caps the attainable information; and the closed-form optimum
 requires the negative square-root branch to match direct maximization.
 """
 
-import math
-
 import numpy as np
 
 from fringelab import (
@@ -55,8 +53,7 @@ for zeta in (0.0, ZETA):
     print(f"  zeta={zeta:<7}: {row}")
 print(f"  (I' grid:   {'  '.join(f'{v:6.2f}' for v in grid)})")
 
-family = two_photon_family(0.8, ZETA, theta_domain=(0.0, math.pi))
-report = maximize_fisher(family)
+report = maximize_fisher(two_photon_family(0.8, ZETA))
 print(
     f"\nfull phase scan at I' = 0.8: max F = {report.max_fisher:.5f} at "
     f"theta = {report.argmax_theta:.5f} rad (F' = {report.per_photon:.5f})"

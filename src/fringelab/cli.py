@@ -369,7 +369,8 @@ def cmd_hom(cfg: dict) -> tuple[dict[str, str], str | None]:
     curve = [(_fmt(x), _fmt(1.0 - 2.0 * (fit.a + fit.b * q))) for x, q in zip(xs, qs)]
     files = {"hom_fit.json": json.dumps(asdict(fit)) + "\n", "iprime_curve.csv": _csv("x,iprime", curve)}
     if fit.ill_posed:
-        return files, "dip fit is ill-posed (sigma unidentifiable)"
+        reason = spectral.zero_delay_problem(fit.a, fit.b) or "sigma unidentifiable"
+        return files, f"dip fit is ill-posed ({reason})"
     return files, None if fit.converged else "dip fit did not converge"
 
 
@@ -493,8 +494,9 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
     grid = _iprime_values(cfg["iprimes"])
     trials = cfg["bootstrap_trials"]
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
+    curve = metrology.predicted_fprime_curve(grid, noise.zeta).tolist()
     rows = []
-    for point_seed, iprime in zip(seeds, grid):
+    for point_seed, iprime, predicted in zip(seeds, grid, curve):
         iprime = float(iprime)
         try:
             probe = fock.spdc_two_photon(iprime)
@@ -506,7 +508,6 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
             fit, fisher, boot = _fit_pipeline(dataset, [2], trials, int(sub_seeds[1]))
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
-            predicted = metrology.optimal_fisher_two_photon(iprime, noise.zeta).value / 2.0
         except (ValueError, RuntimeError) as exc:
             raise NonConvergence(f"stage failure at iprime={iprime}: {exc}") from exc
         rows.append(

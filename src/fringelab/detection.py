@@ -23,12 +23,12 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         n = int(self.total_photons)
-        if n != self.total_photons:
-            raise ValueError(f"total_photons must be an integer, got {self.total_photons!r}")
+        if n != self.total_photons or n < 0:
+            raise ValueError(f"total_photons must be an integer >= 0, got {self.total_photons!r}")
         clean: dict[tuple[int, int], float] = {}
         for (n1, n2), p in self.probs.items():
             key = (int(n1), int(n2))
-            if key != (n1, n2):
+            if key != (n1, n2) or min(key) < 0:
                 raise ValueError(f"outcome ({n1},{n2}) is not a pair of photon numbers")
             if n1 + n2 != n:
                 raise ValueError(f"outcome ({n1},{n2}) does not sum to {n}")

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllPosedError
-from .metrology import FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
+from .metrology import _HALF_TURN, FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 _MAX_ITER = 200  # Newton steps per solve
@@ -657,9 +657,7 @@ def fisher_from_model(model: FourierFringeModel) -> FisherReport:
     ``metrology.maximize_fisher``, with its guard against rounding next to a
     vanishing class probability.
     """
-    return _fisher_report(
-        model.coefficients, model.harmonics, max(model.classes), (0.0, math.pi)
-    )
+    return _fisher_report(model.coefficients, model.harmonics, max(model.classes), _HALF_TURN)
 
 
 @dataclass(frozen=True)
@@ -697,7 +695,7 @@ def bootstrap_errors(
     children = np.random.SeedSequence(seed).spawn(trials)
     fake = np.array([np.random.default_rng(child).poisson(lam) for child in children], dtype=float)
     coefs, _ll, converged = _fit_batch(geometry, fake, eta)
-    max_fs = _maximize_fourier_fisher(coefs, harmonics, (0.0, math.pi))[3]
+    max_fs = _maximize_fourier_fisher(coefs, harmonics, _HALF_TURN)[3]
     n_photons = max(dataset.classes)
     return BootstrapReport(
         sigma_max_fisher=float(np.std(max_fs, ddof=1)),

@@ -9,7 +9,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,13 +35,13 @@ class FringeFamily:
     most ``n_photons`` in theta, as rotating an N-photon probe gives: the
     half-angle rotation makes every amplitude a degree-N polynomial in
     cos(theta/2) and sin(theta/2), and background mixing is linear.
-    ``maximize_fisher`` relies on this; ``fisher_at`` does not.
+    ``maximize_fisher`` relies on this; ``fisher_at`` does not.  A family
+    carries no phase window: ``maximize_fisher`` takes one.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     classes: tuple[int, ...]
     n_photons: int
-    theta_domain: tuple[float, float] = (0.0, 2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -53,63 +53,43 @@ class FisherReport:
     per_photon: float
 
 
-def fisher_terms(
-    probs: Mapping[int, float],
-    derivs: Mapping[int, float],
-    context: str = "",
-    judge: Mapping[int, float] | None = None,
-) -> float:
-    """Sum (dp/dtheta)^2 / p over classes with a vanishing-probability guard.
-
-    Classes with p below 1e-14 contribute nothing when the term they would
-    add is negligible: the derivative below 1e-10, or below 1e-2 * sqrt(p),
-    a term under 1e-4, as a class vanishing as theta^4 gives (p'^2 / p ~ 1e-6
-    there).  A larger derivative means the class carries a finite or
-    diverging share that p cannot resolve, as a class vanishing as theta^2
-    does, and raises SingularFisherError.  ``judge``, when given, holds the
-    derivatives that decide whether such a class is live; ``derivs`` still
-    supplies the summed terms.
-    """
-    judge = derivs if judge is None else judge
-    total = 0.0
-    for c, p in probs.items():
-        d = derivs[c]
-        if not (math.isfinite(p) and math.isfinite(d)):
-            raise ValueError(f"non-finite probability or derivative {context}")
-        if p < 1e-14:
-            if abs(judge[c]) < max(1e-10, 1e-2 * math.sqrt(max(p, 0.0))):
-                continue
-            raise SingularFisherError(
-                f"class {c} has probability {p!r} but derivative {judge[c]!r} {context}"
-            )
-        total += d * d / p
-    return total
-
-
 def fisher_at(family: FringeFamily, theta: float, step: float = 1e-4) -> float:
-    """Fisher information of the class probabilities at one phase.
-
-    Central differences with half-width ``step`` and ``step / 2``, from one
-    evaluator call over the five phases; the fine-step sum is returned, and
-    a relative change above 1e-4 between the two triggers a warning that the
-    step does not resolve the fringe curvature.  Whether a vanishing class
-    is live is judged from the Richardson-extrapolated derivative
-    (4 fine - coarse)/3, free of the O(step^2) bias that can lift a dead
-    class's difference quotient above the cut.
+    """Fisher information, the sum over classes of (dp/dtheta)^2 / p, at one
+    phase by central differences of half-width ``step`` and ``step / 2``
+    from one evaluator call over the five phases.  The fine-step sum is
+    returned; a relative change above 1e-4 from the coarse one warns that
+    the step does not resolve the fringe curvature.  A class with p below
+    1e-14 adds nothing when its derivative is below 1e-10, or below
+    1e-2 * sqrt(p), a term under 1e-4, as a class vanishing as theta^4 gives
+    (p'^2 / p ~ 1e-6 there).  A larger derivative means a finite or
+    diverging share that p cannot resolve, as a class vanishing as theta^2
+    carries, and raises SingularFisherError.  That derivative is the
+    Richardson-extrapolated (4 fine - coarse)/3, free of the O(step^2) bias
+    that can lift a dead class's difference quotient above the cut.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     half = step / 2.0
     rows = family.evaluator(np.array([theta, theta + step, theta - step, theta + half, theta - half]))
-    centre, plus, minus, plus_half, minus_half = (
-        dict(zip(family.classes, row)) for row in np.asarray(rows, dtype=float).tolist()
-    )
-    context = f"at theta={theta}"
-    coarse_d = {c: (plus[c] - minus[c]) / (2.0 * step) for c in family.classes}
-    fine_d = {c: (plus_half[c] - minus_half[c]) / (2.0 * half) for c in family.classes}
-    judge = {c: (4.0 * fine_d[c] - coarse_d[c]) / 3.0 for c in family.classes}
-    coarse = fisher_terms(centre, coarse_d, context, judge)
-    fine = fisher_terms(centre, fine_d, context, judge)
+    probs, plus, minus, plus_half, minus_half = np.asarray(rows, dtype=float)
+    coarse_d = (plus - minus) / (2.0 * step)
+    fine_d = (plus_half - minus_half) / (2.0 * half)
+    judge = ((4.0 * fine_d - coarse_d) / 3.0).tolist()
+    sums = []
+    for derivs in (coarse_d, fine_d):
+        total = 0.0
+        for c, p, d, j in zip(family.classes, probs.tolist(), derivs.tolist(), judge):
+            if not (math.isfinite(p) and math.isfinite(d)):
+                raise ValueError(f"non-finite probability or derivative at theta={theta}")
+            if p < 1e-14:
+                if abs(j) < max(1e-10, 1e-2 * math.sqrt(max(p, 0.0))):
+                    continue
+                raise SingularFisherError(
+                    f"class {c} has probability {p!r} but derivative {j!r} at theta={theta}"
+                )
+            total += d * d / p
+        sums.append(total)
+    coarse, fine = sums
     if abs(coarse - fine) > 1e-4 * max(abs(fine), 1e-12):
         warnings.warn(
             f"Fisher value moved from {coarse} to {fine} when halving the "
@@ -248,15 +228,10 @@ def _maximize_fourier_fisher(
 
 
 def _fisher_report(
-    coeff: np.ndarray,
-    harmonics: Sequence[int],
-    n_photons: int,
-    theta_domain: tuple[float, float],
+    coeff: np.ndarray, harmonics: Sequence[int], n_photons: int, theta_domain: tuple[float, float]
 ) -> FisherReport:
     """``FisherReport`` of one set of Fourier class rows."""
-    grid, values, theta_star, f_star = _maximize_fourier_fisher(
-        coeff[None], harmonics, theta_domain
-    )
+    grid, values, theta_star, f_star = _maximize_fourier_fisher(coeff[None], harmonics, theta_domain)
     return FisherReport(
         theta_grid=tuple(grid.tolist()),
         fisher_values=tuple(values[0].tolist()),
@@ -316,8 +291,16 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
     return np.where(probs > _ROUNDING, probs, 0.0)
 
 
-def maximize_fisher(family: FringeFamily) -> FisherReport:
-    """Exact maximum over ``family.theta_domain`` of the Fisher information.
+# The phase window of every Fisher maximum.  Rotations about one axis
+# commute, so R(theta + pi) = R(pi) R(theta), and R(pi) swaps the two paths,
+# which leaves each |n1 - n2| class unchanged: every class probability, and
+# so the information, has period pi.
+_HALF_TURN = (0.0, math.pi)
+
+
+def maximize_fisher(family: FringeFamily, theta_domain: tuple[float, float] = _HALF_TURN) -> FisherReport:
+    """Exact maximum over ``theta_domain``, by default the period (0, pi), of
+    the Fisher information of ``family``.
 
     The class probabilities are rebuilt exactly as Fourier series from
     2N + 1 evaluations; the information sum d^2/p is scanned on a phase grid
@@ -326,7 +309,7 @@ def maximize_fisher(family: FringeFamily) -> FisherReport:
     (see ``_ROUNDING``), where nested zooms replace the Newton steps.
     """
     coeff, harmonics = _family_coefficients(family)
-    return _fisher_report(coeff, harmonics, family.n_photons, family.theta_domain)
+    return _fisher_report(coeff, harmonics, family.n_photons, theta_domain)
 
 
 def small_angle_fisher(n: int, indist: float) -> float:
@@ -343,7 +326,7 @@ def small_angle_fisher(n: int, indist: float) -> float:
 # Fringe families.
 
 
-def _mixed_family(columns: Callable, classes: tuple[int, ...], n: int, zeta: float, domain) -> FringeFamily:
+def _mixed_family(columns: Callable, classes: tuple[int, ...], n: int, zeta: float) -> FringeFamily:
     """Family whose evaluator mixes background fraction ``zeta`` into the
     class columns ``columns(thetas)``, a dict, and stacks them in ``classes`` order."""
 
@@ -351,12 +334,10 @@ def _mixed_family(columns: Callable, classes: tuple[int, ...], n: int, zeta: flo
         mixed = add_background(columns(thetas), zeta)
         return np.column_stack([mixed[c] for c in classes])
 
-    return FringeFamily(evaluator=evaluate, classes=classes, n_photons=n, theta_domain=domain)
+    return FringeFamily(evaluator=evaluate, classes=classes, n_photons=n)
 
 
-def two_photon_family(
-    iprime: float, zeta: float, theta_domain: tuple[float, float] = (0.0, 2.0 * math.pi)
-) -> FringeFamily:
+def two_photon_family(iprime: float, zeta: float) -> FringeFamily:
     """Closed-form two-photon |delta| fringes with uniform background mixing."""
     if not 0.0 <= iprime <= 1.0:
         raise ValueError(f"iprime {iprime} outside [0, 1]")
@@ -367,14 +348,10 @@ def two_photon_family(
         c = np.cos(2.0 * np.asarray(thetas, dtype=float))
         return {0: (3.0 - iprime + (1.0 + iprime) * c) / 4.0, 2: (1.0 + iprime) * (1.0 - c) / 4.0}
 
-    return _mixed_family(columns, (0, 2), 2, zeta, theta_domain)
+    return _mixed_family(columns, (0, 2), 2, zeta)
 
 
-def counting_family(
-    probe: MultimodeFockState | StateEnsemble,
-    zeta: float = 0.0,
-    theta_domain: tuple[float, float] = (0.0, 2.0 * math.pi),
-) -> FringeFamily:
+def counting_family(probe: MultimodeFockState | StateEnsemble, zeta: float = 0.0) -> FringeFamily:
     """Fringe family of a probe: rotate, count into |n1 - n2| classes, mix
     background.
 
@@ -382,7 +359,8 @@ def counting_family(
     (``fock.PathSectors``).  Each evaluator call rotates every sector at all
     of its phases in one array pass and mixes the background into the class
     columns.  ``fock.apply_path_rotation`` is the one-phase reference that
-    the tests check the rotation against.
+    the tests check the rotation against.  The family holds no phase window;
+    ``maximize_fisher`` takes one.
     """
     sectors = PathSectors(probe)
     n = sectors.n_photons
@@ -391,7 +369,7 @@ def counting_family(
     def columns(thetas: np.ndarray) -> dict[int, np.ndarray]:
         return dict(zip(classes, sectors.class_probabilities(thetas).T))
 
-    return _mixed_family(columns, classes, n, zeta, theta_domain)
+    return _mixed_family(columns, classes, n, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +422,7 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
     ``_ROUNDING``); the analytic limit is returned and the numeric route,
     nested zooms there, is exercised against it in the tests.
     """
-    family = two_photon_family(iprime, zeta, theta_domain=(0.0, math.pi / 2.0))
+    family = two_photon_family(iprime, zeta)
     root2 = zeta * (zeta - 2.0) * (iprime * iprime * (zeta - 1.0) ** 2 - 1.0)
     root = math.sqrt(max(root2, 0.0))
     base = 2.0 + 2.0 * iprime * (zeta - 1.0) ** 2
@@ -454,7 +432,7 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
     if zeta == 0.0:
         value, theta = 2.0 * (1.0 + iprime), 0.0
     else:
-        report = maximize_fisher(family)
+        report = maximize_fisher(family, (0.0, math.pi / 2.0))
         value, theta = report.max_fisher, report.argmax_theta
 
     tol = 1e-6 * max(1.0, abs(value))
@@ -547,5 +525,5 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
         _family_coefficients(counting_family(four_photon_pair_ensemble(lam4, tau), zeta))
         for tau in (1.0, 0.0)
     )
-    f_star = _maximize_fourier_fisher(np.stack([full, zero]), harmonics, (0.0, math.pi))[3]
+    f_star = _maximize_fourier_fisher(np.stack([full, zero]), harmonics, _HALF_TURN)[3]
     return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

@@ -173,6 +173,14 @@ def schmidt_spectrum_of(jsa: JsaGrid) -> SchmidtSpectrum:
 # for each sigma they follow from a 2x2 weighted solve, and the fit is a
 # one-dimensional problem in sigma.
 
+def zero_delay_problem(a: float, b: float) -> str | None:
+    """Why the fitted zero-delay coincidence a + b (q(0) = 1) is not a
+    probability, within 1e-9 of [0, 1]; None when it is one."""
+    if -1e-9 <= a + b <= 1.0 + 1e-9:
+        return None
+    return f"fitted zero-delay coincidence a + b = {a + b!r} is not a probability"
+
+
 @dataclass(frozen=True)
 class HomDipFit:
     """Result of fitting a + b*q(x) to normalized coincidence data."""
@@ -185,12 +193,9 @@ class HomDipFit:
     converged: bool = True
 
     def __post_init__(self) -> None:
-        if not self.ill_posed:
-            p0 = self.a + self.b  # q(0) = 1
-            if not -1e-9 <= p0 <= 1.0 + 1e-9:
-                raise ValueError(
-                    f"fitted zero-delay coincidence {p0!r} is not a probability"
-                )
+        problem = zero_delay_problem(self.a, self.b)
+        if problem and not self.ill_posed:
+            raise ValueError(problem)
 
 
 def _linear(
@@ -297,10 +302,8 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     normal = (jac.T * w) @ jac
     # A sigma at the edge of the float range leaves inf or nan in the matrix.
     cond = float(np.linalg.cond(normal)) if np.all(np.isfinite(normal)) else math.inf
-    ill_posed = bool(cond > 1e10 or not np.isfinite(cond))
     a, b = float(a), float(b)
-    if not ill_posed and not (-1e-9 <= a + b <= 1.0 + 1e-9):
-        ill_posed = True
+    ill_posed = bool(cond > 1e10 or not np.isfinite(cond)) or zero_delay_problem(a, b) is not None
     return HomDipFit(
         a=a, b=b, sigma=sigma, residual=float(sse), ill_posed=ill_posed, converged=converged
     )

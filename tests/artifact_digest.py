@@ -8,10 +8,11 @@ checkouts and compare the digests.  It runs, at seeds 1 and 5, the cold
 operation and the first 15 steady operations of every benchmark workload,
 through ``perfbench/workloads.py``'s ``make_inputs``, ``run_op`` and
 ``check_op``; then the README's ``simulate`` -> ``fit`` chain and its
-``reproduce-fig3`` sweep.  The digest covers each run's file names and
-bytes, its printed output, and its error and check result.  Prints the
-digest and the number of runs, and exits 1 if any run fails its check or
-a README command exits nonzero.
+``reproduce-fig3`` sweep, as one run, and its three ``predict`` commands,
+one run each.  The digest covers each run's file names and bytes, its
+printed output, and its error and check result.  Prints the digest and the
+number of runs, and exits 1 if any run fails its check or a README command
+exits nonzero.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ README_FIG3 = {
     "bootstrap_trials": 100,
 }
 
+README_PREDICTS = (
+    {"mode": "two_photon_curve", "zeta": 0.0119, "iprimes": {"count": 51}},
+    {"mode": "four_photon_extremes", "lambda4": 0.4790, "zeta": 0.0282},
+    {"mode": "small_angle", "n": 3, "indist": 1.0},
+)
+
 
 def _readme_commands() -> tuple[str | None, None]:
     """The README's commands in the current directory: (error or None, None)."""
@@ -79,6 +86,13 @@ def _readme_commands() -> tuple[str | None, None]:
         elif (code := cli.main(step)) != 0:
             return f"{step[0]} exited with {code}", None
     return None, None
+
+
+def _readme_predict(cfg: dict) -> tuple[str | None, None]:
+    """One README ``predict`` command in the current directory: (error or None, None)."""
+    Path("p.json").write_text(json.dumps(cfg))
+    code = cli.main(["predict", "--config", "p.json", "--out", "."])
+    return (f"predict exited with {code}" if code else None), None
 
 
 def _op(workload: str, op: dict):
@@ -119,6 +133,11 @@ def main() -> int:
                         runs += 1
             _record(digest, failures, "readme", Path(tmp, "readme"), _readme_commands)
             runs += 1
+            for cfg in README_PREDICTS:
+                label = f"readme predict {cfg['mode']}"
+                run = functools.partial(_readme_predict, cfg)
+                _record(digest, failures, label, Path(tmp, label.replace(" ", "_")), run)
+                runs += 1
         finally:
             os.chdir(home)
     for failure in failures:

@@ -473,8 +473,11 @@ class TestHomCommand:
         self._dip_csv(tmp_path / "dip.csv", 0.9, 0.3, 2.0)
         cfg = write_config(tmp_path / "hom.json", {"input": str(tmp_path / "dip.csv")})
         assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert capsys.readouterr().err == "non-convergence: dip fit is ill-posed (sigma unidentifiable)\n"
         report = json.loads((tmp_path / "hom_fit.json").read_text())
+        assert capsys.readouterr().err == (
+            "non-convergence: dip fit is ill-posed (fitted zero-delay coincidence "
+            f"a + b = {report['a'] + report['b']!r} is not a probability)\n"
+        )
         assert report["ill_posed"] is True
         assert report["a"] + report["b"] == pytest.approx(1.2, abs=1e-6)
         assert len((tmp_path / "iprime_curve.csv").read_text().split()) == 26
@@ -524,7 +527,7 @@ class TestHomCommand:
         report = json.loads((tmp_path / "bad" / "hom_fit.json").read_text())
         assert report["converged"] is False
 
-    def test_flat_data_exits_nonzero(self, tmp_path):
+    def test_flat_data_exits_nonzero(self, tmp_path, capsys):
         xs = np.linspace(-5, 5, 20)
         (tmp_path / "dip.csv").write_text(
             "x,p,weight\n" + "\n".join(f"{x},0.5,1.0" for x in xs) + "\n"
@@ -534,6 +537,7 @@ class TestHomCommand:
             {"input": str(tmp_path / "dip.csv"), "init": {"a": 0.5, "b": -0.1, "sigma": 2}},
         )
         assert main(["hom", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "non-convergence: dip fit is ill-posed (sigma unidentifiable)\n"
         report = json.loads((tmp_path / "hom_fit.json").read_text())
         assert report["ill_posed"] is True
 

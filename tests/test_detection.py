@@ -73,6 +73,11 @@ class TestOutcomeDistribution:
             OutcomeDistribution(2.5, {(1, 1): 1.0})
         with pytest.raises(ValueError, match="not a pair of photon numbers"):
             OutcomeDistribution(2, {(1.5, 0.5): 1.0})
+        # Negative photon numbers constructed.
+        with pytest.raises(ValueError, match="total_photons must be an integer >= 0"):
+            OutcomeDistribution(-2, {(-1, -1): 1.0})
+        with pytest.raises(ValueError, match="not a pair of photon numbers"):
+            OutcomeDistribution(2, {(3, -1): 1.0})
         dist = OutcomeDistribution(np.int64(2), {(1.0, np.int64(1)): 1.0})
         assert dist.total_photons == 2 and dist.probs == {(1, 1): 1.0}
 
@@ -122,6 +127,8 @@ class TestAddBackground:
     def test_invalid_zeta(self):
         with pytest.raises(ValueError):
             add_background({0: 1.0}, 1.0)
+        with pytest.raises(ValueError, match="empty class mapping"):
+            add_background({}, 0.1)
 
 
 class TestBackgroundFraction:

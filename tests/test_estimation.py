@@ -214,12 +214,20 @@ class TestModelValidation:
             FringeDataset(((0.0, {0.5: 10, 2: 3}),), {0: 0.9, 2: 0.5})
         with pytest.raises(ValueError, match="class labels must be integers"):
             FringeDataset(((0.0, {0: 10}),), {0.7: 0.9})
+        with pytest.raises(ValueError, match="phases must be finite"):
+            FringeDataset(((math.nan, {0: 1}),), {0: 1.0})
+        with pytest.raises(ValueError, match="dataset has no points"):
+            FringeDataset((), {0: 1.0})
         ds = FringeDataset(((0.0, {np.int64(0): 10, 2.0: 3}),), {0.0: 0.9, np.int64(2): 0.5})
         assert ds.points == ((0.0, {0: 10, 2: 3}),) and ds.classes == (0, 2)
         # A model takes its class labels by the same rule.
         coeff = two_photon_model(0.6).coefficients
         with pytest.raises(ValueError, match="class labels must be integers"):
             FourierFringeModel((0.5, 2), (2,), coeff)
+        with pytest.raises(ValueError, match="non-empty and unique"):
+            FourierFringeModel((0, 0), (2,), coeff)
+        with pytest.raises(ValueError, match="coefficient array has shape"):
+            FourierFringeModel((0, 2), (2,), coeff[:, :2])
         assert FourierFringeModel((np.int64(0), 2.0), (2,), coeff).classes == (0, 2)
 
 

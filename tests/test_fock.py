@@ -14,6 +14,7 @@ from fringelab.fock import (
     dual_fock_mismatched,
     four_photon_schmidt,
     spdc_two_photon,
+    state_from_poly,
     two_distinct_pairs,
 )
 from fringelab.spectral import SchmidtSpectrum
@@ -390,6 +391,8 @@ class TestEnsembles:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             StateEnsemble(((0.5, spdc_two_photon(1.0)),))
+        with pytest.raises(ValueError, match="outside"):
+            StateEnsemble(((1.5, spdc_two_photon(1.0)), (-0.5, spdc_two_photon(1.0))))
 
     def test_photon_numbers_must_agree(self):
         with pytest.raises(ValueError, match="photon numbers"):
@@ -409,6 +412,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be integers"):
             # int() made this a one-photon state keyed by the count-0 triple (2, 0, 0).
             MultimodeFockState({((1, 0, 1.5), (2, 0, 0.5)): 1.0})
+        with pytest.raises(ValueError, match="no nonzero amplitude"):
+            MultimodeFockState({((1, 0, 1),): 0.0})
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            MultimodeFockState({((1, -1, 1),): 1.0})
+        with pytest.raises(ValueError, match="annihilates the vacuum"):
+            state_from_poly({})
 
     def test_photon_cap(self):
         with pytest.raises(ResourceLimitError):

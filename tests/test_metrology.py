@@ -21,6 +21,7 @@ from fringelab.fock import (
     dual_fock_mismatched,
     four_photon_schmidt,
     spdc_two_photon,
+    two_distinct_pairs,
 )
 from fringelab.metrology import (
     _ROUNDING,
@@ -30,7 +31,6 @@ from fringelab.metrology import (
     _maximize_fourier_fisher,
     counting_family,
     fisher_at,
-    fisher_terms,
     four_photon_pair_ensemble,
     fringe_probabilities,
     lambda4_from_p4,
@@ -101,8 +101,7 @@ class TestFisherAt:
     def test_distinguishable_maximum_is_shot_noise(self, iprime):
         # The supremum 2(1 + I') sits where a class probability vanishes, so
         # rounding there must not push the maximum above it.
-        family = two_photon_family(iprime, 0.0, theta_domain=(0.0, math.pi))
-        report = maximize_fisher(family)
+        report = maximize_fisher(two_photon_family(iprime, 0.0))
         assert report.max_fisher == pytest.approx(2.0 * (1.0 + iprime), abs=1e-6)
         assert report.max_fisher <= 2.0 * (1.0 + iprime) + 1e-9
         assert report.per_photon == pytest.approx(1.0 + iprime, abs=1e-6)
@@ -137,10 +136,12 @@ class TestFisherAt:
         value = fisher_at(FringeFamily(counted, family.classes, family.n_photons), theta, step)
         assert len(seen) == 1
         assert len(seen[0]) == len(set(seen[0])) == 5
-        # The fine central difference, as fisher_at computed it before.
+        # The fine central-difference sum, bit for bit.
         p0, pp, pm = family.evaluator(np.array([theta, theta + step / 2, theta - step / 2]))
-        derivs = {c: (pp[i] - pm[i]) / step for i, c in enumerate(family.classes)}
-        assert value == fisher_terms({c: p0[i] for i, c in enumerate(family.classes)}, derivs)
+        expected = 0.0
+        for p, d in zip(p0.tolist(), ((pp - pm) / step).tolist()):
+            expected += d * d / p
+        assert value == expected
 
     def test_smooth_vanishing_class_is_not_singular(self):
         # Class 4 vanishes as theta^4: p = 1.0e-14 here with derivative
@@ -182,6 +183,8 @@ class TestFisherAt:
         )
         with pytest.raises(ValueError):
             fisher_at(family, 0.2)
+        with pytest.raises(ValueError, match="non-finite class probability"):
+            maximize_fisher(family)
 
 
 class TestSmallAngleFisher:
@@ -346,6 +349,10 @@ class TestLambda4Relations:
             lambda4_from_p4(0.76)
         with pytest.raises(ValueError):
             p4_from_lambda4(0.0)
+        with pytest.raises(ValueError, match="lambda4"):
+            four_photon_pair_ensemble(0.0, 1.0)
+        with pytest.raises(ValueError, match="zeta"):
+            predict_four_photon_extremes(0.479, 1.0)
 
     def test_formula_matches_brute_force_counting(self):
         # Balanced-point bunching of the fully expanded four-photon state.
@@ -401,6 +408,11 @@ class TestFourPhotonPredictions:
         for tau in (-0.5, 1.5):
             with pytest.raises(ValueError, match="cross_overlap"):
                 four_photon_pair_ensemble(1.0, tau)
+            # and so do the two states it mixes
+            with pytest.raises(ValueError, match="cross_overlap"):
+                two_distinct_pairs(tau)
+            with pytest.raises(ValueError, match="cross_overlap"):
+                four_photon_schmidt(SchmidtSpectrum([1.0]), tau)
 
 
 class TestReports:
@@ -420,7 +432,7 @@ class TestReports:
             direct = rotated_probabilities(probe, zeta, REFERENCE_THETAS)
             assert np.max(np.abs(fourier.T - direct)) < 1e-12
         for probe, zeta in REFERENCE_PROBES[-4:]:
-            family = counting_family(probe, zeta, (0.0, math.pi))
+            family = counting_family(probe, zeta)
             report = maximize_fisher(family)
             assert report.max_fisher == pytest.approx(
                 fisher_at(family, report.argmax_theta), rel=1e-6
@@ -468,7 +480,7 @@ class TestReports:
                 seen.extend(thetas)
                 return family.evaluator(thetas)
 
-            return FringeFamily(counted, family.classes, family.n_photons, family.theta_domain)
+            return FringeFamily(counted, family.classes, family.n_photons)
 
         monkeypatch.setattr(cli.metrology, "counting_family", counted_family)
         noise = cli.detection.NoiseAndEfficiencyConfig(zeta=0.0282, bins_per_arm=4)
@@ -478,8 +490,7 @@ class TestReports:
             assert len(seen) == 2 * probe.total_photons + 1
 
     def test_fisher_report_json(self):
-        family = two_photon_family(0.5, 0.0119, theta_domain=(0.0, math.pi))
-        report = maximize_fisher(family)
+        report = maximize_fisher(two_photon_family(0.5, 0.0119))
         data = json.loads(json.dumps(cli._fisher_section(report)))
         assert set(data) == {"theta", "fisher", "max", "argmax", "per_photon"}
         assert len(data["theta"]) == len(data["fisher"]) == 256
@@ -566,7 +577,7 @@ def maximiser_corpus(monkeypatch):
     corpus = []
     for zeta in (0.0, 0.005, 0.0119, 0.0282, 0.05):
         families = [
-            (f"two I'={ip} {hi:.2f}", two_photon_family(ip, zeta, (0.0, hi)))
+            (f"two I'={ip} {hi:.2f}", two_photon_family(ip, zeta), (0.0, hi))
             for ip in (0.0, 0.3, 0.7, 1.0)
             for hi in (math.pi / 2, math.pi, 2 * math.pi)
         ]
@@ -580,11 +591,10 @@ def maximiser_corpus(monkeypatch):
             for n in (1, 2, 3, 4)
             for indist in (0.0, 0.5, 1.0)
         ]
-        domain = (0.0, math.pi)
-        families += [(label, counting_family(probe, zeta, domain)) for label, probe in probes]
-        for label, family in families:
+        families += [(label, counting_family(probe, zeta), (0.0, math.pi)) for label, probe in probes]
+        for label, family, domain in families:
             coeff, harmonics = _family_coefficients(family)
-            corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics, family.theta_domain))
+            corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics, domain))
     for seed, (total, iprime, zeta) in enumerate(
         (t, ip, z) for t in (1e5, 300) for ip in (0.0, 0.6, 1.0) for z in (0.0, 0.0119)
     ):
@@ -653,13 +663,13 @@ class TestPhaseMaximiser:
 
     def test_vanishing_class_takes_the_zooms(self, monkeypatch):
         calls = recording_polish(monkeypatch)
-        report = maximize_fisher(two_photon_family(0.6, 0.0, (0.0, math.pi / 2)))
+        report = maximize_fisher(two_photon_family(0.6, 0.0), (0.0, math.pi / 2))
         assert calls == [[False]]
         assert report.max_fisher == pytest.approx(3.2, rel=1e-6)
 
     def test_mirror_maxima_report_the_lower_phase(self):
         # F(theta) = F(pi - theta) here; the two scan cells agree to rounding.
-        family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0282, (0.0, math.pi))
+        family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0282)
         report = maximize_fisher(family)
         assert report.argmax_theta == pytest.approx(0.27614, abs=1e-5)
         coeff, harmonics = _family_coefficients(family)
@@ -676,7 +686,7 @@ class TestPhaseMaximiser:
         assert calls == [[True, True]]
         monkeypatch.undo()
         for tau, got in ((1.0, full), (0.0, zero)):
-            family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282, (0.0, math.pi))
+            family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282)
             assert got == maximize_fisher(family).per_photon
 
     def test_a_trial_gets_the_same_bits_in_any_batch(self, monkeypatch):

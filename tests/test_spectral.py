@@ -131,6 +131,15 @@ def random_jsa(rng, n=24):
     return JsaGrid(values, axis)
 
 
+def unchecked_grid(values):
+    """A JsaGrid holding ``values`` as given, past the constructor's checks
+    and normalization, on a unit-spaced axis."""
+    grid = object.__new__(JsaGrid)
+    object.__setattr__(grid, "values", np.asarray(values, dtype=complex))
+    object.__setattr__(grid, "axis", np.arange(float(len(values))))
+    return grid
+
+
 class TestExchangeSymmetry:
     def test_separable_symmetric_product(self):
         axis = np.linspace(-3.0, 3.0, 41)
@@ -172,6 +181,17 @@ class TestExchangeSymmetry:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             JsaGrid(np.ones((3, 4)), np.linspace(0, 1, 3))
+        with pytest.raises(ValueError, match="axis length"):
+            JsaGrid(np.ones((3, 3)), np.linspace(0, 1, 4))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JsaGrid(np.ones((3, 3)), np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            JsaGrid(np.ones((3, 3)), np.array([0.0, 1.0, 3.0]))
+        # Unnormalized amplitudes leave a rounding residue far above 1e-9.
+        rng = np.random.default_rng(0)
+        values = 1e12 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        with pytest.raises(ValueError, match="imaginary residue"):
+            exchange_symmetry(unchecked_grid(values))
 
     def test_all_zero_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -229,6 +249,8 @@ class TestSchmidtSpectrum:
             SchmidtSpectrum([])
         with pytest.raises(ValueError):
             SchmidtSpectrum([1.2, -0.66332495807108])
+        with pytest.raises(ValueError, match="no resolvable Schmidt modes"):
+            schmidt_spectrum_of(unchecked_grid(np.zeros((3, 3))))
 
 
 class TestLambda4:
@@ -372,6 +394,10 @@ class TestHomDipFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_hom_dip([(0, 0.1, 1), (1, 0.2, 1), (2, 0.3, 1)])
+        with pytest.raises(ValueError, match=r"\(x, p, weight\) triples"):
+            fit_hom_dip([(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)])
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            fit_hom_dip([(0, 0.1, 1), (1, 0.2, 1), (2, 0.3, -1), (3, 0.4, 1)])
 
     @pytest.mark.parametrize(
         "column,value",
