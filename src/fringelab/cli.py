@@ -36,8 +36,8 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NONCONVERGENCE = 4
 
-# Upper bounds on sizes a config can ask for.  The bootstrap refits all of
-# its trials in one batch, with memory growing as trials times data cells.
+# Upper bounds on sizes a config can ask for.  The bootstrap refits its
+# trials in blocks of bounded size (``estimation._BLOCK_CELLS``).
 MAX_PHASES = 10_000
 MAX_IPRIMES = 1_000
 MAX_TRIALS = 10_000

@@ -1,7 +1,7 @@
 """Poisson maximum-likelihood fitting of Fourier fringe models with
 per-outcome detection efficiencies, damped Newton solves with walls that keep
 every class probability nonnegative, and parametric-bootstrap error bars
-whose refits are solved as one batch.
+whose refits are solved in batches of bounded size.
 
 The observed counts x of outcome class d at phase theta are modeled as
 Poisson with mean lambda = lambda_t * p(d|theta) * eta_d, where lambda_t is
@@ -16,8 +16,8 @@ sets how many steps that takes.  Each fit starts at the least-squares
 projection of its observed class fractions onto the model, the
 method-of-moments estimate, a step or two from the maximum when counts are
 high.  The fitting code carries a leading trial axis, so a bootstrap refits
-all of its resamples in lockstep, and a single fit is a batch of one.  The
-constant -sum log(x!) cancels in every comparison the solve makes; it is
+each block of its resamples in lockstep, and a single fit is a batch of one.
+The constant -sum log(x!) cancels in every comparison the solve makes; it is
 added once, with ``math.lgamma``, to the log-likelihoods reported.
 """
 
@@ -36,6 +36,10 @@ _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 _MAX_ITER = 200  # Newton steps per solve
 _MAX_ROUNDS = 32  # solves per fit, each walling off the dips of the last
 _TINY = np.finfo(float).tiny
+# Trial-cells (trials x classes x phases) the bootstrap draws and refits at
+# once; the cost per refit is flat from 100 to 1,000 two-photon trials of 32
+# phases a block and higher below that.
+_BLOCK_CELLS = 2**16
 
 
 def _label(c) -> int:
@@ -678,12 +682,17 @@ def bootstrap_errors(
 ) -> BootstrapReport:
     """Parametric bootstrap: resample counts from the fitted rates and refit.
 
-    Each trial draws Poisson counts at the original phases with the original
-    per-phase totals and efficiencies from its own sub-seed spawned from
-    ``seed``, so results do not depend on evaluation order.  All trials are
-    refitted in one batch, each exactly as ``fit_mle`` would fit it (same
-    optimum, same converged flag), and the spread of the refitted
-    coefficients and maximum Fisher information is reported.
+    Every trial draws Poisson counts at the original phases with the original
+    per-phase totals and efficiencies from one stream, ``default_rng(seed)``:
+    trial k is row k of ``poisson(lam, size=(trials,) + lam.shape)``, so the
+    first k trials are the same bits whatever the trial count.  The trials are
+    drawn and refitted in blocks of at most ``_BLOCK_CELLS`` trial-cells (at
+    least one trial), one block after another from the same generator, so
+    memory does not grow with the trial count beyond one block and the bits do
+    not depend on the block size.  Each trial is refitted exactly as
+    ``fit_mle`` would fit it (same optimum, same converged flag), and the
+    spread of the refitted coefficients and maximum Fisher information is
+    reported.
     """
     trials = int(trials)
     if trials < 2:
@@ -692,15 +701,22 @@ def bootstrap_errors(
     harmonics = fit.model.harmonics
     geometry = _Geometry(thetas, dataset.classes, harmonics)
     lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    fake = np.array([np.random.default_rng(child).poisson(lam) for child in children], dtype=float)
-    coefs, _ll, converged = _fit_batch(geometry, fake, eta)
-    max_fs = _maximize_fourier_fisher(coefs, harmonics, _HALF_TURN)[3]
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_CELLS // lam.size)
+    coefs = np.empty((trials, len(dataset.classes), geometry.n_coef))
+    max_fs = np.empty(trials)
+    failed = 0
+    for start in range(0, trials, block):
+        part = slice(start, min(start + block, trials))
+        fake = rng.poisson(lam, size=(part.stop - start,) + lam.shape).astype(float)
+        coefs[part], _ll, converged = _fit_batch(geometry, fake, eta)
+        max_fs[part] = _maximize_fourier_fisher(coefs[part], harmonics, _HALF_TURN)[3]
+        failed += int((~converged).sum())
     n_photons = max(dataset.classes)
     return BootstrapReport(
         sigma_max_fisher=float(np.std(max_fs, ddof=1)),
         sigma_per_photon=float(np.std(max_fs / n_photons, ddof=1)),
         sigma_coefficients=np.std(coefs, axis=0, ddof=1),
         trials=trials,
-        failed_refits=int(trials - converged.sum()),
+        failed_refits=failed,
     )

@@ -105,15 +105,22 @@ class JsaGrid:
             raise ValueError(f"grid must be square, got shape {values.shape}")
         if axis.ndim != 1 or axis.size != values.shape[0]:
             raise ValueError("axis length must match the grid side")
-        diffs = np.diff(axis)
-        if axis.size < 2 or np.any(diffs <= 0):
-            raise ValueError("axis must be strictly increasing")
-        step = diffs[0]
-        if not np.allclose(diffs, step, rtol=1e-9, atol=0.0):
-            raise ValueError("axis must be uniformly spaced")
-        norm2 = float(np.sum(np.abs(values) ** 2)) * step**2
+        if not (np.isfinite(values).all() and np.isfinite(axis).all()):
+            raise ValueError("grid values and axis must be finite")
+        # A spacing or an amplitude past the square root of the float range
+        # overflows the norm to inf, which is rejected below.
+        with np.errstate(over="ignore"):
+            diffs = np.diff(axis)
+            if axis.size < 2 or np.any(diffs <= 0):
+                raise ValueError("axis must be strictly increasing")
+            step = float(diffs[0])
+            if not np.allclose(diffs, step, rtol=1e-9, atol=0.0):
+                raise ValueError("axis must be uniformly spaced")
+            norm2 = float(np.sum(np.abs(values) ** 2)) * step * step
         if norm2 == 0.0:
             raise ValueError("grid is identically zero")
+        if not math.isfinite(norm2):
+            raise ValueError("grid norm overflows the float range")
         object.__setattr__(self, "values", values / math.sqrt(norm2))
         object.__setattr__(self, "axis", axis)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,16 +70,16 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
 
 
 def bootstrap_loop(fit, dataset, trials, seed):
-    """Reference for ``bootstrap_errors``: the per-trial loop, drawing each
-    resample as the bootstrap does, then one ``fit_mle`` and one
-    ``fisher_from_model`` per trial.  Returns the draws (trials, classes,
-    phases), coefficients, converged flags and maximum Fisher information."""
+    """Reference for ``bootstrap_errors``: the per-trial loop over the rows
+    of one ``poisson(lam, size=(trials,) + lam.shape)`` draw from
+    ``default_rng(seed)``, then one ``fit_mle`` and one ``fisher_from_model``
+    per trial.  Returns the draws (trials, classes, phases), coefficients,
+    converged flags and maximum Fisher information."""
     thetas, counts, eta = dataset.arrays()
     lam_t = (counts / eta[:, None]).sum(axis=0)
     lam = np.maximum(lam_t[None, :] * fit.model.probs_at(thetas) * eta[:, None], 0.0)
     draws, coefs, converged, max_fs = [], [], [], []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        fake = np.random.default_rng(child).poisson(lam)
+    for fake in np.random.default_rng(seed).poisson(lam, size=(trials,) + lam.shape):
         points = tuple(
             (float(th), {c: int(fake[k, j]) for k, c in enumerate(dataset.classes)})
             for j, th in enumerate(thetas)
@@ -649,27 +650,30 @@ class TestBootstrap:
         assert bootstrap_errors(fit, ds, trials=10, seed=3).failed_refits == 0
 
     @pytest.mark.parametrize(
-        "dataset,harmonics,refines,walls",
+        "dataset,harmonics,seed,refines,walls",
         [
             # Interior optimum, no walls: one Newton solve of the whole batch.
-            (synth_dataset(0.6, 0.0119, 5000, 16, seed=2), (2,), False, False),
+            (synth_dataset(0.6, 0.0119, 5000, 16, seed=2), (2,), 3, False, False),
             # No background: every trial has walls, and most dip between the
             # data cells, so they are solved again with walls at the dips.
-            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), True, True),
+            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), 3, True, True),
+            # Few four-photon refits dip between the cells; at seed 10 one of
+            # the 20 does, and takes four more solves alone.
             (
                 cli_dataset(
                     four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11
                 ),
                 (2, 4),
+                10,
                 True,
                 None,
             ),
         ],
         ids=["interior", "walls", "four-photon"],
     )
-    def test_batch_matches_per_trial_loop(self, monkeypatch, dataset, harmonics, refines, walls):
+    def test_batch_matches_per_trial_loop(self, monkeypatch, dataset, harmonics, seed, refines, walls):
         fit = fit_mle(dataset, harmonics)
-        draws, coefs, converged, max_fs = bootstrap_loop(fit, dataset, 20, seed=3)
+        draws, coefs, converged, max_fs = bootstrap_loop(fit, dataset, 20, seed=seed)
         solves = []
         real_newton = estimation._newton
 
@@ -678,7 +682,7 @@ class TestBootstrap:
             return real_newton(problem, free0)
 
         monkeypatch.setattr(estimation, "_newton", counted)
-        boot = bootstrap_errors(fit, dataset, trials=20, seed=3)
+        boot = bootstrap_errors(fit, dataset, trials=20, seed=seed)
         assert solves[0] == 20 and (len(solves) > 1) == refines
         assert boot.failed_refits == int((~converged).sum())
         assert boot.sigma_max_fisher == pytest.approx(np.std(max_fs, ddof=1), rel=1e-9, abs=0)
@@ -698,6 +702,61 @@ class TestBootstrap:
         part_coefs, _, part_converged = _fit_batch(geometry, draws[3:10], eta)
         assert np.array_equal(part_coefs, batch_coefs[3:10])
         assert np.array_equal(part_converged, batch_converged[3:10])
+
+    def test_first_trials_are_the_same_bits_for_any_trial_count(self, monkeypatch):
+        ds = synth_dataset(0.6, 0.0119, 5000, 16, seed=2)
+        fit = fit_mle(ds, [2])
+        real_fit_batch = estimation._fit_batch
+        draws = []
+
+        def captured(geometry, counts, eta):
+            draws.append(counts.copy())
+            return real_fit_batch(geometry, counts, eta)
+
+        monkeypatch.setattr(estimation, "_fit_batch", captured)
+        bootstrap_errors(fit, ds, trials=10, seed=3)
+        bootstrap_errors(fit, ds, trials=25, seed=3)
+        short, long = draws
+        assert short.shape == (10, 2, 16) and long.shape == (25, 2, 16)
+        assert np.array_equal(long[:10], short)
+
+    @pytest.mark.parametrize("block_trials", [1, 7, 10])
+    def test_blocks_give_the_one_block_bits(self, monkeypatch, block_trials):
+        ds = cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5)
+        fit = fit_mle(ds, [2])
+        whole = bootstrap_errors(fit, ds, trials=25, seed=3)
+        real_fit_batch = estimation._fit_batch
+        batches = []
+
+        def counted(geometry, counts, eta):
+            batches.append(len(counts))
+            return real_fit_batch(geometry, counts, eta)
+
+        monkeypatch.setattr(estimation, "_fit_batch", counted)
+        # 2 classes x 12 phases: a budget of that times block_trials, plus a
+        # remainder short of one more trial.
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 24 * block_trials + 23)
+        blocked = bootstrap_errors(fit, ds, trials=25, seed=3)
+        assert len(batches) >= 3 and set(batches[:-1]) == {block_trials} and sum(batches) == 25
+        for field in dataclasses.fields(whole):
+            assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name)), field.name
+
+    def test_peak_memory_is_bounded_by_one_block(self):
+        # Two classes at 256 phases; the block holds _BLOCK_CELLS // 512 trials.
+        ds = synth_dataset(0.8, 0.0119, 100_000, 256, seed=7)
+        fit = fit_mle(ds, [2])
+        one_block = estimation._BLOCK_CELLS // (2 * 256)
+
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bootstrap_errors(fit, ds, trials=trials, seed=1)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(2000) <= 1.25 * traced_peak(one_block)
 
     def test_model_harmonic_order_is_kept(self):
         ds = cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11)

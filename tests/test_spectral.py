@@ -197,6 +197,26 @@ class TestExchangeSymmetry:
         with pytest.raises(ValueError):
             JsaGrid(np.zeros((5, 5)), np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize(
+        "values,axis,match",
+        [
+            (np.full((3, 3), np.nan), np.arange(3.0), "finite"),
+            (np.where(np.eye(3) > 0, np.inf, 0.0), np.arange(3.0), "finite"),
+            (np.ones((3, 3)), np.array([0.0, 1.0, np.inf]), "finite"),
+            (np.ones((3, 3)), np.array([0.0, 1e200, 2e200]), "overflows"),
+            (np.full((3, 3), 1e200), np.arange(3.0), "overflows"),
+            (np.ones((2, 2)), np.array([-1e308, 1e308]), "overflows"),
+        ],
+        ids=["nan-grid", "inf-grid", "inf-axis", "wide-axis", "huge-values", "axis-span-overflows"],
+    )
+    def test_non_finite_grid_or_norm_rejected(self, values, axis, match):
+        # Each once got past the checks: an all-NaN norm is not == 0, and an
+        # infinite norm divides the grid to all zeros.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                JsaGrid(values, axis)
+
 
 class TestSchmidtSpectrum:
     def test_separable_is_rank_one(self):
