@@ -36,8 +36,8 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_NONCONVERGENCE = 4
 
-# Upper bounds on sizes a config can ask for.  The bootstrap refits its
-# trials in blocks of bounded size (``estimation._BLOCK_CELLS``).
+# Upper bounds on sizes a config or a fringe CSV can ask for.  The bootstrap
+# refits its trials in blocks of bounded size (``estimation._BLOCK_CELLS``).
 MAX_PHASES = 10_000
 MAX_IPRIMES = 1_000
 MAX_TRIALS = 10_000
@@ -329,15 +329,23 @@ def _fisher_section(fisher) -> dict:
 
 
 def _bootstrap_section(boot) -> dict:
-    """The ``bootstrap`` section of ``fit_report.json``: the fields in declared order."""
-    return {**asdict(boot), "sigma_coefficients": boot.sigma_coefficients.tolist()}
+    """The ``bootstrap`` section of ``fit_report.json``; the fit's own
+    maximum is the ``fisher`` section."""
+    return {
+        "sigma_max_fisher": boot.sigma_max_fisher,
+        "sigma_per_photon": boot.sigma_per_photon,
+        "sigma_coefficients": boot.sigma_coefficients.tolist(),
+        "trials": boot.trials,
+        "failed_refits": boot.failed_refits,
+    }
 
 
 def _fit_pipeline(dataset, harmonics, trials, seed):
+    """The fit, its Fisher maximum and its bootstrap; the bootstrap
+    maximises the fit's model alongside its refits."""
     fit = estimation.fit_mle(dataset, harmonics)
-    fisher = estimation.fisher_from_model(fit.model)
     boot = estimation.bootstrap_errors(fit, dataset, trials=trials, seed=seed + 1)
-    return fit, fisher, boot
+    return fit, boot.fisher, boot
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +440,8 @@ def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
             raise ParseError(f"{csv_path}:{line}: class and count must be integers") from None
         if not 0 <= count < MAX_COUNT:
             raise ParseError(f"{csv_path}:{line}: count must be in [0, 2^53), got {reprlib.repr(count)}")
+        if theta not in by_theta and len(by_theta) == MAX_PHASES:
+            raise ParseError(f"{csv_path}:{line}: more than {MAX_PHASES} distinct phases")
         if cls in by_theta.setdefault(theta, {}):
             raise ParseError(f"{csv_path}:{line}: repeats class {cls} at theta {ts}")
         by_theta[theta][cls] = count

@@ -23,6 +23,7 @@ added once, with ``math.lgamma``, to the log-likelihoods reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,10 +37,13 @@ _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 _MAX_ITER = 200  # Newton steps per solve
 _MAX_ROUNDS = 32  # solves per fit, each walling off the dips of the last
 _TINY = np.finfo(float).tiny
-# Trial-cells (trials x classes x phases) the bootstrap draws and refits at
-# once; the cost per refit is flat from 100 to 1,000 two-photon trials of 32
-# phases a block and higher below that.
-_BLOCK_CELLS = 2**16
+# Cells per class the bootstrap holds for one trial beyond its data: the
+# 722 points of ``_local_minima``'s scan.
+_SCAN_POINTS = 722
+# Trial-cells (trials x classes x (phases + _SCAN_POINTS)) the bootstrap draws
+# and refits at once; the cost per refit is flat from 100 to 1,000 two-photon
+# trials of 32 phases a block and higher below that.
+_BLOCK_CELLS = 2**18
 
 
 def _label(c) -> int:
@@ -277,6 +281,23 @@ class _Geometry:
         """Coefficients (trials, classes, coefficients) from free (trials, free)."""
         free = np.reshape(free, (len(free), self.n_free, self.n_coef))
         return np.concatenate([free, (self.target - free.sum(axis=1))[:, None]], axis=1)
+
+
+def _geometry(thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]) -> _Geometry:
+    """The ``_Geometry`` of ``thetas``, ``classes`` and ``harmonics``, shared:
+    a fit and its bootstrap, and every point of a sweep on one phase grid,
+    build it once.  Only the last one is kept, since one of 10,000 phases and
+    five classes holds about 14 MB."""
+    return _cached_geometry(np.asarray(thetas, dtype=float).tobytes(), classes, harmonics)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_geometry(theta_bytes: bytes, classes: tuple[int, ...], harmonics: tuple[int, ...]) -> _Geometry:
+    geometry = _Geometry(np.frombuffer(theta_bytes), classes, harmonics)
+    for array in vars(geometry).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return geometry
 
 
 class _FitProblem:
@@ -596,13 +617,25 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     harmonics = tuple(sorted(_harmonics(harmonics)))
     thetas, counts, eta = dataset.arrays()
     coeff, ll, converged = _fit_batch(
-        _Geometry(thetas, dataset.classes, harmonics), counts[None], eta
+        _geometry(thetas, dataset.classes, harmonics), counts[None], eta
     )
     return FitResult(
         model=FourierFringeModel(dataset.classes, harmonics, coeff[0]),
         log_likelihood=float(ll[0]) - _log_factorials(counts),
         converged=bool(converged[0]),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _minima_grid(harmonics: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
+    """The period 2 pi / gcd(harmonics) that ``_local_minima`` scans, its
+    ``_SCAN_POINTS`` points (720 cells, and a period on, the last before the
+    first and the first after) and their basis rows, read-only."""
+    period = 2.0 * math.pi / math.gcd(*harmonics)
+    grid = np.arange(-1.0, _SCAN_POINTS - 1.0) * (period / 720)
+    basis = _basis(harmonics, grid)
+    grid.flags.writeable = basis.flags.writeable = False
+    return period, grid, basis
 
 
 def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -617,10 +650,8 @@ def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.nda
     information there.  A polished dip no lower than its grid point keeps
     the grid point.
     """
-    period = 2.0 * math.pi / math.gcd(*harmonics)
-    # 720 cells, and a period on, the last before the first and the first after.
-    grid = np.arange(-1.0, 721.0) * (period / 720)
-    probs = coeff @ _basis(harmonics, grid)
+    period, grid, basis = _minima_grid(tuple(harmonics))
+    probs = coeff @ basis
     cells = probs[..., 1:-1]
     row, cell = np.divmod(np.flatnonzero((cells < probs[..., :-2]) & (cells <= probs[..., 2:])), 720)
     trial, cls = np.divmod(row, coeff.shape[1])
@@ -661,20 +692,23 @@ def fisher_from_model(model: FourierFringeModel) -> FisherReport:
     ``metrology.maximize_fisher``, with its guard against rounding next to a
     vanishing class probability.
     """
-    return _fisher_report(model.coefficients, model.harmonics, max(model.classes), _HALF_TURN)
+    maxima = _maximize_fourier_fisher(model.coefficients[None], model.harmonics, _HALF_TURN)
+    return _fisher_report(maxima, max(model.classes))
 
 
 @dataclass(frozen=True)
 class BootstrapReport:
     """Spread of refitted quantities across parametric-bootstrap trials;
     ``failed_refits`` counts the refits, still in the spread, that did not
-    converge."""
+    converge.  ``fisher`` is the fitted model's own maximum, as
+    ``fisher_from_model`` gives it."""
 
     sigma_max_fisher: float
     sigma_per_photon: float
     sigma_coefficients: np.ndarray
     trials: int
     failed_refits: int
+    fisher: FisherReport
 
 
 def bootstrap_errors(
@@ -687,36 +721,45 @@ def bootstrap_errors(
     trial k is row k of ``poisson(lam, size=(trials,) + lam.shape)``, so the
     first k trials are the same bits whatever the trial count.  The trials are
     drawn and refitted in blocks of at most ``_BLOCK_CELLS`` trial-cells (at
-    least one trial), one block after another from the same generator, so
-    memory does not grow with the trial count beyond one block and the bits do
-    not depend on the block size.  Each trial is refitted exactly as
-    ``fit_mle`` would fit it (same optimum, same converged flag), and the
-    spread of the refitted coefficients and maximum Fisher information is
-    reported.
+    least one trial), a trial counting its data cells and the
+    ``_SCAN_POINTS`` of every class that its dip scan holds, one block after
+    another from the same generator, so memory does not grow with the trial
+    count beyond one block and the bits do not depend on the block size.  Each
+    trial is refitted exactly as ``fit_mle`` would fit it (same optimum, same
+    converged flag), on the fit's own geometry, and the spread of the refitted
+    coefficients and maximum Fisher information is reported.  The fit's own
+    maximum rides as one more trial in the first block's maximiser call, the
+    same bits as ``fisher_from_model(fit.model)``.
     """
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     thetas, counts, eta = dataset.arrays()
     harmonics = fit.model.harmonics
-    geometry = _Geometry(thetas, dataset.classes, harmonics)
+    geometry = _geometry(thetas, dataset.classes, harmonics)
     lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
     rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_CELLS // lam.size)
-    coefs = np.empty((trials, len(dataset.classes), geometry.n_coef))
+    n_classes, n_photons = len(dataset.classes), max(dataset.classes)
+    block = max(1, _BLOCK_CELLS // (n_classes * (thetas.size + _SCAN_POINTS)))
+    coefs = np.empty((trials, n_classes, geometry.n_coef))
     max_fs = np.empty(trials)
     failed = 0
     for start in range(0, trials, block):
         part = slice(start, min(start + block, trials))
         fake = rng.poisson(lam, size=(part.stop - start,) + lam.shape).astype(float)
         coefs[part], _ll, converged = _fit_batch(geometry, fake, eta)
-        max_fs[part] = _maximize_fourier_fisher(coefs[part], harmonics, _HALF_TURN)[3]
+        # The fitted model is row 0 of the first block's maximiser call.
+        lead = [] if start else [fit.model.coefficients[None]]
+        maxima = _maximize_fourier_fisher(np.concatenate(lead + [coefs[part]]), harmonics, _HALF_TURN)
+        if lead:
+            fisher = _fisher_report(maxima, n_photons)
+        max_fs[part] = maxima[3][len(lead) :]
         failed += int((~converged).sum())
-    n_photons = max(dataset.classes)
     return BootstrapReport(
         sigma_max_fisher=float(np.std(max_fs, ddof=1)),
         sigma_per_photon=float(np.std(max_fs / n_photons, ddof=1)),
         sigma_coefficients=np.std(coefs, axis=0, ddof=1),
         trials=trials,
         failed_refits=failed,
+        fisher=fisher,
     )

@@ -227,11 +227,10 @@ def _maximize_fourier_fisher(
     return grid, values, theta_star, f_star
 
 
-def _fisher_report(
-    coeff: np.ndarray, harmonics: Sequence[int], n_photons: int, theta_domain: tuple[float, float]
-) -> FisherReport:
-    """``FisherReport`` of one set of Fourier class rows."""
-    grid, values, theta_star, f_star = _maximize_fourier_fisher(coeff[None], harmonics, theta_domain)
+def _fisher_report(maxima: tuple, n_photons: int) -> FisherReport:
+    """``FisherReport`` of the first trial of ``_maximize_fourier_fisher``'s
+    ``maxima``."""
+    grid, values, theta_star, f_star = maxima
     return FisherReport(
         theta_grid=tuple(grid.tolist()),
         fisher_values=tuple(values[0].tolist()),
@@ -309,7 +308,7 @@ def maximize_fisher(family: FringeFamily, theta_domain: tuple[float, float] = _H
     (see ``_ROUNDING``), where nested zooms replace the Newton steps.
     """
     coeff, harmonics = _family_coefficients(family)
-    return _fisher_report(coeff, harmonics, family.n_photons, theta_domain)
+    return _fisher_report(_maximize_fourier_fisher(coeff[None], harmonics, theta_domain), family.n_photons)
 
 
 def small_angle_fisher(n: int, indist: float) -> float:

@@ -387,6 +387,13 @@ class TestFitCommand:
         ("0.1,0,12\n0.1,2,9007199254740992\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: count must be in"),
         ("0.1,0,12\n1e308,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:3: phase 1e+308 is beyond"),
         ("abc,0,12\n0.1,2,3\n", {"0": 1.0, "2": 1.0}, "fringe.csv:2: bad theta value 'abc'"),
+        # One fit holds at most as many phases as simulate writes.
+        pytest.param(
+            "".join(f"{i},0,1\n" for i in range(cli.MAX_PHASES + 1)),
+            {"0": 1.0, "2": 1.0},
+            f"fringe.csv:{cli.MAX_PHASES + 2}: more than {cli.MAX_PHASES} distinct phases",
+            id="too-many-phases",
+        ),
     ],
 )
 def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, where):

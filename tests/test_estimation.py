@@ -69,6 +69,27 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
     return FringeDataset(tuple(points), etas)
 
 
+def bits(value):
+    """Every bit of ``value``: arrays by dtype, shape and bytes, dataclasses
+    field by field, anything else (floats and tuples of them) by repr."""
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, field.name)) for field in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def traced_peak(fit, dataset, trials):
+    """Peak memory traced while bootstrapping ``fit`` with ``trials`` trials."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bootstrap_errors(fit, dataset, trials=trials, seed=1)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def bootstrap_loop(fit, dataset, trials, seed):
     """Reference for ``bootstrap_errors``: the per-trial loop over the rows
     of one ``poisson(lam, size=(trials,) + lam.shape)`` draw from
@@ -733,30 +754,53 @@ class TestBootstrap:
             return real_fit_batch(geometry, counts, eta)
 
         monkeypatch.setattr(estimation, "_fit_batch", counted)
-        # 2 classes x 12 phases: a budget of that times block_trials, plus a
-        # remainder short of one more trial.
-        monkeypatch.setattr(estimation, "_BLOCK_CELLS", 24 * block_trials + 23)
+        # 2 classes x (12 phases + the dip scan's points): a budget of that
+        # times block_trials, plus a remainder short of one more trial.
+        cells = 2 * (12 + estimation._SCAN_POINTS)
+        monkeypatch.setattr(estimation, "_BLOCK_CELLS", cells * block_trials + cells - 1)
         blocked = bootstrap_errors(fit, ds, trials=25, seed=3)
         assert len(batches) >= 3 and set(batches[:-1]) == {block_trials} and sum(batches) == 25
         for field in dataclasses.fields(whole):
             assert np.array_equal(getattr(blocked, field.name), getattr(whole, field.name)), field.name
 
     def test_peak_memory_is_bounded_by_one_block(self):
-        # Two classes at 256 phases; the block holds _BLOCK_CELLS // 512 trials.
+        # Two classes at 256 phases, each with the dip scan's points.
         ds = synth_dataset(0.8, 0.0119, 100_000, 256, seed=7)
         fit = fit_mle(ds, [2])
-        one_block = estimation._BLOCK_CELLS // (2 * 256)
+        one_block = estimation._BLOCK_CELLS // (2 * (256 + estimation._SCAN_POINTS))
+        assert traced_peak(fit, ds, 2000) <= 1.25 * traced_peak(fit, ds, one_block)
 
-        def traced_peak(trials):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                bootstrap_errors(fit, ds, trials=trials, seed=1)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+    def test_peak_memory_of_short_trials_is_bounded_by_one_block(self):
+        # At 8 phases the dip scan, not the data, fills a trial's cells; a
+        # block of data cells alone held all 2,000 trials.
+        ds = synth_dataset(0.8, 0.0119, 100_000, 8, seed=7)
+        fit = fit_mle(ds, [2])
+        one_block = estimation._BLOCK_CELLS // (2 * (8 + estimation._SCAN_POINTS))
+        assert one_block < 2000
+        assert traced_peak(fit, ds, 2000) <= 1.25 * traced_peak(fit, ds, one_block)
 
-        assert traced_peak(2000) <= 1.25 * traced_peak(one_block)
+    @pytest.mark.parametrize(
+        "dataset,harmonics,block_trials",
+        [
+            (synth_dataset(0.6, 0.0119, 5000, 16, seed=2), (2,), None),
+            # No background: the maximum sits at a class's zero, where the
+            # maximiser zooms; one trial a block.
+            (cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5), (2,), 1),
+            (
+                cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11),
+                (2, 4),
+                None,
+            ),
+        ],
+        ids=["two-photon", "zoomed", "four-photon"],
+    )
+    def test_fisher_is_fisher_from_model(self, monkeypatch, dataset, harmonics, block_trials):
+        fit = fit_mle(dataset, harmonics)
+        if block_trials is not None:
+            cells = len(dataset.classes) * (len(dataset.points) + estimation._SCAN_POINTS)
+            monkeypatch.setattr(estimation, "_BLOCK_CELLS", cells * block_trials)
+        boot = bootstrap_errors(fit, dataset, trials=10, seed=3)
+        assert bits(boot.fisher) == bits(fisher_from_model(fit.model))
 
     def test_model_harmonic_order_is_kept(self):
         ds = cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11)
@@ -770,6 +814,8 @@ class TestBootstrap:
         assert swapped.sigma_max_fisher == pytest.approx(boot.sigma_max_fisher, rel=1e-9)
 
     def test_report_json(self):
+        # The fit's own maximum is fit_report.json's fisher section, not a
+        # bootstrap field.
         ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
         fit = fit_mle(ds, [2])
         boot = bootstrap_errors(fit, ds, trials=10, seed=3)
@@ -783,3 +829,33 @@ class TestBootstrap:
                 "failed_refits": boot.failed_refits,
             }
         )
+
+
+class TestGeometryCache:
+    def test_fit_and_bootstrap_bits_do_not_depend_on_the_cache(self):
+        ds = cli_dataset(spdc_two_photon(0.6), 0.0, 3000, 12, seed=5)
+
+        def run(cold):
+            # Cold: each call builds its own geometry; warm: they share one.
+            if cold:
+                estimation._cached_geometry.cache_clear()
+            fit = fit_mle(ds, [2])
+            if cold:
+                estimation._cached_geometry.cache_clear()
+            return bits(fit), bits(bootstrap_errors(fit, ds, trials=20, seed=3))
+
+        cold = run(cold=True)
+        hits = estimation._cached_geometry.cache_info().hits
+        assert run(cold=False) == cold
+        assert estimation._cached_geometry.cache_info().hits == hits + 2
+
+    def test_other_phases_get_their_own_geometry(self):
+        ds = cli_dataset(spdc_two_photon(0.6), 0.0119, 3000, 12, seed=5)
+        shifted = FringeDataset(tuple((t + 0.1, c) for t, c in ds.points), ds.efficiencies)
+        estimation._cached_geometry.cache_clear()
+        alone = fit_mle(shifted, [2])
+        fit_mle(ds, [2])
+        after = fit_mle(shifted, [2])
+        assert bits(after) == bits(alone)
+        assert bits(after) != bits(fit_mle(ds, [2]))
+        assert estimation._cached_geometry.cache_info().misses == 4
