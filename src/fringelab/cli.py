@@ -267,8 +267,8 @@ def _experiment(cfg: dict, photons: int):
         noise = detection.NoiseAndEfficiencyConfig(zeta=cfg["zeta"], bins_per_arm=bins)
     except ValueError as exc:
         raise ConfigError(f"zeta: {exc}") from exc
-    with np.errstate(over="ignore"):  # the check below names an overflow
-        phases = start + (stop - start) * np.arange(count) / count
+    # Scaled before the span multiplies them, the steps stay within the span.
+    phases = start + (stop - start) * (np.arange(count) / count)
     _check_phase(float(np.abs(phases).max()), photons, ConfigError, "phases")
     return noise, phases
 
@@ -294,17 +294,17 @@ def _simulate_points(probe, noise, phases, expected, seed):
 
     The probabilities at every phase come from one exact Fourier table
     (``metrology.fringe_probabilities``, the probe rotated at 2N + 1 phases
-    in one pass); each phase then draws its Poisson counts from its own
-    spawned seed.
+    in one pass).  Every count is drawn from one stream,
+    ``default_rng(seed)``: the counts are one ``poisson`` draw of the means
+    ``expected * p * eta``, shaped (phases, classes), as the bootstrap draws
+    its resamples.
     """
     family = metrology.counting_family(probe, noise.zeta)
     etas = detection.class_efficiencies(family.n_photons, noise.bins_per_arm)
     table = metrology.fringe_probabilities(family, phases)
-    children = np.random.SeedSequence(seed).spawn(len(phases))
-    points = []
-    for child, theta, row in zip(children, phases, table):
-        means = {c: p * etas[c] for c, p in zip(family.classes, row.tolist())}
-        points.append((float(theta), detection.sample_counts(means, expected, child)))
+    eta_row = np.array([etas[c] for c in family.classes])
+    counts = np.random.default_rng(seed).poisson(expected * (table * eta_row))
+    points = [(float(theta), dict(zip(family.classes, row))) for theta, row in zip(phases, counts.tolist())]
     return family, etas, points, table
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fringelab import cli, estimation
+from fringelab import cli, detection, estimation, fock
 from fringelab.cli import main
 from fringelab.spectral import HomDipFit, quartic_gaussian_overlap
 
@@ -100,6 +100,29 @@ class TestSimulate:
         assert (out_a / "fringe_truth.json").read_bytes() == (
             out_b / "fringe_truth.json"
         ).read_bytes()
+
+    def test_counts_are_one_poisson_draw(self):
+        # Row k of one (phases, classes) draw from default_rng(seed) is
+        # phase k's counts, in class order.
+        noise = detection.NoiseAndEfficiencyConfig(zeta=0.0119, bins_per_arm=4)
+        phases = 2 * math.pi * np.arange(12) / 12
+        family, etas, points, table = cli._simulate_points(
+            fock.dual_fock_mismatched(2, 0.7), noise, phases, 2000.0, 31
+        )
+        eta_row = np.array([etas[c] for c in family.classes])
+        draw = np.random.default_rng(31).poisson(2000.0 * (table * eta_row))
+        assert [theta for theta, _ in points] == phases.tolist()
+        assert [list(counts) for _, counts in points] == [list(family.classes)] * 12
+        assert [list(counts.values()) for _, counts in points] == draw.tolist()
+
+    def test_phases_spanning_past_the_float_range_over_count(self, tmp_path):
+        # The span times the count overflows; no phase of the grid does.
+        phases = {"start": 0.0, "stop": 1e305, "count": cli.MAX_PHASES}
+        cfg = write_config(tmp_path / "sim.json", {**_SIMULATE, "phases": phases})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        theta = json.loads((tmp_path / "fringe_truth.json").read_text())["theta"]
+        assert len(theta) == cli.MAX_PHASES and theta[0] == 0.0
+        assert all(math.isfinite(t) for t in theta) and max(theta) < 1e305
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(
