@@ -42,7 +42,9 @@ _TINY = np.finfo(float).tiny
 _SCAN_POINTS = 722
 # Trial-cells (trials x classes x (phases + _SCAN_POINTS)) the bootstrap draws
 # and refits at once; the cost per refit is flat from 100 to 1,000 two-photon
-# trials of 32 phases a block and higher below that.
+# trials of 32 phases a block and higher below that.  A trial the coefficient
+# bound clears is never scanned, but the block still counts its scan: the
+# worst case is every trial scanned, so the memory bound holds.
 _BLOCK_CELLS = 2**18
 
 
@@ -117,9 +119,9 @@ class FourierFringeModel:
     """Per-class truncated Fourier series p(class|theta).
 
     ``coefficients`` has one row per class: [c0, cos_k, sin_k, ...] following
-    the harmonic order.  Rows sum columnwise to [1, 0, 0, ...] so the class
-    probabilities are normalized at every phase, and no local minimum of a
-    class probability lies below -_NEG_TOL (rounding).
+    the harmonic order.  They are finite, and rows sum columnwise to
+    [1, 0, 0, ...] so the class probabilities are normalized at every phase;
+    no local minimum of a class probability lies below -_NEG_TOL (rounding).
     """
 
     classes: tuple[int, ...]
@@ -134,12 +136,14 @@ class FourierFringeModel:
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.shape != (len(classes), 1 + 2 * len(harmonics)):
             raise ValueError(f"coefficient array has shape {coeff.shape}")
+        if not np.isfinite(coeff).all():
+            raise ValueError("coefficients must be finite")
         colsum = coeff.sum(axis=0)
         target = np.zeros_like(colsum)
         target[0] = 1.0
         if not np.allclose(colsum, target, atol=1e-9):
             raise ValueError(f"columns sum to {colsum}, breaking normalization")
-        if _local_minima(coeff[None], harmonics)[3].min(initial=0.0) < -_NEG_TOL:
+        if _possible_dips(coeff[None], harmonics)[3].min(initial=0.0) < -_NEG_TOL:
             raise ValueError("model probabilities are negative at some phase")
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "harmonics", harmonics)
@@ -319,22 +323,26 @@ class _FitProblem:
         self.counts = counts.reshape(len(counts), -1)
         self.rate_scale = _rates(1.0, counts, eta).reshape(self.counts.shape)
         self.seen = self.counts > 0
-        cell_walls = ~self.seen & (self.rate_scale > 0)
+        cells = np.ones((len(counts), 1))
+        self.walls = ~self.seen & (self.rate_scale > 0)
+        self.offset = cells * geometry.cell_offset
+        self.row_norms = cells * geometry.row_norms
+        self.dip_rows = np.zeros((len(counts), 0, geometry.n_free * geometry.n_coef))
+        if not len(dips[0]):
+            return
         # Slot each dip after the earlier dips of its trial.
         owner = dips[0]
         order = np.argsort(owner, kind="stable")
         slot = np.empty_like(owner)
         slot[order] = np.arange(owner.size) - np.searchsorted(owner[order], owner[order])
-        shape = (len(counts), slot.max(initial=-1) + 1)
+        shape = (len(counts), slot.max() + 1)
         rows, offset = geometry.affine(dips[1], dips[2])
         self.dip_rows = np.zeros(shape + rows.shape[1:])
         dip_offset, dip_walls = np.zeros(shape), np.zeros(shape, dtype=bool)
         self.dip_rows[owner, slot], dip_offset[owner, slot], dip_walls[owner, slot] = rows, offset, True
-        cells = np.ones((len(counts), 1))
-        self.walls = np.concatenate([cell_walls, dip_walls], axis=1)
-        self.offset = np.concatenate([cells * geometry.cell_offset, dip_offset], axis=1)
-        dip_norms = np.linalg.norm(self.dip_rows, axis=-1)
-        self.row_norms = np.concatenate([cells * geometry.row_norms, dip_norms], axis=1)
+        self.walls = np.concatenate([self.walls, dip_walls], axis=1)
+        self.offset = np.concatenate([self.offset, dip_offset], axis=1)
+        self.row_norms = np.concatenate([self.row_norms, np.linalg.norm(self.dip_rows, axis=-1)], axis=1)
 
     def objective(
         self, free: np.ndarray, trials: np.ndarray
@@ -363,8 +371,11 @@ class _FitProblem:
         """Every constraint row of each of ``trials`` times its vector of
         ``vectors`` (b, n); a dip row is summed on its own, so its bits do
         not depend on the padding."""
+        cells = _each(self.geometry.cell_rows, vectors)
+        if not self.dip_rows.shape[1]:
+            return cells
         dips = (self.dip_rows[trials] * vectors[:, None, :]).sum(axis=-1)
-        return np.concatenate([_each(self.geometry.cell_rows, vectors), dips], axis=1)
+        return np.concatenate([cells, dips], axis=1)
 
     def rows(self, trials: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Constraint rows (b, k, n) at the indices ``held`` (b, k) of each
@@ -466,8 +477,10 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
             break
         # The slack of every constraint, for the KKT systems and the ratio test.
         levels = problem.apply(z[idx], idx) + problem.offset[idx]
-        order = np.argsort(~active[idx], axis=1, kind="stable")
         size = active[idx].sum(axis=1)
+        # Each trial's active walls first; only a trial holding a wall can
+        # release one.
+        order = np.argsort(~active[idx], axis=1, kind="stable") if size.any() else None
         h = hess[idx]
         ridge = 1e-12 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
         curvature = h - ridge[:, None, None] * eye
@@ -573,7 +586,7 @@ def _fit_batch(
         # A wall with slack only crowds the next solve; it comes back as a
         # dip if it is needed again.
         held = (coeff[todo][dips[0], dips[1]] * _basis(geometry.harmonics, dips[2]).T).sum(axis=-1)
-        trial, cls, theta, value = _local_minima(coeff[todo], geometry.harmonics)
+        trial, cls, theta, value = _possible_dips(coeff[todo], geometry.harmonics)
         worst[todo] = 0.0
         np.minimum.at(worst, todo[trial], value)
         new = value < -_NEG_TOL
@@ -672,6 +685,28 @@ def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.nda
     return trial, cls, np.where(polished, theta, grid[cell + 1]), np.where(polished, value, on_grid)
 
 
+def _possible_dips(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``_local_minima`` of the trials of ``coeff`` (trials, classes,
+    coefficients) that the coefficient bound does not clear, with trial
+    indices into ``coeff``.
+
+    A class probability c0 + sum_k (a_k cos k theta + b_k sin k theta) is
+    never below its floor c0 - sum_k |(a_k, b_k)|, which it reaches for one
+    harmonic.  A trial whose every floor is above _NEG_TOL has no dip below
+    zero and is not scanned; a floor of NaN or +-inf does not clear.  The
+    constant terms of a cleared trial sum to 1, so each is below 1, and so
+    is every coefficient: the scan's rounding, about 1e-16, could not take
+    one of its minima below zero.  The rest are scanned as one subset of
+    whole trials, each with its own product, the same bits as in any batch.
+    """
+    floor = coeff[..., 0] - np.hypot(coeff[..., 1::2], coeff[..., 2::2]).sum(axis=-1)
+    unsure = np.flatnonzero(~(np.isfinite(floor) & (floor > _NEG_TOL)).all(axis=-1))
+    if not unsure.size:
+        return unsure, unsure, np.zeros(0), np.zeros(0)
+    trial, cls, theta, value = _local_minima(coeff[unsure], harmonics)
+    return unsure[trial], cls, theta, value
+
+
 def _toward_uniform(coeff: np.ndarray, worst: np.ndarray, floor: float = 1e-15) -> np.ndarray:
     """Each trial's (1-t)*model + t*uniform, with t lifting its lowest class
     probability ``worst`` (<= 0) to ``floor``, by default 1e-15, past the
@@ -731,6 +766,8 @@ def bootstrap_errors(
     maximum rides as one more trial in the first block's maximiser call, the
     same bits as ``fisher_from_model(fit.model)``.
     """
+    if not (math.isfinite(trials) and int(trials) == trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")

@@ -9,15 +9,18 @@ a slice of each corpus.  Run as a script, it fits all of them:
 
     PYTHONPATH=src python tests/corpus.py
 
-prints, per corpus, the number of fits, how many did not converge and how
-many objective evaluations they took, lists every fit that fails a check,
-and exits 1 if any does.
+prints, per corpus, the number of fits, how many did not converge, how
+many objective evaluations they took, and how often a fit's coefficients
+(once per exchange round, and once more for its model's own check) were
+scanned for dips or cleared of them by the coefficient bound; it lists
+every fit that fails a check, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import nnls
@@ -148,13 +151,16 @@ def certificate_failures(problem, trial: int, z: np.ndarray) -> list[str]:
 
 
 def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
-    """``fit_mle`` of ``dataset`` with (fit, objective evaluations, failures):
-    the failures name each check the fit fails, and are empty when it is
-    converged, no class probability dips below zero, its log-likelihood is
-    ``log_likelihood`` of its model to 1e-12, and the last solve's result
-    carries the KKT certificate on that solve's walls."""
-    solves, evaluations = [], []
+    """``fit_mle`` of ``dataset`` with (fit, counts, failures): the counts
+    are the objective evaluations, and the coefficient sets scanned for dips
+    and cleared of them by the coefficient bound, the model's own check
+    among them; the failures name each check the fit fails, and are
+    empty when it is converged, no class probability dips below zero, its
+    log-likelihood is ``log_likelihood`` of its model to 1e-12, and the
+    last solve's result carries the KKT certificate on that solve's walls."""
+    solves, evaluations, checked, scanned = [], [], [], []
     newton, objective = estimation._newton, estimation._FitProblem.objective
+    possible_dips, local_minima = estimation._possible_dips, estimation._local_minima
 
     def recorded(problem, free0):
         free, value, converged = newton(problem, free0)
@@ -165,11 +171,21 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
         evaluations.append(len(trials))
         return objective(self, free, trials)
 
+    def bounded(coeff, harmonics):
+        checked.append(len(coeff))
+        return possible_dips(coeff, harmonics)
+
+    def scan(coeff, harmonics):
+        scanned.append(len(coeff))
+        return local_minima(coeff, harmonics)
+
     estimation._newton, estimation._FitProblem.objective = recorded, counted
+    estimation._possible_dips, estimation._local_minima = bounded, scan
     try:
         fit = fit_mle(dataset, harmonics)
     finally:
         estimation._newton, estimation._FitProblem.objective = newton, objective
+        estimation._possible_dips, estimation._local_minima = possible_dips, local_minima
     failures = [] if fit.converged else ["did not converge"]
     lowest = _local_minima(fit.model.coefficients[None], fit.model.harmonics)[3].min(initial=0.0)
     if lowest < 0.0:
@@ -179,21 +195,25 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
         failures.append(f"log-likelihood {fit.log_likelihood!r} against {reference!r}")
     problem, free = solves[-1]
     failures += certificate_failures(problem, 0, free[0])
-    return fit, sum(evaluations), failures
+    counts = Counter(evaluations=sum(evaluations), scanned=sum(scanned), cleared=sum(checked) - sum(scanned))
+    return fit, counts, failures
 
 
 def main() -> int:
     failed = 0
     for name, corpus, size, harmonics in CORPORA:
-        evaluations, non_converged = 0, 0
+        counts, non_converged = Counter(), 0
         for i, dataset in enumerate(corpus(range(size))):
             fit, used, failures = checked_fit(dataset, harmonics)
-            evaluations += used
+            counts += used
             non_converged += not fit.converged
             if failures:
                 failed += 1
                 print(f"{name} dataset {i}: " + "; ".join(failures))
-        print(f"{name}: {size} fits, {non_converged} non-converged, {evaluations} objective evaluations")
+        print(
+            f"{name}: {size} fits, {non_converged} non-converged, {counts['evaluations']} objective evaluations;"
+            f" {counts['scanned']} trials scanned for dips, {counts['cleared']} cleared by the coefficient bound"
+        )
     return 1 if failed else 0
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from corpus import CORPORA, certificate_failures, checked_fit, dual_fock_corpus
+from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
 from fringelab.cli import _bootstrap_section, _simulate_points
@@ -251,6 +251,18 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="coefficient array has shape"):
             FourierFringeModel((0, 2), (2,), coeff[:, :2])
         assert FourierFringeModel((np.int64(0), 2.0), (2,), coeff).classes == (0, 2)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_coefficients_must_be_finite(self, bad, column):
+        # A row of inf and the row that cancels it once raised numpy's
+        # warning in the column sum before the model's own error.
+        coeff = two_photon_model(0.6).coefficients.copy()
+        coeff[:, column] = [bad, -bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                FourierFringeModel((0, 2), (2,), coeff)
 
 
 class TestFitMle:
@@ -567,6 +579,103 @@ class TestLocalMinima:
             assert lowest.min() == pytest.approx(value.min(), abs=1e-15)
 
 
+def scanned_trials(monkeypatch):
+    """The number of trials of every later ``_local_minima`` scan."""
+    sent = []
+    real = estimation._local_minima
+
+    def counted(coeff, harmonics):
+        sent.append(len(coeff))
+        return real(coeff, harmonics)
+
+    monkeypatch.setattr(estimation, "_local_minima", counted)
+    return sent
+
+
+class TestCoefficientBound:
+    def test_no_row_dips_below_its_floor(self, monkeypatch):
+        # Rows of 1-4 harmonics whose floor c0 - sum_k |(a_k, b_k)| lies
+        # within a few _NEG_TOL of _NEG_TOL, the line the bound draws.
+        rng = np.random.default_rng(25)
+        grid = np.linspace(0.0, 2 * math.pi, 20_000, endpoint=False)
+        sent = scanned_trials(monkeypatch)
+        cleared = 0
+        for _ in range(300):
+            harmonics = tuple(sorted(rng.choice(np.arange(1, 9), size=rng.integers(1, 5), replace=False).tolist()))
+            waves = rng.normal(size=2 * len(harmonics)) * rng.uniform(0.01, 0.5)
+            floor = estimation._NEG_TOL * rng.uniform(-2.0, 4.0)
+            row = np.concatenate([[np.hypot(waves[0::2], waves[1::2]).sum() + floor], waves])
+            lowest = (row @ _basis(harmonics, grid)).min()
+            assert lowest >= floor - 1e-15
+            if len(harmonics) == 1:
+                # One harmonic reaches its floor.
+                assert lowest <= floor + 1e-5
+            sent.clear()
+            found = estimation._possible_dips(row[None, None], harmonics)
+            every = _local_minima(row[None, None], harmonics)
+            # The bound's own rounding is about 1e-16.
+            if sent:
+                assert floor <= estimation._NEG_TOL + 1e-15
+                assert [bits(a) for a in found] == [bits(a) for a in every]
+            else:
+                cleared += 1
+                assert floor >= estimation._NEG_TOL - 1e-15
+                assert not found[0].size and every[3].min() >= 0.0
+        assert 50 < cleared < 250
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rows_are_scanned(self, monkeypatch, bad, column):
+        sent = []
+
+        def recorded(coeff, harmonics):
+            sent.append(coeff.copy())
+            empty = np.zeros(0, dtype=int)
+            return empty, empty, np.zeros(0), np.zeros(0)
+
+        monkeypatch.setattr(estimation, "_local_minima", recorded)
+        coeff = np.repeat(two_photon_model(0.6, 0.0119).coefficients[None], 3, axis=0)
+        coeff[1, 0, column] = bad
+        estimation._possible_dips(coeff, (2,))
+        assert len(sent) == 1 and np.array_equal(sent[0], coeff[1:2], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "dataset,harmonics",
+        [
+            (synth_dataset(0.8, 0.0119, 100_000, 32, seed=7), (2,)),
+            (
+                cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11),
+                (2, 4),
+            ),
+            # Its fit and some of its refits dip between the data cells.
+            (dual_fock_corpus([2])[0], HARMONICS),
+        ],
+        ids=["two-photon", "four-photon", "dual-Fock-dips"],
+    )
+    def test_fit_and_bootstrap_bits_do_not_depend_on_the_bound(self, monkeypatch, dataset, harmonics):
+        def run():
+            fit = fit_mle(dataset, harmonics)
+            return bits(fit), bits(bootstrap_errors(fit, dataset, trials=20, seed=3))
+
+        bounded = run()
+        # Every trial scanned, as before the bound.
+        monkeypatch.setattr(estimation, "_possible_dips", _local_minima)
+        assert run() == bounded
+
+    def test_readme_points_scan_nothing_and_dips_still_scan(self, monkeypatch):
+        # The README sweep's points: zeta 0.0119, 32 phases, 1e5 counts per
+        # point and 100 bootstrap trials.  No class probability comes near
+        # zero, so the bound clears every fit, model and refit.
+        sent = scanned_trials(monkeypatch)
+        for i, iprime in enumerate((0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
+            ds = cli_dataset(spdc_two_photon(iprime), 0.0119, 100_000, 32, seed=i)
+            fit = fit_mle(ds, [2])
+            assert fit.converged and bootstrap_errors(fit, ds, trials=100, seed=i).failed_refits == 0
+        assert sent == []
+        assert fit_mle(dual_fock_corpus([2])[0], HARMONICS).converged
+        assert sum(sent) > 0
+
+
 class TestFisherFromModel:
     def test_exact_full_symmetry_model(self):
         report = fisher_from_model(two_photon_model(1.0))
@@ -651,6 +760,15 @@ class TestBootstrap:
         fit = fit_mle(ds, [2])
         with pytest.raises(ValueError):
             bootstrap_errors(fit, ds, trials=1, seed=0)
+
+    def test_trials_must_be_integral(self):
+        # 2.5 trials once ran 2 refits.
+        ds = synth_dataset(0.6, 0.0, 500, 8, seed=2)
+        fit = fit_mle(ds, [2])
+        for trials in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"trials must be an integer, got {trials!r}"):
+                bootstrap_errors(fit, ds, trials=trials, seed=0)
+        assert bootstrap_errors(fit, ds, trials=3.0, seed=0).trials == 3
 
     def test_failed_refits_counted(self, monkeypatch):
         ds = synth_dataset(0.6, 0.0119, 5000, 16, seed=2)
