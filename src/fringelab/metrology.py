@@ -129,9 +129,18 @@ def _derivative(coeff: np.ndarray, harmonics: Sequence[int]) -> np.ndarray:
 
 
 def _information(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sum over classes (axis -2) of d^2 / (p + _ROUNDING), live classes only."""
-    live = p > _ROUNDING
-    return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=-2)
+    """Sum over classes (axis -2) of d^2 / (p + _ROUNDING), live classes
+    only, overwriting ``p`` and ``d``.  In place because a bootstrap's scan
+    holds (trials, classes, 256) of each, and three more such arrays at once
+    took the heap past the size at which malloc hands it back to the system
+    after every call, so that the next call faulted it in again."""
+    dead = ~(p > _ROUNDING)
+    p += _ROUNDING
+    p[dead] = 1.0
+    d *= d
+    d /= p
+    d[dead] = 0.0
+    return d.sum(axis=-2)
 
 
 def _polish(

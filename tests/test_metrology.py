@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -688,6 +689,22 @@ class TestPhaseMaximiser:
         for tau, got in ((1.0, full), (0.0, zero)):
             family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282)
             assert got == maximize_fisher(family).per_photon
+
+    def test_scan_holds_little_more_than_its_rows(self, monkeypatch):
+        # A bootstrap's scan of 101 trials holds its value and derivative
+        # rows, (trials, 4, 256) floats, and sums the information in them in
+        # place.  Three more arrays of half their size at once took a fig3
+        # op's heap past the size at which malloc hands it back to the
+        # system, and every op faulted about 470 pages in again.
+        coeff = refit_coefficients(monkeypatch, two_photon_dataset(0.6, 0.0119, 1e5, 0), 100)
+        _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+        tracemalloc.start()
+        try:
+            _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * coeff.shape[0] * 4 * 256 * 8
 
     def test_a_trial_gets_the_same_bits_in_any_batch(self, monkeypatch):
         # A trial that finishes early must not take the rest of the batch's
