@@ -647,7 +647,7 @@ class TestCoefficientBound:
                 cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 3000, 32, seed=11),
                 (2, 4),
             ),
-            # Its fit and some of its refits dip between the data cells.
+            # Its fit and most of its refits dip between the data cells.
             (dual_fock_corpus([2])[0], HARMONICS),
         ],
         ids=["two-photon", "four-photon", "dual-Fock-dips"],
