@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 
 from fringelab.errors import IllPosedError
 from fringelab.spectral import (
+    _PIECES,
+    _UMAX,
+    _gauss_legendre,
     _overlap,
     HomDipFit,
     JsaGrid,
@@ -86,29 +90,66 @@ def quad_overlap(u):
 class TestOverlapEvaluator:
     def test_against_adaptive_quadrature(self):
         us = np.linspace(0.0, 30.0, 121)
-        q, dq = _overlap(us), _overlap(us, slope=True)
+        q, dq = _overlap(us)
         want = np.array([quad_overlap(u) for u in us])
         assert np.max(np.abs(q - want[:, 0])) < 1e-13
         assert np.max(np.abs(dq - want[:, 1])) < 1e-12
 
+    def test_against_the_gauss_legendre_sums(self):
+        # Every piece boundary, 0 and _UMAX among them, and 20,001 u between.
+        bounds = np.arange(_PIECES + 1) * (_UMAX / _PIECES)
+        us = np.concatenate([np.linspace(0.0, _UMAX, 20_001), bounds])
+        assert bounds[0] == 0.0 and bounds[-1] == _UMAX
+        error = np.abs(_overlap(us) - _gauss_legendre(us))
+        assert np.all(error.max(axis=1) <= 2e-15)
+
     def test_zero_beyond_thirty(self):
         us = np.array([30.0 + 1e-9, 30.5, 31.0, 40.0, 100.0])
-        q, dq = _overlap(us), _overlap(us, slope=True)
+        q, dq = _overlap(us)
         assert np.all(q == 0.0) and np.all(dq == 0.0)
         assert max(abs(quad_overlap(u)[0]) for u in us) < 1.2e-10
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, _UMAX + 1e-9], ids=["nan", "inf", "past-umax"])
+    def test_zero_off_the_pieces(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = _overlap(u), _overlap(np.array([0.5, u, 2.5]))
+        assert values[0].tolist() == [0.0, 0.0]
+        assert values[1][:, 1].tolist() == [0.0, 0.0]
+
+    def test_negative_u_is_its_magnitude(self):
+        # A negative piece index would wrap around the table.
+        us = np.array([0.5, 1.0, 5.0, 29.5, 45.0, math.inf])
+        assert np.array_equal(_overlap(-us), _overlap(us))
+
     def test_shapes(self):
         us = np.linspace(0.0, 40.0, 12).reshape(3, 4)
-        q, dq = _overlap(us), _overlap(us, slope=True)
+        q, dq = _overlap(us)
         assert q.shape == dq.shape == (3, 4)
-        q1, dq1 = _overlap(2.5), _overlap(2.5, slope=True)
+        assert np.array_equal(_overlap(us.ravel()), _overlap(us).reshape(2, -1))
+        q1, dq1 = _overlap(2.5)
         assert isinstance(q1, float) and isinstance(dq1, float)
         xs = np.linspace(-12.0, 12.0, 7)
         curve = quartic_gaussian_overlap(xs, 1.7)
         assert curve.shape == xs.shape
         assert type(quartic_gaussian_overlap(1.0, 1.7)) is float
         singles = [quartic_gaussian_overlap(float(x), 1.7) for x in xs]
-        assert np.allclose(curve, singles, rtol=0.0, atol=1e-15)
+        assert curve.tolist() == singles
+
+    def test_wide_dip_fits_in_little_memory(self):
+        # 2,001 delays over six decades: a 47-cell scan of 1,001 distinct |x|.
+        side = np.geomspace(1e-3, 1e3, 1_000)
+        xs = np.concatenate([-side[::-1], [0.0], side])
+        points = [(x, 0.5 - 0.4 * quartic_gaussian_overlap(x, 2.0), 1.0) for x in xs]
+        tracemalloc.start()
+        try:
+            fit = fit_hom_dip(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and not fit.ill_posed
+        assert fit.sigma == pytest.approx(2.0, rel=1e-9)
+        assert peak < 10e6
 
 
 class TestIndistinguishability:
@@ -461,6 +502,35 @@ class TestHomDipFit:
         fit = fit_hom_dip(points)
         assert fit.converged and not fit.ill_posed
         assert fit.sigma == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            synthetic_dip(
+                0.5, -0.45, 2.0, np.linspace(-9.0, 9.0, 25),
+                rng=np.random.default_rng(21), counts_per_point=10_000,
+            ),
+            binomial_dip(),
+            binomial_dip(sigma=0.7, trials=300, seed=8),
+        ],
+        ids=["poisson", "binomial", "low-count"],
+    )
+    def test_labelling_invariance(self, points):
+        # The fit sees |x| and the weighted sums alone: mirroring x -> -x in
+        # the same row order gives the same bits, and reordering the rows
+        # moves only the sums' rounding.
+        fit = fit_hom_dip(points)
+        mirrored = fit_hom_dip([(-x, p, w) for x, p, w in points])
+        assert mirrored == fit
+        order = np.random.default_rng(3).permutation(len(points))
+        for moved in (
+            [points[i] for i in order],
+            [(-x, p, w) for x, p, w in points[::-1]],
+        ):
+            refit = fit_hom_dip(moved)
+            assert (refit.converged, refit.ill_posed) == (fit.converged, fit.ill_posed)
+            for name in ("a", "b", "sigma"):
+                assert getattr(refit, name) == pytest.approx(getattr(fit, name), rel=1e-8, abs=0.0)
 
     def test_unphysical_zero_delay_probability_rejected(self):
         with pytest.raises(ValueError):
