@@ -277,8 +277,9 @@ class _Geometry:
         free = free.reshape(len(counts), -1)
         worst = (_each(self.cell_rows, free) + self.cell_offset).min(axis=1)
         low = np.flatnonzero(worst <= 0.0)
-        lifted = _toward_uniform(self.assemble(free[low]), worst[low], 0.01 / len(self.classes))
-        free[low] = lifted[:, :-1].reshape(low.size, free.shape[1])
+        if low.size:
+            lifted = _toward_uniform(self.assemble(free[low]), worst[low], 0.01 / len(self.classes))
+            free[low] = lifted[:, :-1].reshape(low.size, free.shape[1])
         return free
 
     def assemble(self, free: np.ndarray) -> np.ndarray:
@@ -580,29 +581,32 @@ def _fit_batch(
     todo, free = np.arange(n_trials), geometry.start(counts, eta)
     # The walls of the trials in ``todo``: (position in todo, class, theta).
     dips = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)]
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         free, _value, converged[todo] = _newton(_FitProblem(geometry, counts[todo], eta, dips), free)
         coeff[todo] = geometry.assemble(free)
-        # A wall with slack only crowds the next solve; it comes back as a
-        # dip if it is needed again.
-        held = (coeff[todo][dips[0], dips[1]] * _basis(geometry.harmonics, dips[2]).T).sum(axis=-1)
         trial, cls, theta, value = _possible_dips(coeff[todo], geometry.harmonics)
         worst[todo] = 0.0
         np.minimum.at(worst, todo[trial], value)
         new = value < -_NEG_TOL
         dipping = np.bincount(trial[new], minlength=todo.size) > 0
-        todo = todo[dipping]
-        if not todo.size:
+        if rounds == _MAX_ROUNDS or not dipping.any():
+            converged[todo[dipping]] = False
             break
-        kept = dipping[dips[0]] & (held <= _NEG_TOL)
+        # A wall with slack only crowds the next solve; it comes back as a
+        # dip if it is needed again.
+        kept = dipping[dips[0]]
+        if kept.any():
+            walls = coeff[todo][dips[0], dips[1]]
+            kept &= (walls * _basis(geometry.harmonics, dips[2]).T).sum(axis=-1) <= _NEG_TOL
+        todo = todo[dipping]
         dips = [np.concatenate([old[kept], now[new]]) for old, now in zip(dips, (trial, cls, theta))]
         dips[0] = (np.cumsum(dipping) - 1)[dips[0]]
         free = _toward_uniform(coeff[todo], worst[todo])[:, :-1].reshape(todo.size, -1)
-    converged[todo] = False
 
     # Lift what rounding or the round bound left below zero.
     negative = np.flatnonzero(worst < 0.0)
-    coeff[negative] = _toward_uniform(coeff[negative], worst[negative])
+    if negative.size:
+        coeff[negative] = _toward_uniform(coeff[negative], worst[negative])
     probs = coeff @ _basis(geometry.harmonics, geometry.thetas)
     ll = _poisson_loglik(counts, _rates(probs, counts, eta))
     return coeff, ll, converged & np.isfinite(ll)
