@@ -10,9 +10,11 @@ through ``perfbench/workloads.py``'s ``make_inputs``, ``run_op`` and
 ``check_op``; then the README's ``simulate`` -> ``fit`` chain and its
 ``reproduce-fig3`` sweep, as one run, and its three ``predict`` commands,
 one run each.  The digest covers each run's file names and bytes, its
-printed output, and its error and check result.  Prints the digest and the
-number of runs, and exits 1 if any run fails its check or a README command
-exits nonzero.
+printed output, and its error and check result.  Prints one line per group
+of runs, ``group NAME: DIGEST  N runs``, for each workload, ``readme`` and
+``readme predict``, so that a moved digest shows where it moved; then, last,
+the digest of every run and the number of runs.  Exits 1 if any run fails
+its check or a README command exits nonzero.
 """
 
 from __future__ import annotations
@@ -101,47 +103,53 @@ def _op(workload: str, op: dict):
     return error, workloads.check_op(workload, op) if error is None else None
 
 
-def _record(digest, failures: list, label: str, directory: Path, run) -> None:
+def _record(digests, failures: list, label: str, directory: Path, run) -> None:
     """Call ``run`` in the new ``directory`` with its printed output captured,
-    and add the label, error, check result and every file to ``digest``."""
+    and add the label, error, check result and every file to each of
+    ``digests``."""
     directory.mkdir(parents=True)
     os.chdir(directory)
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         error, check = run()
     Path("printed.txt").write_text(printed.getvalue())
-    digest.update(f"{label}\0{error}\0{check}\0".encode())
+    chunks = [f"{label}\0{error}\0{check}\0".encode()]
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
-        digest.update(f"{path.relative_to(directory)}\0".encode())
-        digest.update(path.read_bytes())
+        chunks += [f"{path.relative_to(directory)}\0".encode(), path.read_bytes()]
+    for digest in digests:
+        for chunk in chunks:
+            digest.update(chunk)
     if error or check:
         failures.append(f"{label}: {error or check}")
 
 
 def main() -> int:
-    digest, failures, runs = hashlib.sha256(), [], 0
+    digest, failures = hashlib.sha256(), []
+    groups: dict[str, list] = {}  # name: [digest, runs]
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
+
+        def record(group: str, label: str, run) -> None:
+            entry = groups.setdefault(group, [hashlib.sha256(), 0])
+            _record((digest, entry[0]), failures, label, Path(tmp, label.replace(" ", "_")), run)
+            entry[1] += 1
+
         try:
             for workload in workloads.WORKLOADS:
                 for seed in SEEDS:
                     cold, steady = workloads.make_inputs(workload, seed, Path(tmp, "inputs", f"{workload}_{seed}"))
                     for i, op in enumerate([cold, *steady[:STEADY_OPS]]):
-                        label = f"{workload} seed {seed} op {i}"
-                        run = functools.partial(_op, workload, op)
-                        _record(digest, failures, label, Path(tmp, label.replace(" ", "_")), run)
-                        runs += 1
-            _record(digest, failures, "readme", Path(tmp, "readme"), _readme_commands)
-            runs += 1
+                        record(workload, f"{workload} seed {seed} op {i}", functools.partial(_op, workload, op))
+            record("readme", "readme", _readme_commands)
             for cfg in README_PREDICTS:
-                label = f"readme predict {cfg['mode']}"
-                run = functools.partial(_readme_predict, cfg)
-                _record(digest, failures, label, Path(tmp, label.replace(" ", "_")), run)
-                runs += 1
+                record("readme predict", f"readme predict {cfg['mode']}", functools.partial(_readme_predict, cfg))
         finally:
             os.chdir(home)
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
+    for name, (group_digest, runs) in groups.items():
+        print(f"group {name}: {group_digest.hexdigest()}  {runs} runs")
+    runs = sum(runs for _, runs in groups.values())
     print(f"{digest.hexdigest()}  {runs} runs, {len(failures)} failed")
     return 1 if failures else 0
 
