@@ -594,6 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except MemoryError:
+        print(f"config error: out of memory running {args.command}; ask for a smaller run", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -42,9 +42,9 @@ _TINY = np.finfo(float).tiny
 _SCAN_POINTS = 722
 # Trial-cells (trials x classes x (phases + _SCAN_POINTS)) the bootstrap draws
 # and refits at once; the cost per refit is flat from 100 to 1,000 two-photon
-# trials of 32 phases a block and higher below that.  A trial the coefficient
-# bound clears is never scanned, but the block still counts its scan: the
-# worst case is every trial scanned, so the memory bound holds.
+# trials of 32 phases a block and higher below that.  A trial that the
+# coefficient floor or its samples clear (``_possible_dips``) is never scanned,
+# but the block counts its scan, so the bound holds when every trial is.
 _BLOCK_CELLS = 2**18
 
 
@@ -121,7 +121,9 @@ class FourierFringeModel:
     ``coefficients`` has one row per class: [c0, cos_k, sin_k, ...] following
     the harmonic order.  They are finite, and rows sum columnwise to
     [1, 0, 0, ...] so the class probabilities are normalized at every phase;
-    no local minimum of a class probability lies below -_NEG_TOL (rounding).
+    no local minimum of a class probability lies below -_NEG_TOL (rounding),
+    which ``_possible_dips`` checks by scanning only what neither the
+    coefficient floor nor the samples clear.
     """
 
     classes: tuple[int, ...]
@@ -138,10 +140,9 @@ class FourierFringeModel:
             raise ValueError(f"coefficient array has shape {coeff.shape}")
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
-        colsum = coeff.sum(axis=0)
-        target = np.zeros_like(colsum)
-        target[0] = 1.0
-        if not np.allclose(colsum, target, atol=1e-9):
+        colsum, target = coeff.sum(axis=0), np.eye(1, coeff.shape[1])[0]
+        # np.allclose(colsum, target, atol=1e-9), without its overhead.
+        if not (np.abs(colsum - target) <= 1e-9 + 1e-5 * target).all():
             raise ValueError(f"columns sum to {colsum}, breaking normalization")
         if _possible_dips(coeff[None], harmonics)[3].min(initial=0.0) < -_NEG_TOL:
             raise ValueError("model probabilities are negative at some phase")
@@ -179,7 +180,7 @@ def _poisson_loglik(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _log_factorials(counts: np.ndarray) -> float:
     """Sum of log(x!) over the counts, the constant of the Poisson
     log-likelihood."""
-    return math.fsum(math.lgamma(x + 1.0) for x in np.ravel(counts).tolist())
+    return math.fsum(map(math.lgamma, (np.ravel(counts) + 1.0).tolist()))
 
 
 def _rates(model_probs: np.ndarray | float, counts: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -215,11 +216,12 @@ class _Geometry:
 
     The free coefficients are the rows of every class but the last,
     flattened; a class probability is ``row @ free + offset`` (``affine``),
-    with ``cell_rows`` at the data cells, class-major.  ``projector`` maps
-    a series' values at the phases to its least-squares coefficients; it
-    starts every fit.  Phases that cannot identify the model raise
-    ``IllPosedError``, checked first for a phase that the top harmonic
-    carries past the float range, where the basis would be NaN.
+    with ``cell_rows`` at the data cells, class-major.  ``basis`` is the
+    Fourier basis at the phases, and ``projector`` maps a series' values
+    there to its least-squares coefficients; it starts every fit.  Phases
+    that cannot identify the model raise ``IllPosedError``, checked first for
+    a phase that the top harmonic carries past the float range, where the
+    basis would be NaN.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
@@ -233,7 +235,8 @@ class _Geometry:
             )
         if float(distinct.max() - distinct.min()) < math.pi - 1e-9:
             raise IllPosedError("phases must span at least pi")
-        u, sv, vt = np.linalg.svd(_basis(harmonics, thetas).T, full_matrices=False)
+        self.basis = _basis(harmonics, thetas)
+        u, sv, vt = np.linalg.svd(self.basis.T, full_matrices=False)
         if (sv > sv[0] * max(thetas.size, sv.size) * np.finfo(float).eps).sum() < 1 + 2 * len(harmonics):
             # No count would set a term that vanishes at every phase, as
             # sin(6 theta) does at 12 equally spaced phases.
@@ -365,7 +368,7 @@ class _FitProblem:
         p_seen = np.where(seen, p, 1.0)
         grad = _each(g.cell_rows.T, np.where(seen, x / p_seen, 0.0) - scale)
         weight = np.where(seen, x / p_seen**2, 0.0)
-        hess = -(g.cell_rows.T * weight[:, None, :]) @ g.cell_rows
+        hess = (g.cell_rows.T * -weight[:, None, :]) @ g.cell_rows  # bit for bit -(rows * weight) @ rows
         return np.where(feasible, ll, -np.inf), grad, hess
 
     def apply(self, vectors: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -482,19 +485,20 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         # Each trial's active walls first; only a trial holding a wall can
         # release one.
         order = np.argsort(~active[idx], axis=1, kind="stable") if size.any() else None
-        h = hess[idx]
+        h, tol_i = hess[idx], tol[idx]
         ridge = 1e-12 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
         curvature = h - ridge[:, None, None] * eye
         solution = np.zeros((idx.size, n + size.max()))
         # LAPACK's rounding depends on the size of a system, padding
         # included, so each trial is solved at the size of its own active
         # set: its steps are then the same bits in any batch.
-        for width in np.flatnonzero(np.bincount(size)):
-            group = np.flatnonzero(size == width)
+        widths = np.flatnonzero(np.bincount(size))
+        for width in widths:
+            group = slice(None) if widths.size == 1 else np.flatnonzero(size == width)
             trials = idx[group]
             if width:
                 held = order[group, :width]
-                slack = levels[group[:, None], held]
+                slack = np.take_along_axis(levels[group], held, axis=1)
                 a = problem.rows(trials, held)
                 solution[group, : n + width] = _kkt_solve(curvature[group], grad[trials], a, slack)
             else:
@@ -503,8 +507,8 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         solved = np.isfinite(solution).all(axis=1)
         running[idx[~solved]] = False
         decrement = -((curvature @ step[:, :, None])[..., 0] * step).sum(axis=1)
-        flat = solved & (decrement <= tol[idx])
-        done = flat & (multipliers.min(axis=1, initial=0.0) >= -tol[idx])
+        flat = solved & (decrement <= tol_i)
+        done = flat & (multipliers.min(axis=1, initial=0.0) >= -tol_i)
         converged[idx[done]] = True
         running[idx[done]] = False
         release = np.flatnonzero(flat & ~done)
@@ -524,8 +528,8 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         )
         level = np.maximum(levels[move], 0.0)
         ratios = np.full(slope.shape, np.inf)
-        ratios[crossing] = level[crossing] / -slope[crossing]
-        ratios[seen[trials]] *= 0.9
+        np.divide(level, -slope, out=ratios, where=crossing)
+        np.multiply(ratios, 0.9, out=ratios, where=seen[trials])
         r = np.argmin(ratios, axis=1)
         nearest = ratios[np.arange(move.size), r]
         alpha = np.minimum(1.0, nearest)
@@ -583,8 +587,8 @@ def _fit_batch(
     dips = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)]
     for rounds in range(1, _MAX_ROUNDS + 1):
         free, _value, converged[todo] = _newton(_FitProblem(geometry, counts[todo], eta, dips), free)
-        coeff[todo] = geometry.assemble(free)
-        trial, cls, theta, value = _possible_dips(coeff[todo], geometry.harmonics)
+        fitted = coeff[todo] = geometry.assemble(free)
+        trial, cls, theta, value = _possible_dips(fitted, geometry.harmonics)
         worst[todo] = 0.0
         np.minimum.at(worst, todo[trial], value)
         new = value < -_NEG_TOL
@@ -596,19 +600,18 @@ def _fit_batch(
         # dip if it is needed again.
         kept = dipping[dips[0]]
         if kept.any():
-            walls = coeff[todo][dips[0], dips[1]]
+            walls = fitted[dips[0], dips[1]]
             kept &= (walls * _basis(geometry.harmonics, dips[2]).T).sum(axis=-1) <= _NEG_TOL
         todo = todo[dipping]
         dips = [np.concatenate([old[kept], now[new]]) for old, now in zip(dips, (trial, cls, theta))]
         dips[0] = (np.cumsum(dipping) - 1)[dips[0]]
-        free = _toward_uniform(coeff[todo], worst[todo])[:, :-1].reshape(todo.size, -1)
+        free = _toward_uniform(fitted[dipping], worst[todo])[:, :-1].reshape(todo.size, -1)
 
     # Lift what rounding or the round bound left below zero.
     negative = np.flatnonzero(worst < 0.0)
     if negative.size:
         coeff[negative] = _toward_uniform(coeff[negative], worst[negative])
-    probs = coeff @ _basis(geometry.harmonics, geometry.thetas)
-    ll = _poisson_loglik(counts, _rates(probs, counts, eta))
+    ll = _poisson_loglik(counts, _rates(coeff @ geometry.basis, counts, eta))
     return coeff, ll, converged & np.isfinite(ll)
 
 
@@ -691,24 +694,37 @@ def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.nda
 
 def _possible_dips(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """``_local_minima`` of the trials of ``coeff`` (trials, classes,
-    coefficients) that the coefficient bound does not clear, with trial
-    indices into ``coeff``.
+    coefficients) that neither certificate clears, with trial indices into
+    ``coeff``; a trial clears when each class probability p = c0 + sum_k
+    (a_k cos k theta + b_k sin k theta) is certainly above _NEG_TOL.
 
-    A class probability c0 + sum_k (a_k cos k theta + b_k sin k theta) is
-    never below its floor c0 - sum_k |(a_k, b_k)|, which it reaches for one
-    harmonic.  A trial whose every floor is above _NEG_TOL has no dip below
-    zero and is not scanned; a floor of NaN or +-inf does not clear.  The
-    constant terms of a cleared trial sum to 1, so each is below 1, and so
-    is every coefficient: the scan's rounding, about 1e-16, could not take
-    one of its minima below zero.  The rest are scanned as one subset of
-    whole trials, each with its own product, the same bits as in any batch.
+    The floor c0 - sum_k |(a_k, b_k)|, which p reaches for one harmonic, is
+    tried first.  A trial it leaves is sampled at 36 phases h apart over one
+    period: between neighbouring samples p >= min(p_j, p_j+1) - (h^2 / 8)
+    max |p''|, and |p''| <= sum_k k^2 |(a_k, b_k)| (``_samples_clear``).  A
+    NaN or infinite coefficient never clears.  A cleared trial's rows are
+    nonnegative and sum to 1, so no coefficient exceeds 2, and rounding of
+    about 1e-16 cannot cross _NEG_TOL.  The rest are scanned as one subset
+    of whole trials, each with its own product, as in any batch.
     """
     floor = coeff[..., 0] - np.hypot(coeff[..., 1::2], coeff[..., 2::2]).sum(axis=-1)
     unsure = np.flatnonzero(~(np.isfinite(floor) & (floor > _NEG_TOL)).all(axis=-1))
+    if unsure.size:
+        unsure = unsure[~_samples_clear(coeff[unsure], harmonics)]
     if not unsure.size:
         return unsure, unsure, np.zeros(0), np.zeros(0)
     trial, cls, theta, value = _local_minima(coeff[unsure], harmonics)
     return unsure[trial], cls, theta, value
+
+
+def _samples_clear(coeff: np.ndarray, harmonics: tuple[int, ...]) -> np.ndarray:
+    """Whether each trial is finite and every class's lowest of 36 samples a period (every
+    20th point of ``_local_minima``'s scan), less (h^2 / 8) sum_k k^2 |(a_k, b_k)|, is above _NEG_TOL."""
+    period, _, basis = _minima_grid(tuple(harmonics))
+    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf, only where a trial is not finite
+        bend = np.hypot(coeff[..., 1::2], coeff[..., 2::2]) @ np.square(harmonics) * (period / 36) ** 2 / 8
+        low = (coeff @ basis[:, 1:-1:20]).min(axis=-1) - bend
+    return np.isfinite(coeff).all(axis=(1, 2)) & (low > _NEG_TOL).all(axis=-1)
 
 
 def _toward_uniform(coeff: np.ndarray, worst: np.ndarray, floor: float = 1e-15) -> np.ndarray:
@@ -778,7 +794,7 @@ def bootstrap_errors(
     thetas, counts, eta = dataset.arrays()
     harmonics = fit.model.harmonics
     geometry = _geometry(thetas, dataset.classes, harmonics)
-    lam = np.maximum(_rates(fit.model.probs_at(thetas), counts, eta), 0.0)
+    lam = np.maximum(_rates(fit.model.coefficients @ geometry.basis, counts, eta), 0.0)
     rng = np.random.default_rng(seed)
     n_classes, n_photons = len(dataset.classes), max(dataset.classes)
     block = max(1, _BLOCK_CELLS // (n_classes * (thetas.size + _SCAN_POINTS)))

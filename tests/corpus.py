@@ -12,8 +12,9 @@ a slice of each corpus.  Run as a script, it fits all of them:
 prints, per corpus, the number of fits, how many did not converge, how
 many objective evaluations they took, and how often a fit's coefficients
 (once per exchange round, and once more for its model's own check) were
-scanned for dips or cleared of them by the coefficient bound; it lists
-every fit that fails a check, and exits 1 if any does.
+scanned for dips or cleared of them, by the coefficient floor or else by
+the bound from the samples; it lists every fit that fails a check, and
+exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -153,17 +154,20 @@ def certificate_failures(problem, trial: int, z: np.ndarray) -> list[str]:
 def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
     """``fit_mle`` of ``dataset`` with (fit, counts, failures): the counts
     are the objective evaluations, and the coefficient sets scanned for dips
-    and cleared of them by the coefficient bound, the model's own check
-    among them; the failures name each check the fit fails, and are
+    and cleared of them by the floor and by the samples, the model's own
+    check among them; the failures name each check the fit fails, and are
     empty when it is converged, no class probability dips below zero, its
     log-likelihood is ``log_likelihood`` of its model to 1e-12, and the
     last solve's result carries the KKT certificate on that solve's walls."""
-    solves, evaluations, checked, scanned = [], [], [], []
-    newton, objective = estimation._newton, estimation._FitProblem.objective
-    possible_dips, local_minima = estimation._possible_dips, estimation._local_minima
+    solves, evaluations, checked, sampled, samples, scanned = [], [], [], [], [], []
+    objective = estimation._FitProblem.objective
+    # An older tree may lack a certificate; its clears are not counted, and
+    # the other counts still compare.
+    names = ("_newton", "_possible_dips", "_samples_clear", "_local_minima")
+    real = {name: getattr(estimation, name, None) for name in names}
 
     def recorded(problem, free0):
-        free, value, converged = newton(problem, free0)
+        free, value, converged = real["_newton"](problem, free0)
         solves.append((problem, free))
         return free, value, converged
 
@@ -173,19 +177,28 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
 
     def bounded(coeff, harmonics):
         checked.append(len(coeff))
-        return possible_dips(coeff, harmonics)
+        return real["_possible_dips"](coeff, harmonics)
+
+    def by_samples(coeff, harmonics):
+        # The trials the floor leaves.
+        cleared = real["_samples_clear"](coeff, harmonics)
+        sampled.append(len(coeff))
+        samples.append(int(cleared.sum()))
+        return cleared
 
     def scan(coeff, harmonics):
         scanned.append(len(coeff))
-        return local_minima(coeff, harmonics)
+        return real["_local_minima"](coeff, harmonics)
 
-    estimation._newton, estimation._FitProblem.objective = recorded, counted
-    estimation._possible_dips, estimation._local_minima = bounded, scan
+    swaps = {"_newton": recorded, "_possible_dips": bounded, "_samples_clear": by_samples, "_local_minima": scan}
+    swaps = {name: wrapper for name, wrapper in swaps.items() if real[name] is not None}
+    estimation._FitProblem.objective = counted
+    vars(estimation).update(swaps)
     try:
         fit = fit_mle(dataset, harmonics)
     finally:
-        estimation._newton, estimation._FitProblem.objective = newton, objective
-        estimation._possible_dips, estimation._local_minima = possible_dips, local_minima
+        estimation._FitProblem.objective = objective
+        vars(estimation).update({name: real[name] for name in swaps})
     failures = [] if fit.converged else ["did not converge"]
     lowest = _local_minima(fit.model.coefficients[None], fit.model.harmonics)[3].min(initial=0.0)
     if lowest < 0.0:
@@ -195,7 +208,9 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
         failures.append(f"log-likelihood {fit.log_likelihood!r} against {reference!r}")
     problem, free = solves[-1]
     failures += certificate_failures(problem, 0, free[0])
-    counts = Counter(evaluations=sum(evaluations), scanned=sum(scanned), cleared=sum(checked) - sum(scanned))
+    counts = Counter(evaluations=sum(evaluations), scanned=sum(scanned), samples=sum(samples))
+    if real["_samples_clear"] is not None:
+        counts["floor"] = sum(checked) - sum(sampled)
     return fit, counts, failures
 
 
@@ -212,7 +227,8 @@ def main() -> int:
                 print(f"{name} dataset {i}: " + "; ".join(failures))
         print(
             f"{name}: {size} fits, {non_converged} non-converged, {counts['evaluations']} objective evaluations;"
-            f" {counts['scanned']} trials scanned for dips, {counts['cleared']} cleared by the coefficient bound"
+            f" {counts['scanned']} trials scanned for dips, {counts['floor']} cleared by the coefficient floor"
+            f" and {counts['samples']} by the samples"
         )
     return 1 if failed else 0
 

@@ -1004,6 +1004,22 @@ class TestTopLevel:
         assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {tmp_path / 'c.json'}: {what}")
 
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(cfg):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", (out_of_memory, cli._COMMANDS["simulate"][1]))
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"probe": {"type": "two_photon", "iprime": 0.5}, "expected_counts_per_point": 1000},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: out of memory running simulate; ask for a smaller run\n"
+        assert list(out.iterdir()) == []
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(
             tmp_path / "sim.json",

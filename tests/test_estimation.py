@@ -579,6 +579,21 @@ class TestLocalMinima:
             assert lowest.min() == pytest.approx(value.min(), abs=1e-15)
 
 
+def sampled_trials(monkeypatch):
+    """(trials, trials cleared) of every later ``_samples_clear`` call: the
+    trials the coefficient floor leaves to the samples."""
+    sent = []
+    real = estimation._samples_clear
+
+    def counted(coeff, harmonics):
+        cleared = real(coeff, harmonics)
+        sent.append((len(coeff), int(cleared.sum())))
+        return cleared
+
+    monkeypatch.setattr(estimation, "_samples_clear", counted)
+    return sent
+
+
 def scanned_trials(monkeypatch):
     """The number of trials of every later ``_local_minima`` scan."""
     sent = []
@@ -595,10 +610,10 @@ def scanned_trials(monkeypatch):
 class TestCoefficientBound:
     def test_no_row_dips_below_its_floor(self, monkeypatch):
         # Rows of 1-4 harmonics whose floor c0 - sum_k |(a_k, b_k)| lies
-        # within a few _NEG_TOL of _NEG_TOL, the line the bound draws.
+        # within a few _NEG_TOL of _NEG_TOL, the line the floor draws.
         rng = np.random.default_rng(25)
         grid = np.linspace(0.0, 2 * math.pi, 20_000, endpoint=False)
-        sent = scanned_trials(monkeypatch)
+        sampled = sampled_trials(monkeypatch)
         cleared = 0
         for _ in range(300):
             harmonics = tuple(sorted(rng.choice(np.arange(1, 9), size=rng.integers(1, 5), replace=False).tolist()))
@@ -610,18 +625,54 @@ class TestCoefficientBound:
             if len(harmonics) == 1:
                 # One harmonic reaches its floor.
                 assert lowest <= floor + 1e-5
-            sent.clear()
-            found = estimation._possible_dips(row[None, None], harmonics)
-            every = _local_minima(row[None, None], harmonics)
-            # The bound's own rounding is about 1e-16.
-            if sent:
-                assert floor <= estimation._NEG_TOL + 1e-15
-                assert [bits(a) for a in found] == [bits(a) for a in every]
-            else:
+            # The floor's own rounding is about 1e-16.
+            sampled.clear()
+            estimation._possible_dips(row[None, None], harmonics)
+            if not sampled:
                 cleared += 1
                 assert floor >= estimation._NEG_TOL - 1e-15
-                assert not found[0].size and every[3].min() >= 0.0
+                assert _local_minima(row[None, None], harmonics)[3].min() >= 0.0
+            else:
+                assert floor <= estimation._NEG_TOL + 1e-15
         assert 50 < cleared < 250
+
+    def test_no_row_dips_below_its_samples_bound(self, monkeypatch):
+        # Rows of 1-4 harmonics whose dense-grid minimum, or whose bound from
+        # the 36 samples a period, lies within a few _NEG_TOL of _NEG_TOL.
+        rng = np.random.default_rng(27)
+        grid = np.linspace(0.0, 2 * math.pi, 20_000, endpoint=False)
+        sent = scanned_trials(monkeypatch)
+        cleared = {"dense": 0, "samples": 0}
+        for near in ("dense", "samples") * 300:
+            harmonics = tuple(sorted(rng.choice(np.arange(1, 9), size=rng.integers(1, 5), replace=False).tolist()))
+            waves = rng.normal(size=2 * len(harmonics)) * rng.uniform(0.01, 0.5)
+            row = np.concatenate([[0.0], waves])
+            period = 2 * math.pi / math.gcd(*harmonics)
+            samples = row @ _basis(harmonics, np.arange(36) * (period / 36))
+            bend = (np.hypot(waves[0::2], waves[1::2]) * np.square(harmonics)).sum() * (period / 36) ** 2 / 8
+            line = estimation._NEG_TOL * rng.uniform(-2.0, 4.0)
+            row[0] = line - ((row @ _basis(harmonics, grid)).min() if near == "dense" else samples.min() - bend)
+            lowest = (row @ _basis(harmonics, grid)).min()
+            low = (row @ _basis(harmonics, np.arange(36) * (period / 36))).min() - bend
+            sent.clear()
+            found = estimation._possible_dips(row[None, None], harmonics)
+            if estimation._samples_clear(row[None, None], harmonics)[0]:
+                cleared[near] += 1
+                assert low >= estimation._NEG_TOL - 1e-15
+                assert lowest >= estimation._NEG_TOL - 1e-15
+                assert not sent and not found[0].size
+            else:
+                assert low <= estimation._NEG_TOL + 1e-15
+                if sent:
+                    every = _local_minima(row[None, None], harmonics)
+                    assert sent == [1] and [bits(a) for a in found] == [bits(a) for a in every]
+                else:
+                    # The floor cleared it.
+                    assert lowest >= estimation._NEG_TOL - 1e-15 and not found[0].size
+        # The bound lies below the dense minimum by about the bend, far more
+        # than _NEG_TOL here, so no row near the line clears; about half the
+        # rows near the bound do.
+        assert cleared["dense"] == 0 and 100 < cleared["samples"] < 200
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -634,10 +685,24 @@ class TestCoefficientBound:
             return empty, empty, np.zeros(0), np.zeros(0)
 
         monkeypatch.setattr(estimation, "_local_minima", recorded)
-        coeff = np.repeat(two_photon_model(0.6, 0.0119).coefficients[None], 3, axis=0)
-        coeff[1, 0, column] = bad
-        estimation._possible_dips(coeff, (2,))
-        assert len(sent) == 1 and np.array_equal(sent[0], coeff[1:2], equal_nan=True)
+        # A two-photon model the floor clears, and a four-photon model only
+        # the samples clear; a bad constant term makes every sample +inf or
+        # NaN, or -inf.
+        four_photon = fit_mle(
+            cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 100_000, 32, seed=11), [2, 4]
+        ).model.coefficients[None]
+        floor = four_photon[0, :, 0] - np.hypot(four_photon[0, :, 1::2], four_photon[0, :, 2::2]).sum(axis=-1)
+        assert floor.min() < estimation._NEG_TOL and estimation._samples_clear(four_photon, (2, 4))[0]
+        cases = [(two_photon_model(0.6, 0.0119).coefficients[None], (2,), column)]
+        cases += [(four_photon, (2, 4), col) for col in (column, column + 2)]
+        for model, harmonics, col in cases:
+            sent.clear()
+            coeff = np.repeat(model, 3, axis=0)
+            coeff[1, 0, col] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                estimation._possible_dips(coeff, harmonics)
+            assert len(sent) == 1 and np.array_equal(sent[0], coeff[1:2], equal_nan=True)
 
     @pytest.mark.parametrize(
         "dataset,harmonics",
@@ -665,13 +730,21 @@ class TestCoefficientBound:
     def test_readme_points_scan_nothing_and_dips_still_scan(self, monkeypatch):
         # The README sweep's points: zeta 0.0119, 32 phases, 1e5 counts per
         # point and 100 bootstrap trials.  No class probability comes near
-        # zero, so the bound clears every fit, model and refit.
+        # zero, so the floor clears every fit, model and refit.
+        sampled = sampled_trials(monkeypatch)
         sent = scanned_trials(monkeypatch)
         for i, iprime in enumerate((0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
             ds = cli_dataset(spdc_two_photon(iprime), 0.0119, 100_000, 32, seed=i)
             fit = fit_mle(ds, [2])
             assert fit.converged and bootstrap_errors(fit, ds, trials=100, seed=i).failed_refits == 0
-        assert sent == []
+        assert sampled == [] and sent == []
+        # A four-photon fit of the benchmark's shape, its model's check and
+        # its 20 refits: the floor clears none of them, and the samples clear
+        # them all.
+        ds = cli_dataset(four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 1.0), 0.0282, 100_000, 32, seed=11)
+        fit = fit_mle(ds, [2, 4])
+        assert fit.converged and bootstrap_errors(fit, ds, trials=20, seed=3).failed_refits == 0
+        assert sampled == [(1, 1), (1, 1), (20, 20)] and sent == []
         assert fit_mle(dual_fock_corpus([2])[0], HARMONICS).converged
         assert sum(sent) > 0
 
