@@ -647,13 +647,15 @@ class TestCoefficientBound:
             harmonics = tuple(sorted(rng.choice(np.arange(1, 9), size=rng.integers(1, 5), replace=False).tolist()))
             waves = rng.normal(size=2 * len(harmonics)) * rng.uniform(0.01, 0.5)
             row = np.concatenate([[0.0], waves])
-            period = 2 * math.pi / math.gcd(*harmonics)
-            samples = row @ _basis(harmonics, np.arange(36) * (period / 36))
+            # The 36 samples a period are every 20th point of the scan grid.
+            period, scan, _ = estimation._minima_grid(harmonics)
+            assert np.allclose(scan[1:-1:20], np.arange(36) * (period / 36), rtol=0, atol=1e-15)
+            samples = row @ _basis(harmonics, scan[1:-1:20])
             bend = (np.hypot(waves[0::2], waves[1::2]) * np.square(harmonics)).sum() * (period / 36) ** 2 / 8
             line = estimation._NEG_TOL * rng.uniform(-2.0, 4.0)
             row[0] = line - ((row @ _basis(harmonics, grid)).min() if near == "dense" else samples.min() - bend)
             lowest = (row @ _basis(harmonics, grid)).min()
-            low = (row @ _basis(harmonics, np.arange(36) * (period / 36))).min() - bend
+            low = (row @ _basis(harmonics, scan[1:-1:20])).min() - bend
             sent.clear()
             found = estimation._possible_dips(row[None, None], harmonics)
             if estimation._samples_clear(row[None, None], harmonics)[0]:
