@@ -518,20 +518,33 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     return StateEnsemble(tuple(components))
 
 
+@functools.cache
+def _four_photon_tables() -> np.ndarray:
+    """Fourier rows of ``four_photon_pair_ensemble``'s two components, the
+    double pair then the distinct pairs, at overlap 1 then 0, without
+    background: (2, 2, 3 classes, 9 coefficients), read-only, built at first use."""
+    states = [(dual_fock_mismatched(2, tau * tau), two_distinct_pairs(tau)) for tau in (1.0, 0.0)]
+    table = np.array([[_family_coefficients(counting_family(s, 0.0))[0] for s in pair] for pair in states])
+    table.flags.writeable = False
+    return table
+
+
 def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float]:
     """Per-photon Fisher information at full and zero mode overlap.
 
-    Builds the purity-weighted four-photon mixtures at overlap 1 and 0,
-    aggregates counting outcomes into the three |delta| classes, mixes a
-    uniform background over those classes, and maximizes the Fisher
-    information over phase in (0, pi), both overlaps in one batched call;
-    each maximum is divided by the photon number 4.
+    The purity weights, the uniform background over the three |delta|
+    classes and the Fourier map are all linear: each overlap's class rows
+    are (1 - zeta) times the weighted sum of its cached component rows, plus
+    zeta/3 on c0.  Both overlaps' maxima over phase in (0, pi) come from one
+    batched call; each is divided by the photon number 4.
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
-    (full, harmonics), (zero, _) = (
-        _family_coefficients(counting_family(four_photon_pair_ensemble(lam4, tau), zeta))
-        for tau in (1.0, 0.0)
-    )
-    f_star = _maximize_fourier_fisher(np.stack([full, zero]), harmonics, _HALF_TURN)[3]
+    lam4 = float(lam4)
+    if not 0.0 < lam4 <= 1.0:
+        raise ValueError(f"lambda4 {lam4} outside (0, 1]")
+    table = _four_photon_tables()
+    coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * table[:, 0] + (1.0 - lam4) / (1.0 + lam4) * table[:, 1])
+    coeff[..., 0] += zeta / 3.0
+    f_star = _maximize_fourier_fisher(coeff, (1, 2, 3, 4), _HALF_TURN)[3]
     return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

@@ -643,6 +643,13 @@ def test_cli_import_leaves_out_scipy():
     assert _run_python(code).stdout.strip() == "[]"
 
 
+def test_metrology_import_builds_no_four_photon_table():
+    # The tables are built at the first prediction, so that a traced run's
+    # first fisher_scan op records the fock and detection calls behind them.
+    code = "import fringelab.metrology as m; print(m._four_photon_tables.cache_info().currsize)"
+    assert _run_python(code).stdout.strip() == "0"
+
+
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     # A blocked import raises ImportError, also from a function that
     # imports lazily, so each subcommand's whole path is covered.
@@ -703,6 +710,25 @@ class TestPredictCommand:
         values = {line.split(",")[0]: float(line.split(",")[1]) for line in lines[1:]}
         assert values["1"] == pytest.approx(2.246, rel=0.05)
         assert values["0"] == pytest.approx(0.7547, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "lam4, zeta, message",
+        [
+            (0.5, 1.0, "zeta 1.0 outside [0, 1)"),
+            (0.0, 1.0, "zeta 1.0 outside [0, 1)"),
+            (0.0, 0.1, "lambda4 0.0 outside (0, 1]"),
+            (-0.5, 0.1, "lambda4 -0.5 outside (0, 1]"),
+            (math.nan, 0.1, "lambda4: must be a finite number"),
+            (0.5, math.nan, "zeta: must be a finite number"),
+        ],
+    )
+    def test_four_photon_extremes_out_of_range_exit_2(self, tmp_path, capsys, lam4, zeta, message):
+        cfg = write_config(
+            tmp_path / "p.json", {"mode": "four_photon_extremes", "lambda4": lam4, "zeta": zeta}
+        )
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "prediction.csv").exists()
 
     def test_small_angle(self, tmp_path):
         cfg = write_config(

@@ -382,9 +382,64 @@ class TestFourPhotonPredictions:
         full, _ = predict_four_photon_extremes(1.0, 0.0)
         assert full == pytest.approx(3.0, abs=1e-3)
 
+    def test_full_purity_is_the_double_pair_alone(self):
+        # At lambda4 = 1 the distinct pairs weigh exactly 0, so without
+        # background the rows are the double pair's own, bit for bit.
+        got = predict_four_photon_extremes(1.0, 0.0)
+        for tau, value in zip((1.0, 0.0), got):
+            assert value == maximize_fisher(counting_family(dual_fock_mismatched(2, tau), 0.0)).per_photon
+
     def test_vanishing_purity_limit(self):
         _, zero = predict_four_photon_extremes(1e-9, 0.0)
         assert zero == pytest.approx(1.0, abs=1e-3)
+
+    def test_mixed_tables_match_the_ensembles(self, monkeypatch):
+        # The same rows, up to rounding, as mixing the ensemble's class
+        # probabilities before the Fourier map; and the same maxima, but for
+        # the _ROUNDING crater at zeta = 0, where the maximum sits at a zero
+        # of a class probability and a last-bit change in a row moves the
+        # zooms' result by up to about 3e-9 (the crater's depth is 4e-7).
+        rows = recording_maximiser(monkeypatch)
+        for lam4 in (1e-9, 0.05, 0.3, 0.479, 0.75, 1.0):
+            for zeta in (0.0, 0.0119, 0.0282, 0.2, 0.7):
+                rows.clear()
+                got = predict_four_photon_extremes(lam4, zeta)
+                (coeff,) = rows
+                for i, tau in enumerate((1.0, 0.0)):
+                    family = counting_family(four_photon_pair_ensemble(lam4, tau), zeta)
+                    want = _family_coefficients(family)[0]
+                    assert np.abs(coeff[i] - want).max() <= 1e-15, (lam4, zeta, tau)
+                    reference = maximize_fisher(family).per_photon
+                    if zeta > 0:
+                        assert got[i] == pytest.approx(reference, rel=1e-13, abs=0), (lam4, zeta, tau)
+                    else:
+                        assert got[i] == pytest.approx(reference, rel=0, abs=1e-8), (lam4, tau)
+
+    @pytest.mark.parametrize(
+        "lam4, zeta, message",
+        [
+            (0.5, 1.0, "zeta 1.0 outside [0, 1)"),
+            (0.5, math.nan, "zeta nan outside [0, 1)"),
+            (0.0, 1.0, "zeta 1.0 outside [0, 1)"),
+            (math.nan, 0.1, "lambda4 nan outside (0, 1]"),
+            (0.0, 0.1, "lambda4 0.0 outside (0, 1]"),
+            (-0.5, 0.1, "lambda4 -0.5 outside (0, 1]"),
+        ],
+    )
+    def test_out_of_range_arguments(self, lam4, zeta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_four_photon_extremes(lam4, zeta)
+
+    def test_component_tables_are_read_only(self):
+        table = metrology._four_photon_tables()
+        before = table.copy()
+        assert table.shape == (2, 2, 3, 9) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1.0
+        for lam4, zeta in ((0.479, 0.0282), (1.0, 0.0), (1e-9, 0.5)):
+            predict_four_photon_extremes(lam4, zeta)
+        assert metrology._four_photon_tables() is table
+        assert np.array_equal(table, before)
 
     def test_ensemble_weights(self):
         ens = four_photon_pair_ensemble(0.5, 1.0)
@@ -620,6 +675,20 @@ def recording_polish(monkeypatch):
     return calls
 
 
+def recording_maximiser(monkeypatch):
+    """Patch ``metrology._maximize_fourier_fisher`` to append each call's
+    coefficient rows to the list returned."""
+    rows = []
+    real = metrology._maximize_fourier_fisher
+
+    def recorded(coeff, *args):
+        rows.append(coeff.copy())
+        return real(coeff, *args)
+
+    monkeypatch.setattr(metrology, "_maximize_fourier_fisher", recorded)
+    return rows
+
+
 class TestPhaseMaximiser:
     def test_matches_or_beats_the_nested_zoom(self, monkeypatch):
         # A maximum at a zero of a class probability sits in F's rounding
@@ -683,12 +752,14 @@ class TestPhaseMaximiser:
 
     def test_extremes_are_one_batch_of_the_two_overlaps(self, monkeypatch):
         calls = recording_polish(monkeypatch)
+        rows = recording_maximiser(monkeypatch)
         full, zero = predict_four_photon_extremes(0.479, 0.0282)
         assert calls == [[True, True]]
         monkeypatch.undo()
-        for tau, got in ((1.0, full), (0.0, zero)):
-            family = counting_family(four_photon_pair_ensemble(0.479, tau), 0.0282)
-            assert got == maximize_fisher(family).per_photon
+        (coeff,) = rows
+        for i, got in enumerate((full, zero)):
+            alone = _maximize_fourier_fisher(coeff[i : i + 1], (1, 2, 3, 4), (0.0, math.pi))[3]
+            assert got == float(alone[0]) / 4.0
 
     def test_scan_holds_little_more_than_its_rows(self, monkeypatch):
         # A bootstrap's scan of 101 trials holds its value and derivative
