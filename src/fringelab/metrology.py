@@ -464,10 +464,20 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
 
 
 def predicted_fprime_curve(iprimes: Sequence[float], zeta: float) -> np.ndarray:
-    """Per-photon optimal Fisher information over a grid of exchange symmetries."""
-    return np.array(
-        [optimal_fisher_two_photon(ip, zeta).value / 2.0 for ip in iprimes]
-    )
+    """Per-photon optimal Fisher information over a grid of exchange
+    symmetries: the closed form's negative branch halved, 1 + I'(zeta-1)^2 -
+    sqrt(zeta(zeta-2)[I'^2 (zeta-1)^2 - 1]), the same bits as (2 + 2 I'(...)
+    - 2 sqrt(...))/2.  It shares no code with the phase maximiser, which
+    ``optimal_fisher_two_photon`` checks it against (the 2(1 + I') limit at
+    zeta = 0)."""
+    ip = np.asarray(iprimes, dtype=float)
+    bad = ip[~((ip >= 0.0) & (ip <= 1.0))]
+    if bad.size:
+        raise ValueError(f"iprime {bad[0]} outside [0, 1]")
+    if not 0.0 <= zeta < 1.0:
+        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    radicand = zeta * (zeta - 2.0) * (ip * ip * (zeta - 1.0) ** 2 - 1.0)
+    return 1.0 + ip * (zeta - 1.0) ** 2 - np.sqrt(np.maximum(radicand, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -841,6 +841,7 @@ _INIT = {"a": 0.5, "b": -0.4, "sigma": 1.5}
         # In range for the table, out of range for the detector model.
         ("simulate", {**_SIMULATE, "zeta": 1.0}, "zeta:"),
         ("reproduce-fig3", {**_FIG3, "zeta": -0.1}, "zeta:"),
+        ("predict", {"mode": "two_photon_curve", "zeta": 1.0, "iprimes": [0.5]}, "zeta 1.0 outside [0, 1)"),
     ],
 )
 def test_bad_typed_field_is_config_error(tmp_path, capsys, command, config, field):

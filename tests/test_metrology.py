@@ -325,6 +325,28 @@ class TestPredictedCurve:
         curve = predicted_fprime_curve(grid, 0.0119)
         assert np.all(np.diff(curve) > 0)
 
+    def test_closed_form_is_the_numeric_maximum(self):
+        grid = np.linspace(0.0, 1.0, 51)
+        for zeta in (0.0, 0.0119, 0.0282, 0.05, 0.2):
+            curve = predicted_fprime_curve(grid, zeta)
+            numeric = np.array([optimal_fisher_two_photon(float(ip), zeta).value / 2.0 for ip in grid])
+            assert np.abs(curve / numeric - 1.0).max() <= 1e-12, zeta
+
+    @pytest.mark.parametrize(
+        "iprimes, zeta, message",
+        [
+            ([0.5, 1.5], 0.0119, "iprime 1.5 outside [0, 1]"),
+            ([-0.1], 0.0119, "iprime -0.1 outside [0, 1]"),
+            ([0.5, math.nan], 0.0119, "iprime nan outside [0, 1]"),
+            ([0.5], 1.0, "zeta 1.0 outside [0, 1)"),
+            ([0.5], -0.01, "zeta -0.01 outside [0, 1)"),
+            ([0.5], math.nan, "zeta nan outside [0, 1)"),
+        ],
+    )
+    def test_out_of_range_arguments(self, iprimes, zeta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predicted_fprime_curve(iprimes, zeta)
+
 
 class TestLambda4Relations:
     def test_paper_values_round_trip(self):
@@ -727,9 +749,10 @@ class TestPhaseMaximiser:
             )
         )
         assert cli.main(["reproduce-fig3", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        # Six points, each a fit, its 100 refits and the predicted optimum.
+        # Six points, each a fit and its 100 refits; the predicted column is
+        # a closed form and takes no maximiser call.
         finished = sum(calls, [])
-        assert len(finished) == 6 * 102 and all(finished)
+        assert len(finished) == 6 * 101 and all(finished)
 
     def test_vanishing_class_takes_the_zooms(self, monkeypatch):
         calls = recording_polish(monkeypatch)
