@@ -87,21 +87,21 @@ class FringeDataset:
             raise ValueError("dataset has no points")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "efficiencies", effs)
+        classes = self.classes
+        thetas = np.array([t for t, _ in pts])
+        counts = np.array([[row.get(c, 0) for _, row in pts] for c in classes], dtype=float)
+        eta = np.array([effs[c] for c in classes])
+        thetas.flags.writeable = counts.flags.writeable = eta.flags.writeable = False
+        object.__setattr__(self, "_arrays", (thetas, counts, eta))
 
     @property
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.efficiencies))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thetas, counts, eta) with counts shaped (classes, thetas)."""
-        classes = self.classes
-        thetas = np.array([t for t, _ in self.points])
-        counts = np.array(
-            [[counts.get(c, 0) for _, counts in self.points] for c in classes],
-            dtype=float,
-        )
-        eta = np.array([self.efficiencies[c] for c in classes])
-        return thetas, counts, eta
+        """(thetas, counts, eta) with counts shaped (classes, thetas), built
+        once with the dataset and read-only."""
+        return self._arrays
 
 
 def _harmonics(harmonics: Sequence[int]) -> tuple[int, ...]:

@@ -242,6 +242,19 @@ class TestModelValidation:
             FringeDataset((), {0: 1.0})
         ds = FringeDataset(((0.0, {np.int64(0): 10, 2.0: 3}),), {0.0: 0.9, np.int64(2): 0.5})
         assert ds.points == ((0.0, {0: 10, 2: 3}),) and ds.classes == (0, 2)
+
+    def test_dataset_arrays_are_built_once_and_read_only(self):
+        # A class missing at a phase counts 0 there; the arrays are the same
+        # objects on every call, so no caller may write into them.
+        ds = FringeDataset(((0.5, {0: 7}), (-1.0, {2: 3, 0: 4})), {2: 0.5, 0: 0.9})
+        thetas, counts, eta = ds.arrays()
+        assert thetas.tolist() == [0.5, -1.0] and eta.tolist() == [0.9, 0.5]
+        assert counts.dtype == float and counts.tolist() == [[7.0, 4.0], [0.0, 3.0]]
+        assert all(a is b for a, b in zip(ds.arrays(), (thetas, counts, eta)))
+        for array in (thetas, counts, eta):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+        assert ds == FringeDataset(ds.points, ds.efficiencies)
         # A model takes its class labels by the same rule.
         coeff = two_photon_model(0.6).coefficients
         with pytest.raises(ValueError, match="class labels must be integers"):
