@@ -99,8 +99,7 @@ class FringeDataset:
         return tuple(sorted(self.efficiencies))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(thetas, counts, eta) with counts shaped (classes, thetas), built
-        once with the dataset and read-only."""
+        """(thetas, counts, eta), counts shaped (classes, thetas); read-only."""
         return self._arrays
 
 

@@ -465,17 +465,11 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
 
 def predicted_fprime_curve(iprimes: Sequence[float], zeta: float) -> np.ndarray:
     """Per-photon optimal Fisher information over a grid of exchange
-    symmetries: the closed form's negative branch halved, 1 + I'(zeta-1)^2 -
-    sqrt(zeta(zeta-2)[I'^2 (zeta-1)^2 - 1]), the same bits as (2 + 2 I'(...)
-    - 2 sqrt(...))/2.  It shares no code with the phase maximiser, which
-    ``optimal_fisher_two_photon`` checks it against (the 2(1 + I') limit at
-    zeta = 0)."""
+    symmetries: the closed form's negative branch, halved.  It shares no code
+    with the phase maximiser; ``optimal_fisher_two_photon`` checks the two."""
+    for iprime in iprimes:
+        two_photon_family(iprime, zeta)  # its range checks; nothing is evaluated
     ip = np.asarray(iprimes, dtype=float)
-    bad = ip[~((ip >= 0.0) & (ip <= 1.0))]
-    if bad.size:
-        raise ValueError(f"iprime {bad[0]} outside [0, 1]")
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
     radicand = zeta * (zeta - 2.0) * (ip * ip * (zeta - 1.0) ** 2 - 1.0)
     return 1.0 + ip * (zeta - 1.0) ** 2 - np.sqrt(np.maximum(radicand, 0.0))
 
@@ -530,9 +524,8 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
 
 @functools.cache
 def _four_photon_tables() -> np.ndarray:
-    """Fourier rows of ``four_photon_pair_ensemble``'s two components, the
-    double pair then the distinct pairs, at overlap 1 then 0, without
-    background: (2, 2, 3 classes, 9 coefficients), read-only, built at first use."""
+    """Read-only Fourier rows, without background, of the double pair and the
+    distinct pairs at overlap 1 and 0: (2, 2, 3 classes, 9 coefficients)."""
     states = [(dual_fock_mismatched(2, tau * tau), two_distinct_pairs(tau)) for tau in (1.0, 0.0)]
     table = np.array([[_family_coefficients(counting_family(s, 0.0))[0] for s in pair] for pair in states])
     table.flags.writeable = False
@@ -543,10 +536,9 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
     """Per-photon Fisher information at full and zero mode overlap.
 
     The purity weights, the uniform background over the three |delta|
-    classes and the Fourier map are all linear: each overlap's class rows
-    are (1 - zeta) times the weighted sum of its cached component rows, plus
-    zeta/3 on c0.  Both overlaps' maxima over phase in (0, pi) come from one
-    batched call; each is divided by the photon number 4.
+    classes and the Fourier map are linear: each overlap's class rows are
+    (1 - zeta) times the weighted sum of its cached component rows plus
+    zeta/3 on c0, maximized over phase in (0, pi) in one batched call.
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
