@@ -242,6 +242,15 @@ class TestModelValidation:
             FringeDataset((), {0: 1.0})
         ds = FringeDataset(((0.0, {np.int64(0): 10, 2.0: 3}),), {0.0: 0.9, np.int64(2): 0.5})
         assert ds.points == ((0.0, {0: 10, 2: 3}),) and ds.classes == (0, 2)
+        # A model takes its class labels by the same rule.
+        coeff = two_photon_model(0.6).coefficients
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            FourierFringeModel((0.5, 2), (2,), coeff)
+        with pytest.raises(ValueError, match="non-empty and unique"):
+            FourierFringeModel((0, 0), (2,), coeff)
+        with pytest.raises(ValueError, match="coefficient array has shape"):
+            FourierFringeModel((0, 2), (2,), coeff[:, :2])
+        assert FourierFringeModel((np.int64(0), 2.0), (2,), coeff).classes == (0, 2)
 
     def test_dataset_arrays_are_built_once_and_read_only(self):
         # A class missing at a phase counts 0 there; the arrays are the same
@@ -255,15 +264,6 @@ class TestModelValidation:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
         assert ds == FringeDataset(ds.points, ds.efficiencies)
-        # A model takes its class labels by the same rule.
-        coeff = two_photon_model(0.6).coefficients
-        with pytest.raises(ValueError, match="class labels must be integers"):
-            FourierFringeModel((0.5, 2), (2,), coeff)
-        with pytest.raises(ValueError, match="non-empty and unique"):
-            FourierFringeModel((0, 0), (2,), coeff)
-        with pytest.raises(ValueError, match="coefficient array has shape"):
-            FourierFringeModel((0, 2), (2,), coeff[:, :2])
-        assert FourierFringeModel((np.int64(0), 2.0), (2,), coeff).classes == (0, 2)
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
