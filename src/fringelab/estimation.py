@@ -122,7 +122,8 @@ class FourierFringeModel:
     [1, 0, 0, ...] so the class probabilities are normalized at every phase;
     no local minimum of a class probability lies below -_NEG_TOL (rounding),
     which ``_possible_dips`` checks by scanning only what neither the
-    coefficient floor nor the samples clear.
+    coefficient floor nor the samples clear.  The model keeps a read-only
+    copy of the checked coefficients, so no later write can break them.
     """
 
     classes: tuple[int, ...]
@@ -145,6 +146,7 @@ class FourierFringeModel:
             raise ValueError(f"columns sum to {colsum}, breaking normalization")
         if _possible_dips(coeff[None], harmonics)[3].min(initial=0.0) < -_NEG_TOL:
             raise ValueError("model probabilities are negative at some phase")
+        coeff.flags.writeable = False
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "harmonics", harmonics)
         object.__setattr__(self, "coefficients", coeff)
@@ -363,11 +365,18 @@ class _FitProblem:
         feasible = ~((seen & (p <= 0.0)) | (walls & (p < -_NEG_TOL))).any(axis=1)
         lam = scale * p
         # log(tiny) only where no count was seen, so it is multiplied by 0.
-        ll = (x * np.log(np.maximum(lam, _TINY))).sum(axis=1) - lam.sum(axis=1)
+        terms = np.maximum(lam, _TINY)
+        np.log(terms, out=terms)
+        terms *= x
+        ll = terms.sum(axis=1) - lam.sum(axis=1)
+        # x is 0 wherever no count was seen, so x / 1 there is the 0 it needs.
         p_seen = np.where(seen, p, 1.0)
-        grad = _each(g.cell_rows.T, np.where(seen, x / p_seen, 0.0) - scale)
-        weight = np.where(seen, x / p_seen**2, 0.0)
-        hess = (g.cell_rows.T * -weight[:, None, :]) @ g.cell_rows  # bit for bit -(rows * weight) @ rows
+        weight = p_seen * p_seen
+        np.divide(x, p_seen, out=p_seen)
+        p_seen -= scale
+        grad = _each(g.cell_rows.T, p_seen)
+        np.divide(-x, weight, out=weight)
+        hess = (g.cell_rows.T * weight[:, None, :]) @ g.cell_rows  # bit for bit -(rows * weight) @ rows
         return np.where(feasible, ll, -np.inf), grad, hess
 
     def apply(self, vectors: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -379,6 +388,11 @@ class _FitProblem:
             return cells
         dips = (self.dip_rows[trials] * vectors[:, None, :]).sum(axis=-1)
         return np.concatenate([cells, dips], axis=1)
+
+    def slack(self, free: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """Every constraint's level (b, constraints) of each of ``trials`` at
+        ``free`` (b, n): its class probability, nonnegative where it holds."""
+        return self.apply(free, trials) + self.offset[trials]
 
     def rows(self, trials: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Constraint rows (b, k, n) at the indices ``held`` (b, k) of each
@@ -444,6 +458,31 @@ def _kkt_solve(
     return solution
 
 
+def _near(level: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Whether each step (b,) has a cell near enough to stop it, from the
+    cells' levels >= 0 and slopes along the step (b, cells).
+
+    A cell stops a step only when level < -slope / 0.9.  A cell is far when
+    0.8 * level > -slope: its ratio is then above 1.25 before the 0.9 cut, at
+    any magnitude, subnormal included.  The comparison is false for NaN and
+    for inf against inf, whose ratio is NaN, so those count as near.
+    """
+    return ~(0.8 * level > -slope).all(axis=1)
+
+
+def _nearest(
+    level: np.ndarray, slope: np.ndarray, crossing: np.ndarray, seen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio test of each step (b,): the index of the first ``crossing``
+    cell it meets and the fraction of the step that reaches it, 0.9 of the
+    way to the zero of a ``seen`` cell, or inf when it crosses none."""
+    ratios = np.full(slope.shape, np.inf)
+    np.divide(level, -slope, out=ratios, where=crossing)
+    np.multiply(ratios, 0.9, out=ratios, where=seen)
+    r = np.argmin(ratios, axis=1)
+    return r, ratios[np.arange(r.size), r]
+
+
 def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton ascent of every trial from ``free0`` (trials, n) with an
     active set on its walls; returns (free, objective, converged).
@@ -461,7 +500,10 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     stack per active-set size, rank-revealingly (see ``_kkt_solve``), so
     nearly parallel walls neither blow up the multipliers nor stall the
     line search.  A trial still running after ``_MAX_ITER``
-    steps has not converged.
+    steps has not converged.  The constraint slack is computed only for the
+    trials that read it, those holding a wall and those that move, and the
+    ratio test only for a moving trial with a cell near enough to stop it
+    (``_near``); a trial with neither pays for neither.
     """
     z = np.array(free0, dtype=float)
     n_trials, n = z.shape
@@ -473,20 +515,23 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     active = np.zeros(candidates.shape, dtype=bool)
     converged = np.zeros(n_trials, dtype=bool)
     running = np.isfinite(value)
-    eye = np.eye(n)
     for _ in range(_MAX_ITER):
         idx = np.flatnonzero(running)
         if not idx.size:
             break
-        # The slack of every constraint, for the KKT systems and the ratio test.
-        levels = problem.apply(z[idx], idx) + problem.offset[idx]
         size = active[idx].sum(axis=1)
+        # The slack of every constraint, where the KKT systems read it: the
+        # trials holding a wall.  A moving trial's is added for its ratio test.
+        holding = np.flatnonzero(size)
+        if holding.size:
+            levels = np.empty((idx.size, candidates.shape[1]))
+            levels[holding] = problem.slack(z[idx[holding]], idx[holding])
         # Each trial's active walls first; only a trial holding a wall can
         # release one.
-        order = np.argsort(~active[idx], axis=1, kind="stable") if size.any() else None
-        h, tol_i = hess[idx], tol[idx]
-        ridge = 1e-12 * (1.0 + np.abs(np.diagonal(h, axis1=1, axis2=2)).max(axis=1))
-        curvature = h - ridge[:, None, None] * eye
+        order = np.argsort(~active[idx], axis=1, kind="stable") if holding.size else None
+        curvature, tol_i = hess[idx], tol[idx]
+        ridge = 1e-12 * (1.0 + np.abs(np.diagonal(curvature, axis1=1, axis2=2)).max(axis=1))
+        curvature.reshape(idx.size, n * n)[:, :: n + 1] -= ridge[:, None]
         solution = np.zeros((idx.size, n + size.max()))
         # LAPACK's rounding depends on the size of a system, padding
         # included, so each trial is solved at the size of its own active
@@ -519,20 +564,29 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         if not move.size:
             continue
         trials, step = idx[move], step[move]
+        if holding.size:
+            fresh = move[size[move] == 0]
+            levels[fresh] = problem.slack(z[idx[fresh]], idx[fresh])
+            level = levels[move]
+        else:
+            level = problem.slack(z[trials], trials)
+        np.maximum(level, 0.0, out=level)
         slope = problem.apply(step, trials)
-        crossing = (
-            candidates[trials]
-            & ~active[trials]
-            & (slope < -1e-9 * np.sqrt((step * step).sum(axis=1))[:, None] * problem.row_norms[trials])
-        )
-        level = np.maximum(levels[move], 0.0)
-        ratios = np.full(slope.shape, np.inf)
-        np.divide(level, -slope, out=ratios, where=crossing)
-        np.multiply(ratios, 0.9, out=ratios, where=seen[trials])
-        r = np.argmin(ratios, axis=1)
-        nearest = ratios[np.arange(move.size), r]
-        alpha = np.minimum(1.0, nearest)
-        blocker = (nearest < 1.0) & walls[trials, r]
+        # Only a trial with a near cell runs the ratio test; the rest go the
+        # whole step, as the test would send them.
+        alpha, blocker = np.ones(move.size), np.zeros(move.size, dtype=bool)
+        r = np.zeros(move.size, dtype=int)
+        near = np.flatnonzero(_near(level, slope))
+        if near.size:
+            t, s, d = trials[near], slope[near], step[near]
+            crossing = (
+                candidates[t]
+                & ~active[t]
+                & (s < -1e-9 * np.sqrt((d * d).sum(axis=1))[:, None] * problem.row_norms[t])
+            )
+            r[near], nearest = _nearest(level[near], s, crossing, seen[t])
+            alpha[near] = np.minimum(1.0, nearest)
+            blocker[near] = (nearest < 1.0) & walls[t, r[near]]
         gain = (grad[trials] * step).sum(axis=1)
         searching = np.arange(move.size)
         for _ in range(60):

@@ -478,11 +478,17 @@ def predicted_fprime_curve(iprimes: Sequence[float], zeta: float) -> np.ndarray:
 # Four-photon spectral-purity relations and predictions.
 
 
-def p4_from_lambda4(lam4: float) -> float:
-    """Balanced-point probability of all four photons bunching, from purity."""
+def _lambda4(lam4: float) -> float:
+    """``lam4`` as a float; a ValueError unless it is a purity in (0, 1]."""
     lam4 = float(lam4)
     if not 0.0 < lam4 <= 1.0:
         raise ValueError(f"lambda4 {lam4} outside (0, 1]")
+    return lam4
+
+
+def p4_from_lambda4(lam4: float) -> float:
+    """Balanced-point probability of all four photons bunching, from purity."""
+    lam4 = _lambda4(lam4)
     return (2.0 * lam4 + 1.0) / (2.0 * lam4 + 2.0)
 
 
@@ -507,9 +513,7 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     expansion depend on the spectrum only through L, so this mixture
     reproduces them exactly (verified against the expansion in the tests).
     """
-    lam4 = float(lam4)
-    if not 0.0 < lam4 <= 1.0:
-        raise ValueError(f"lambda4 {lam4} outside (0, 1]")
+    lam4 = _lambda4(lam4)
     if not 0.0 <= cross_overlap <= 1.0:
         raise ValueError(f"cross_overlap {cross_overlap} outside [0, 1]")
     tau2 = float(cross_overlap) ** 2
@@ -542,9 +546,7 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
     """
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"zeta {zeta} outside [0, 1)")
-    lam4 = float(lam4)
-    if not 0.0 < lam4 <= 1.0:
-        raise ValueError(f"lambda4 {lam4} outside (0, 1]")
+    lam4 = _lambda4(lam4)
     table = _four_photon_tables()
     coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * table[:, 0] + (1.0 - lam4) / (1.0 + lam4) * table[:, 1])
     coeff[..., 0] += zeta / 3.0

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
@@ -264,6 +266,17 @@ class TestModelValidation:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
         assert ds == FringeDataset(ds.points, ds.efficiencies)
+
+    def test_model_coefficients_are_read_only(self):
+        # A write after the checks would break the normalization they
+        # proved: a c0 of 5 made the class probabilities sum to 5.4.
+        given = two_photon_model(0.6).coefficients.copy()
+        model = FourierFringeModel((0, 2), (2,), given)
+        with pytest.raises(ValueError, match="read-only"):
+            model.coefficients[0, 0] = 5.0
+        assert sum(model.evaluate(0.3).values()) == pytest.approx(1.0, abs=1e-15)
+        given[0, 0] = 5.0  # the caller's array stays its own
+        assert model.coefficients[0, 0] != 5.0
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -566,6 +579,94 @@ class TestSolverSafety:
             alone = _newton(_FitProblem(geometry, draws[j : j + 1], eta, NO_DIPS), start[j : j + 1])
             assert alone[2][0] and converged[j]
             assert np.array_equal(free[j], alone[0][0]) and values[j] == alone[1][0]
+
+
+# Magnitudes for the ratio test: 0, the smallest subnormal and normal,
+# 1 and the largest float, inf and NaN, besides any float.
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308, math.inf, math.nan]),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@st.composite
+def ratio_cells(draw):
+    """(level, slope, seen, open), each (trials, cells), for the ratio test.
+    A level is below zero, at zero or any magnitude, or 1 or 1/0.9 times
+    -slope, or one ulp either side of it; a slope has either sign; ``open``
+    marks a cell that is a candidate and not active."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    cells = []
+    for _ in range(shape[0] * shape[1]):
+        slope = draw(_MAGNITUDES) * draw(st.sampled_from([-1.0, 1.0]))
+        edge = draw(st.sampled_from([None, 1.0, 1.0 / 0.9]))
+        if edge is None:
+            level = draw(_MAGNITUDES) * draw(st.sampled_from([-1.0, 1.0]))
+        else:
+            level = math.nextafter(-slope * edge, draw(st.sampled_from([-math.inf, math.inf])))
+            if draw(st.booleans()):
+                level = -slope * edge
+        cells.append((level, slope, draw(st.booleans()), draw(st.booleans())))
+    level, slope, seen, open_ = (np.array(part).reshape(shape) for part in zip(*cells))
+    return np.maximum(level, 0.0), slope, seen, open_
+
+
+class TestNewtonWork:
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_cells(), st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, math.nan]))
+    def test_near_pick_keeps_every_trial_the_ratio_test_stops(self, cells, threshold):
+        # A trial the pick leaves out goes the whole step with no blocker,
+        # so its full ratio test must give a nearest ratio of 1 or more.
+        # Cases the draws might miss: a seen cell at its 0.9 cut, inf over
+        # inf (a NaN ratio), a subnormal ratio of 1 and a NaN level.
+        level, slope, seen, open_ = cells
+        crossing = open_ & (slope < -threshold)
+        with np.errstate(all="ignore"):  # inf / inf is NaN
+            _, nearest = estimation._nearest(level, slope, crossing, seen)
+        assert not (~(nearest >= 1.0) & ~estimation._near(level, slope)).any()
+
+    @pytest.mark.parametrize(
+        "level, slope, seen",
+        [
+            (math.nextafter(1 / 0.9, 0.0), -1.0, True),
+            (math.nextafter(1.0, 0.0), -1.0, False),
+            (math.inf, -math.inf, False),
+            (5e-324, -5e-324, True),
+            (math.nan, -1.0, False),
+        ],
+        ids=["seen-cut", "wall-cut", "inf-over-inf", "subnormal", "nan"],
+    )
+    def test_near_pick_edge_cases(self, level, slope, seen):
+        cells = (np.array([[level]]), np.array([[slope]]), np.array([[seen]]))
+        with np.errstate(all="ignore"):
+            nearest = estimation._nearest(cells[0], cells[1], np.array([[True]]), cells[2])[1]
+        assert not nearest[0] >= 1.0
+        assert estimation._near(cells[0], cells[1])[0]
+
+    def test_certificate_iteration_applies_no_constraint_row(self, monkeypatch):
+        # A one-trial fit with no wall: each moving iteration takes its cells'
+        # slack and slopes; the last, which only certifies, computes neither.
+        ds = synth_dataset(0.4, 0.0119, 100_000, 32, seed=6)
+        log, problems = [], []
+        apply, objective = _FitProblem.apply, _FitProblem.objective
+
+        def logged_apply(self, vectors, trials):
+            log.append("apply")
+            return apply(self, vectors, trials)
+
+        def logged_objective(self, free, trials):
+            problems.append(self)
+            log.append("objective")
+            return objective(self, free, trials)
+
+        monkeypatch.setattr(_FitProblem, "apply", logged_apply)
+        monkeypatch.setattr(_FitProblem, "objective", logged_objective)
+        fit = fit_mle(ds, [2])
+        assert fit.converged and len({id(p) for p in problems}) == 1
+        assert not problems[0].walls.any() and not problems[0].dip_rows.shape[1]
+        moves = log.count("objective") - 1
+        assert moves >= 1 and log.count("apply") == 2 * moves
+        assert log[-1] == "objective"
 
 
 class TestLocalMinima:
