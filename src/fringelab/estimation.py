@@ -330,6 +330,10 @@ class _FitProblem:
         self.seen = self.counts > 0
         cells = np.ones((len(counts), 1))
         self.walls = ~self.seen & (self.rate_scale > 0)
+        # The highest class probability that makes a data cell infeasible: 0
+        # where a count was seen, the float below -_NEG_TOL on a wall, and
+        # none (NaN, which no probability is at or below) elsewhere.
+        self.floor = np.where(self.seen, 0.0, np.where(self.walls, np.nextafter(-_NEG_TOL, -np.inf), np.nan))
         self.offset = cells * geometry.cell_offset
         self.row_norms = cells * geometry.row_norms
         self.dip_rows = np.zeros((len(counts), 0, geometry.n_free * geometry.n_coef))
@@ -361,8 +365,7 @@ class _FitProblem:
         x, scale, seen = self.counts[trials], self.rate_scale[trials], self.seen[trials]
         p = _each(g.cell_rows, free)
         p += g.cell_offset
-        walls = self.walls[trials, : x.shape[1]]
-        feasible = ~((seen & (p <= 0.0)) | (walls & (p < -_NEG_TOL))).any(axis=1)
+        feasible = ~(p <= self.floor[trials]).any(axis=1)
         lam = scale * p
         # log(tiny) only where no count was seen, so it is multiplied by 0.
         terms = np.maximum(lam, _TINY)
@@ -516,19 +519,21 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     converged = np.zeros(n_trials, dtype=bool)
     running = np.isfinite(value)
     for _ in range(_MAX_ITER):
-        idx = np.flatnonzero(running)
+        idx = running.nonzero()[0]
         if not idx.size:
             break
-        size = active[idx].sum(axis=1)
+        active_i = active[idx]
+        size = active_i.sum(axis=1)
         # The slack of every constraint, where the KKT systems read it: the
         # trials holding a wall.  A moving trial's is added for its ratio test.
-        holding = np.flatnonzero(size)
+        holding = size.nonzero()[0]
         if holding.size:
+            held_by = slice(None) if holding.size == idx.size else holding
             levels = np.empty((idx.size, candidates.shape[1]))
-            levels[holding] = problem.slack(z[idx[holding]], idx[holding])
+            levels[held_by] = problem.slack(z[idx[held_by]], idx[held_by])
         # Each trial's active walls first; only a trial holding a wall can
         # release one.
-        order = np.argsort(~active[idx], axis=1, kind="stable") if holding.size else None
+        order = np.argsort(~active_i, axis=1, kind="stable") if holding.size else None
         curvature, tol_i = hess[idx], tol[idx]
         ridge = 1e-12 * (1.0 + np.abs(np.diagonal(curvature, axis1=1, axis2=2)).max(axis=1))
         curvature.reshape(idx.size, n * n)[:, :: n + 1] -= ridge[:, None]
@@ -536,9 +541,9 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         # LAPACK's rounding depends on the size of a system, padding
         # included, so each trial is solved at the size of its own active
         # set: its steps are then the same bits in any batch.
-        widths = np.flatnonzero(np.bincount(size))
+        widths = np.bincount(size).nonzero()[0]
         for width in widths:
-            group = slice(None) if widths.size == 1 else np.flatnonzero(size == width)
+            group = slice(None) if widths.size == 1 else (size == width).nonzero()[0]
             trials = idx[group]
             if width:
                 held = order[group, :width]
@@ -555,18 +560,19 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         done = flat & (multipliers.min(axis=1, initial=0.0) >= -tol_i)
         converged[idx[done]] = True
         running[idx[done]] = False
-        release = np.flatnonzero(flat & ~done)
+        release = (flat & ~done).nonzero()[0]
         if release.size:
             worst = np.argmin(multipliers[release], axis=1)
             active[idx[release], order[release, worst]] = False
 
-        move = np.flatnonzero(solved & ~flat)
+        move = (solved & ~flat).nonzero()[0]
         if not move.size:
             continue
         trials, step = idx[move], step[move]
         if holding.size:
-            fresh = move[size[move] == 0]
-            levels[fresh] = problem.slack(z[idx[fresh]], idx[fresh])
+            if holding.size < idx.size:
+                fresh = move[size[move] == 0]
+                levels[fresh] = problem.slack(z[idx[fresh]], idx[fresh])
             level = levels[move]
         else:
             level = problem.slack(z[trials], trials)
@@ -576,8 +582,10 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         # whole step, as the test would send them.
         alpha, blocker = np.ones(move.size), np.zeros(move.size, dtype=bool)
         r = np.zeros(move.size, dtype=int)
-        near = np.flatnonzero(_near(level, slope))
-        if near.size:
+        near = _near(level, slope)
+        n_near = np.count_nonzero(near)
+        if n_near:
+            near = slice(None) if n_near == move.size else near.nonzero()[0]
             t, s, d = trials[near], slope[near], step[near]
             crossing = (
                 candidates[t]
