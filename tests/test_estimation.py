@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus
 
@@ -611,37 +611,27 @@ def ratio_cells(draw):
     return np.maximum(level, 0.0), slope, seen, open_
 
 
+def one_cell(level, slope, seen):
+    """``ratio_cells``' arrays for one open cell of one trial."""
+    return np.array([[level]]), np.array([[slope]]), np.array([[seen]]), np.array([[True]])
+
+
 class TestNewtonWork:
     @settings(max_examples=300, deadline=None)
     @given(ratio_cells(), st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, math.nan]))
+    @example(one_cell(math.nextafter(1 / 0.9, 0.0), -1.0, True), 0.0)  # a count's cell inside its 0.9 cut
+    @example(one_cell(math.nextafter(1.0, 0.0), -1.0, False), 0.0)  # a wall just inside the step
+    @example(one_cell(math.inf, -math.inf, False), 0.0)  # inf over inf, a NaN ratio
+    @example(one_cell(5e-324, -5e-324, True), 0.0)  # a subnormal ratio of 1
+    @example(one_cell(math.nan, -1.0, False), 0.0)
     def test_near_pick_keeps_every_trial_the_ratio_test_stops(self, cells, threshold):
         # A trial the pick leaves out goes the whole step with no blocker,
         # so its full ratio test must give a nearest ratio of 1 or more.
-        # Cases the draws might miss: a seen cell at its 0.9 cut, inf over
-        # inf (a NaN ratio), a subnormal ratio of 1 and a NaN level.
         level, slope, seen, open_ = cells
         crossing = open_ & (slope < -threshold)
         with np.errstate(all="ignore"):  # inf / inf is NaN
             _, nearest = estimation._nearest(level, slope, crossing, seen)
         assert not (~(nearest >= 1.0) & ~estimation._near(level, slope)).any()
-
-    @pytest.mark.parametrize(
-        "level, slope, seen",
-        [
-            (math.nextafter(1 / 0.9, 0.0), -1.0, True),
-            (math.nextafter(1.0, 0.0), -1.0, False),
-            (math.inf, -math.inf, False),
-            (5e-324, -5e-324, True),
-            (math.nan, -1.0, False),
-        ],
-        ids=["seen-cut", "wall-cut", "inf-over-inf", "subnormal", "nan"],
-    )
-    def test_near_pick_edge_cases(self, level, slope, seen):
-        cells = (np.array([[level]]), np.array([[slope]]), np.array([[seen]]))
-        with np.errstate(all="ignore"):
-            nearest = estimation._nearest(cells[0], cells[1], np.array([[True]]), cells[2])[1]
-        assert not nearest[0] >= 1.0
-        assert estimation._near(cells[0], cells[1])[0]
 
     def test_certificate_iteration_applies_no_constraint_row(self, monkeypatch):
         # A one-trial fit with no wall: each moving iteration takes its cells'
