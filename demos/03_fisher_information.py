@@ -26,7 +26,7 @@ print("  n   I     2(n + I n^2)   brute force at theta=1e-3")
 for n in (1, 2, 3):
     for indist in (0.0, 0.5, 1.0):
         family = counting_family(dual_fock_mismatched(n, indist))
-        numeric = fisher_at(family, 1e-3, step=1e-4)
+        numeric = fisher_at(family, 1e-3)
         print(f"  {n}  {indist:4.2f}   {small_angle_fisher(n, indist):10.2f}   {numeric:12.5f}")
 
 ZETA = 0.0119

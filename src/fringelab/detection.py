@@ -36,7 +36,7 @@ class OutcomeDistribution:
                 raise ValueError(f"negative probability for ({n1},{n2})")
             clean[key] = float(p)
         total = sum(clean.values())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "total_photons", n)
         object.__setattr__(self, "probs", clean)
@@ -111,6 +111,8 @@ def background_fraction(matched_rate: float, accidental_rate: float) -> float:
     """Fraction of recorded events attributable to accidental coincidences."""
     matched_rate = float(matched_rate)
     accidental_rate = float(accidental_rate)
+    if not (math.isfinite(matched_rate) and math.isfinite(accidental_rate)):
+        raise ValueError(f"rates must be finite, got {matched_rate!r} and {accidental_rate!r}")
     if matched_rate <= 0:
         raise ValueError("matched rate must be positive")
     if accidental_rate < 0 or accidental_rate >= matched_rate:

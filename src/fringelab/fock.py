@@ -86,7 +86,7 @@ class MultimodeFockState:
             if i < 0 or c < 0:
                 raise ValueError("internal index and count must be nonnegative")
         norm2 = sum(abs(a) ** 2 for a in clean.values())
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm^2 = {norm2!r} is not 1")
         object.__setattr__(self, "amplitudes", clean)
         object.__setattr__(self, "_n", n)

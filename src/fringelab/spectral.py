@@ -121,7 +121,7 @@ class SchmidtSpectrum:
         if lams[-1] < 0:
             raise ValueError("Schmidt coefficients must be nonnegative")
         total = sum(v * v for v in lams)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"squared coefficients sum to {total!r}, not 1")
         object.__setattr__(self, "lambdas", lams)
 

@@ -161,10 +161,8 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
     last solve's result carries the KKT certificate on that solve's walls."""
     solves, evaluations, checked, sampled, samples, scanned = [], [], [], [], [], []
     objective = estimation._FitProblem.objective
-    # An older tree may lack a certificate; its clears are not counted, and
-    # the other counts still compare.
     names = ("_newton", "_possible_dips", "_samples_clear", "_local_minima")
-    real = {name: getattr(estimation, name, None) for name in names}
+    real = {name: getattr(estimation, name) for name in names}
 
     def recorded(problem, free0):
         free, value, converged = real["_newton"](problem, free0)
@@ -191,14 +189,13 @@ def checked_fit(dataset: FringeDataset, harmonics=HARMONICS):
         return real["_local_minima"](coeff, harmonics)
 
     swaps = {"_newton": recorded, "_possible_dips": bounded, "_samples_clear": by_samples, "_local_minima": scan}
-    swaps = {name: wrapper for name, wrapper in swaps.items() if real[name] is not None}
     estimation._FitProblem.objective = counted
     vars(estimation).update(swaps)
     try:
         fit = fit_mle(dataset, harmonics)
     finally:
         estimation._FitProblem.objective = objective
-        vars(estimation).update({name: real[name] for name in swaps})
+        vars(estimation).update(real)
     failures = [] if fit.converged else ["did not converge"]
     lowest = _local_minima(fit.model.coefficients[None], fit.model.harmonics)[3].min(initial=0.0)
     if lowest < 0.0:
@@ -224,11 +221,10 @@ def main() -> int:
             if failures:
                 failed += 1
                 print(f"{name} dataset {i}: " + "; ".join(failures))
-        clears = f"{counts['floor']} cleared by the coefficient floor and {counts['samples']} by the samples"
         print(
             f"{name}: {size} fits, {non_converged} non-converged, {counts['evaluations']} objective evaluations;"
-            f" {counts['scanned']} trials scanned for dips, "
-            + (clears if hasattr(estimation, "_samples_clear") else "clears not counted")
+            f" {counts['scanned']} trials scanned for dips, {counts['floor']} cleared by the coefficient floor"
+            f" and {counts['samples']} by the samples"
         )
     return 1 if failed else 0
 

@@ -63,7 +63,7 @@ def test_a1_small_angle_coefficients_and_fisher_limit():
                 worst_coeff = max(worst_coeff, abs(coeff - expected))
                 assert abs(coeff - expected) < 1e-5
             family = metrology.counting_family(state)
-            numeric = metrology.fisher_at(family, 1e-3, step=1e-4)
+            numeric = metrology.fisher_at(family, 1e-3)
             limit = metrology.small_angle_fisher(n, indist)
             rel = abs(numeric - limit) / limit
             worst_fisher = max(worst_fisher, rel)

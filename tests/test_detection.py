@@ -81,6 +81,13 @@ class TestOutcomeDistribution:
         dist = OutcomeDistribution(np.int64(2), {(1.0, np.int64(1)): 1.0})
         assert dist.total_photons == 2 and dist.probs == {(1, 1): 1.0}
 
+    @pytest.mark.parametrize(
+        "probs", [{(1, 1): math.nan}, {(1, 1): 1.0, (2, 0): math.nan}], ids=["nan", "with-nan"]
+    )
+    def test_nan_probability_rejected(self, probs):
+        with pytest.raises(ValueError, match="not 1"):
+            OutcomeDistribution(2, probs)
+
 
 class TestAggregate:
     def test_two_photon_classes(self):
@@ -146,6 +153,15 @@ class TestBackgroundFraction:
             background_fraction(0.0, 0.0)
         with pytest.raises(ValueError):
             background_fraction(10.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "matched,accidental",
+        [(1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, -math.inf)],
+        ids=["nan-accidental", "nan-matched", "inf-matched", "inf-accidental"],
+    )
+    def test_non_finite_rates_rejected(self, matched, accidental):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            background_fraction(matched, accidental)
 
 
 class TestMultiplexEfficiency:

@@ -419,6 +419,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="annihilates the vacuum"):
             state_from_poly({})
 
+    @pytest.mark.parametrize("amplitude", [math.nan, complex(1.0, math.nan)], ids=["nan", "complex-nan"])
+    def test_nan_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="is not 1"):
+            MultimodeFockState({((1, 0, 1), (2, 0, 1)): amplitude})
+
     def test_photon_cap(self):
         with pytest.raises(ResourceLimitError):
             MultimodeFockState({((1, 0, 9),): 1.0})

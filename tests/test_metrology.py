@@ -28,6 +28,7 @@ from fringelab.metrology import (
     _ROUNDING,
     FringeFamily,
     _basis,
+    _derivative,
     _family_coefficients,
     _maximize_fourier_fisher,
     counting_family,
@@ -123,24 +124,24 @@ class TestFisherAt:
         with pytest.raises(SingularFisherError):
             fisher_at(family, 0.0)
 
-    def test_richardson_evaluates_each_phase_once(self):
+    def test_evaluates_three_phases_once(self):
         family = counting_family(
             four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.9), 0.0282
         )
         seen = []
 
         def counted(thetas):
-            seen.append(thetas.tolist())
+            seen.append(thetas)
             return family.evaluator(thetas)
 
-        theta, step = 0.4, 1e-4
-        value = fisher_at(FringeFamily(counted, family.classes, family.n_photons), theta, step)
+        theta = 0.4
+        value = fisher_at(FringeFamily(counted, family.classes, family.n_photons), theta)
         assert len(seen) == 1
-        assert len(seen[0]) == len(set(seen[0])) == 5
-        # The fine central-difference sum, bit for bit.
-        p0, pp, pm = family.evaluator(np.array([theta, theta + step / 2, theta - step / 2]))
+        assert seen[0].tolist() == [theta, theta + 5e-5, theta - 5e-5]
+        # The central-difference sum of those three rows, bit for bit.
+        p0, pp, pm = family.evaluator(seen[0])
         expected = 0.0
-        for p, d in zip(p0.tolist(), ((pp - pm) / step).tolist()):
+        for p, d in zip(p0.tolist(), ((pp - pm) / 1e-4).tolist()):
             expected += d * d / p
         assert value == expected
 
@@ -160,21 +161,38 @@ class TestFisherAt:
         with pytest.raises(SingularFisherError):
             fisher_at(two_photon_family(0.3, 0.0), 1e-7)
 
-    def test_richardson_judges_vanishing_class_by_extrapolated_derivative(self):
-        # Class 4 has p = 8.3e-16 here; its step-1e-3 quotient of 1.5e-10 is
-        # O(step^2) bias, against an exact derivative 4p/theta of 1.2e-11.
-        family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0)
-        value = fisher_at(family, 2.854e-4, step=1e-3)
-        assert value == pytest.approx(fisher_at(family, 2.854e-4, step=2e-4), rel=1e-6)
-
-    def test_invalid_step(self):
-        family = two_photon_family(1.0, 0.0)
-        with pytest.raises(ValueError):
-            fisher_at(family, 0.3, step=0.0)
-
-    def test_coarse_step_warns(self):
-        with pytest.warns(UserWarning, match="step may be too large"):
-            fisher_at(two_photon_family(0.7, 0.0119), 0.7, step=0.3)
+    def test_matches_exact_fourier_rows_near_class_zeros(self):
+        # Measured on these families and phases: evaluated probabilities lie
+        # within 2.0e-15 of the Fourier rows and difference quotients within
+        # 4.8e-9 of the exact derivative; each margin below doubles that.  A
+        # phase that raises has a dead class at least 161 cuts steep, and
+        # one that returns has none above 0.2 cuts.
+        dp, dd = 4e-15, 1e-8
+        near = np.geomspace(1e-7, 1e-2)
+        thetas = np.concatenate([near, math.pi / 2 + near, math.pi - near])
+        families = [counting_family(probe, zeta) for probe, zeta in REFERENCE_PROBES]
+        raised = dead_returned = 0
+        for family in families + [two_photon_family(0.3, 0.0)]:
+            coeff, harmonics = _family_coefficients(family)
+            basis = _basis(harmonics, thetas)
+            probs, derivs = coeff @ basis, np.abs(_derivative(coeff, harmonics) @ basis)
+            for theta, p, d in zip(thetas.tolist(), probs.T, derivs.T):
+                cut = np.maximum(1e-10, 1e-2 * np.sqrt(np.maximum(p, 0.0)))
+                dead = p < 1e-14
+                try:
+                    value = fisher_at(family, theta)
+                except SingularFisherError:
+                    raised += 1
+                    assert np.any((p < 1e-14 + dp) & (d > cut))
+                    continue
+                if np.any(np.abs(p - 1e-14) <= dp):
+                    continue  # a class at the cut: either judgement is rounding
+                assert np.all(d[dead] < cut[dead])
+                dead_returned += dead.any()
+                p, d = p[~dead], d[~dead]
+                margin = np.sum((d * d * dp / p + 2 * d * dd + dd * dd) / p)
+                assert abs(value - np.sum(d * d / p)) <= margin
+        assert raised and dead_returned
 
     def test_non_finite_probabilities_rejected(self):
         family = FringeFamily(
@@ -212,7 +230,7 @@ class TestSmallAngleFisher:
             formula = small_angle_fisher(n, indist)
             assert formula / (2 * n) == pytest.approx(1 + indist * n, abs=1e-12)
             family = counting_family(dual_fock_mismatched(n, indist))
-            numeric = fisher_at(family, 1e-3, step=1e-4)
+            numeric = fisher_at(family, 1e-3)
             assert numeric == pytest.approx(formula, rel=1e-4)
 
 
@@ -278,7 +296,7 @@ class TestOptimalFisher:
         assert result.value == pytest.approx(2 * (1 + iprime), abs=1e-6)
         # Numeric cross-check just off the singular phase origin.
         family = two_photon_family(iprime, 0.0)
-        assert fisher_at(family, 1e-3, step=1e-4) == pytest.approx(
+        assert fisher_at(family, 1e-3) == pytest.approx(
             result.value, rel=1e-4
         )
 

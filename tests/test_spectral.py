@@ -313,6 +313,11 @@ class TestSchmidtSpectrum:
         with pytest.raises(ValueError, match="no resolvable Schmidt modes"):
             schmidt_spectrum_of(unchecked_grid(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("lambdas", [[math.nan], [0.6, math.nan]], ids=["nan", "with-nan"])
+    def test_nan_coefficient_rejected(self, lambdas):
+        with pytest.raises(ValueError, match="not 1"):
+            SchmidtSpectrum(lambdas)
+
 
 class TestLambda4:
     @pytest.mark.parametrize(
