@@ -416,6 +416,8 @@ def _efficiencies(path: str) -> dict[int, float]:
             cls = int(key)
         except ValueError:
             raise ParseError(f"{path}: class '{key}' is not an integer") from None
+        if cls in eff:
+            raise ParseError(f"{path}: class '{key}' repeats class {cls}")
         # A JSON number: float() would read true as 1.0 and "0.5" as 0.5.
         if not (type(value) in (int, float) and 0.0 < value <= 1.0):
             raise ParseError(

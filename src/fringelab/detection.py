@@ -14,6 +14,14 @@ import numpy as np
 from .fock import MultimodeFockState, StateEnsemble
 
 
+def _zeta(zeta: float) -> float:
+    """``zeta`` as a float; a ValueError unless it is a background fraction
+    in [0, 1).  The message shows ``zeta`` as the caller passed it."""
+    if not 0.0 <= zeta < 1.0:
+        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    return float(zeta)
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of observing (n1, n2) photons across the two paths."""
@@ -50,11 +58,10 @@ class NoiseAndEfficiencyConfig:
     bins_per_arm: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.zeta < 1.0:
-            raise ValueError(f"zeta {self.zeta} outside [0, 1)")
+        zeta = _zeta(self.zeta)
         if self.bins_per_arm != int(self.bins_per_arm) or self.bins_per_arm < 1:
             raise ValueError("bins_per_arm must be a positive integer")
-        object.__setattr__(self, "zeta", float(self.zeta))
+        object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "bins_per_arm", int(self.bins_per_arm))
 
 
@@ -98,9 +105,7 @@ def add_background(classes: Mapping[int, float], zeta: float) -> dict[int, float
     Each probability becomes p*(1 - zeta) + zeta/K with K the class count,
     which preserves normalization exactly.
     """
-    zeta = float(zeta)
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    zeta = _zeta(float(zeta))
     k = len(classes)
     if k == 0:
         raise ValueError("empty class mapping")

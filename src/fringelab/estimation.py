@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllPosedError
-from .metrology import _HALF_TURN, FisherReport, _basis, _fisher_report, _maximize_fourier_fisher
+from .metrology import FisherReport, _basis, _fisher_report, _grid, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 _MAX_ITER = 200  # Newton steps per solve
@@ -707,31 +707,21 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _minima_grid(harmonics: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
-    """The period 2 pi / gcd(harmonics) that ``_local_minima`` scans, its
-    ``_SCAN_POINTS`` points (720 cells, and a period on, the last before the
-    first and the first after) and their basis rows, read-only."""
-    period = 2.0 * math.pi / math.gcd(*harmonics)
-    grid = np.arange(-1.0, _SCAN_POINTS - 1.0) * (period / 720)
-    basis = _basis(harmonics, grid)
-    grid.flags.writeable = basis.flags.writeable = False
-    return period, grid, basis
-
-
 def _local_minima(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Every local minimum over phase of every class probability of each
     trial, flat: (trial, class index, theta, value); ``coeff`` is (trials,
     classes, coefficients).
 
-    One period, 2 pi / gcd(harmonics), is scanned, so no dip ties with its
-    copy a period on.  Grid minima sit between samples for oscillatory
-    models; Newton steps on the exact series derivatives pin each dip, which
-    matters because a model crossing zero between grid points has divergent
-    information there.  A polished dip no lower than its grid point keeps
-    the grid point.
+    One period, 2 pi / gcd(harmonics), is scanned at ``_SCAN_POINTS``
+    points (720 cells, and a period on, the last before the first and the
+    first after), so no dip ties with its copy a period on.  Grid minima sit
+    between samples for oscillatory models; Newton steps on the exact series
+    derivatives pin each dip, which matters because a model crossing zero
+    between grid points has divergent information there.  A polished dip no
+    lower than its grid point keeps the grid point.
     """
-    period, grid, basis = _minima_grid(tuple(harmonics))
+    period = 2.0 * math.pi / math.gcd(*harmonics)
+    grid, basis = _grid(tuple(harmonics), _SCAN_POINTS, -1.0, period / 720)
     probs = coeff @ basis
     cells = probs[..., 1:-1]
     row, cell = np.divmod(np.flatnonzero((cells < probs[..., :-2]) & (cells <= probs[..., 2:])), 720)
@@ -781,7 +771,8 @@ def _possible_dips(coeff: np.ndarray, harmonics: tuple[int, ...]) -> tuple[np.nd
 def _samples_clear(coeff: np.ndarray, harmonics: tuple[int, ...]) -> np.ndarray:
     """Whether each trial is finite and every class's lowest of 36 samples a period (every
     20th point of ``_local_minima``'s scan), less (h^2 / 8) sum_k k^2 |(a_k, b_k)|, is above _NEG_TOL."""
-    period, _, basis = _minima_grid(tuple(harmonics))
+    period = 2.0 * math.pi / math.gcd(*harmonics)
+    basis = _grid(tuple(harmonics), _SCAN_POINTS, -1.0, period / 720)[1]
     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf, only where a trial is not finite
         bend = np.hypot(coeff[..., 1::2], coeff[..., 2::2]) @ np.square(harmonics) * (period / 36) ** 2 / 8
         low = (coeff @ basis[:, 1:-1:20]).min(axis=-1) - bend
@@ -808,7 +799,7 @@ def fisher_from_model(model: FourierFringeModel) -> FisherReport:
     ``metrology.maximize_fisher``, with its guard against rounding next to a
     vanishing class probability.
     """
-    maxima = _maximize_fourier_fisher(model.coefficients[None], model.harmonics, _HALF_TURN)
+    maxima = _maximize_fourier_fisher(model.coefficients[None], model.harmonics)
     return _fisher_report(maxima, max(model.classes))
 
 
@@ -868,7 +859,7 @@ def bootstrap_errors(
         coefs[part], _ll, converged = _fit_batch(geometry, fake, eta)
         # The fitted model is row 0 of the first block's maximiser call.
         lead = [] if start else [fit.model.coefficients[None]]
-        maxima = _maximize_fourier_fisher(np.concatenate(lead + [coefs[part]]), harmonics, _HALF_TURN)
+        maxima = _maximize_fourier_fisher(np.concatenate(lead + [coefs[part]]), harmonics)
         if lead:
             fisher = _fisher_report(maxima, n_photons)
         max_fs[part] = maxima[3][len(lead) :]

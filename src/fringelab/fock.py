@@ -33,6 +33,14 @@ MAX_MODE_LABELS = 24
 _NORM_TOL = 1e-10
 
 
+def _fraction(name: str, value: float) -> float:
+    """``value`` as a float; a ValueError, naming it ``name``, unless it is in
+    [0, 1].  The message shows ``value`` as the caller passed it."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
+    return float(value)
+
+
 def _canonical(entries: Iterable[tuple[int, int, int]]) -> Occupation:
     return tuple(sorted((int(p), int(i), int(c)) for p, i, c in entries if c != 0))
 
@@ -286,8 +294,7 @@ def dual_fock_mismatched(n: int, indist: float) -> MultimodeFockState:
     """
     if n != int(n) or n < 1:
         raise ValueError("n must be a positive integer")
-    if not 0.0 <= indist <= 1.0:
-        raise ValueError(f"indist {indist} outside [0, 1]")
+    indist = _fraction("indist", indist)
     n = int(n)
     amps: dict[Occupation, complex] = {}
     for k in range(n + 1):
@@ -307,9 +314,7 @@ def spdc_two_photon(iprime: float) -> MultimodeFockState:
     superposition sqrt(iprime)*mode0 + sqrt(1-iprime)*mode1, so the balanced
     coincidence probability is (1 - iprime)/2.
     """
-    if not 0.0 <= iprime <= 1.0:
-        raise ValueError(f"iprime {iprime} outside [0, 1]")
-    return dual_fock_mismatched(1, iprime)
+    return dual_fock_mismatched(1, _fraction("iprime", iprime))
 
 
 def _pair(i: int, tau: float) -> dict[Occupation, complex]:
@@ -335,9 +340,7 @@ def four_photon_schmidt(
     from .spectral import SchmidtSpectrum  # local import avoids a cycle
 
     spectrum = lambdas if isinstance(lambdas, SchmidtSpectrum) else SchmidtSpectrum(lambdas)
-    tau = float(cross_overlap)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"cross_overlap {tau} outside [0, 1]")
+    tau = _fraction("cross_overlap", float(cross_overlap))
     if len(spectrum.lambdas) > 12:
         raise ResourceLimitError("spectra with more than 12 modes are not supported")
     pair_sum = {
@@ -357,7 +360,5 @@ def two_distinct_pairs(cross_overlap: float) -> MultimodeFockState:
     ``cross_overlap`` between them; the two pairs are mutually orthogonal.
     This is the non-degenerate component of the four-photon Schmidt state.
     """
-    tau = float(cross_overlap)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"cross_overlap {tau} outside [0, 1]")
+    tau = _fraction("cross_overlap", float(cross_overlap))
     return state_from_poly(_poly_mul(_pair(0, tau), _pair(1, tau)))

@@ -12,12 +12,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import add_background
+from .detection import _zeta, add_background
 from .errors import SingularFisherError
 from .fock import (
     MultimodeFockState,
     PathSectors,
     StateEnsemble,
+    _fraction,
     apply_path_rotation,  # noqa: F401  (bound here for perfbench's tracer test)
     dual_fock_mismatched,
     two_distinct_pairs,
@@ -34,8 +35,8 @@ class FringeFamily:
     most ``n_photons`` in theta, as rotating an N-photon probe gives: the
     half-angle rotation makes every amplitude a degree-N polynomial in
     cos(theta/2) and sin(theta/2), and background mixing is linear.
-    ``maximize_fisher`` and the fixed step of ``fisher_at`` rely on this.  A
-    family carries no phase window: ``maximize_fisher`` takes one.
+    ``maximize_fisher`` and the fixed step of ``fisher_at`` rely on this.
+    Every Fisher maximum is over the period (0, pi), ``_HALF_TURN``.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -163,13 +164,21 @@ def _polish(
     return theta, f, done & concave & (p.min(axis=-1) > 1e-6)
 
 
-@functools.lru_cache(maxsize=32)
-def _scan_grid(harmonics: tuple[int, ...], lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 256 scan midpoints over [lo, hi] and their basis rows, read-only."""
-    grid = lo + (np.arange(256) + 0.5) * ((hi - lo) / 256)
+@functools.lru_cache(maxsize=64)
+def _grid(harmonics: tuple[int, ...], count: int, offset: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The phases (arange(count) + offset) * step and their basis rows,
+    read-only: the Fisher scan's and ``estimation._local_minima``'s."""
+    grid = (np.arange(count) + offset) * step
     basis = _basis(harmonics, grid)
     grid.flags.writeable = basis.flags.writeable = False
     return grid, basis
+
+
+# The phase window of every Fisher maximum.  Rotations about one axis
+# commute, so R(theta + pi) = R(pi) R(theta), and R(pi) swaps the two paths,
+# which leaves each |n1 - n2| class unchanged: every class probability, and
+# so the information, has period pi.
+_HALF_TURN = (0.0, math.pi)
 
 
 # Fractions of a zoom interval at which it is sampled.
@@ -177,10 +186,10 @@ _ZOOM = np.arange(129) / 128
 
 
 def _maximize_fourier_fisher(
-    coeff: np.ndarray, harmonics: Sequence[int], theta_domain: tuple[float, float]
+    coeff: np.ndarray, harmonics: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum over phase of the exact information of Fourier class rows,
-    for each trial of ``coeff`` (trials, classes, coefficients).
+    """Maximum over the period (0, pi) of the exact information of Fourier
+    class rows, for each trial of ``coeff`` (trials, classes, coefficients).
 
     A 256-cell midpoint scan, one product of the value and derivative rows
     with the basis, picks the first cell within 1e-12 of its maximum, so of
@@ -189,13 +198,13 @@ def _maximize_fourier_fisher(
     beats the scan.  A trial it does not finish, with a maximum at a zero of
     a class probability (zeta = 0, or a fitted class on a wall), takes three
     nested zooms from its cell instead: 129 points over one spacing of the
-    previous level either side, within the domain.  Every step is per trial,
+    previous level either side, within the period.  Every step is per trial,
     so a trial's maximum is the same bits alone and in any batch.  Returns
     the grid, the scan values (trials, 256), argmaxes and maxima.
     """
-    lo, hi = theta_domain
+    lo, hi = _HALF_TURN
     h = (hi - lo) / 256
-    grid, basis = _scan_grid(tuple(harmonics), lo, hi)
+    grid, basis = _grid(tuple(harmonics), 256, 0.5, h)
     n = coeff.shape[-2]
     rows = np.concatenate([coeff, _derivative(coeff, harmonics)], axis=-2) @ basis
     values = _information(rows[:, :n], rows[:, n:])
@@ -243,7 +252,10 @@ def _family_coefficients(family: FringeFamily) -> tuple[np.ndarray, tuple[int, .
     rows [c0, cos 1, sin 1, ..., cos N, sin N] in ``family.classes`` order
     with the harmonics 1..N; ``_basis`` evaluates them at any phase.  One
     evaluator call over these 2N + 1 phases is the only one that
-    ``maximize_fisher`` and ``fringe_probabilities`` make.
+    ``maximize_fisher`` and ``fringe_probabilities`` make.  Keep it one call
+    over exactly these phases: a ``PathSectors`` evaluator's bits at a phase
+    depend on how many phases share its call, so these 2N + 1 phases fix the
+    bits that ``fringe_probabilities``, and every simulated count, see.
     """
     m = 2 * family.n_photons + 1
     thetas = 2.0 * math.pi * np.arange(m) / m
@@ -284,16 +296,9 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
     return np.where(probs > _ROUNDING, probs, 0.0)
 
 
-# The phase window of every Fisher maximum.  Rotations about one axis
-# commute, so R(theta + pi) = R(pi) R(theta), and R(pi) swaps the two paths,
-# which leaves each |n1 - n2| class unchanged: every class probability, and
-# so the information, has period pi.
-_HALF_TURN = (0.0, math.pi)
-
-
-def maximize_fisher(family: FringeFamily, theta_domain: tuple[float, float] = _HALF_TURN) -> FisherReport:
-    """Exact maximum over ``theta_domain``, by default the period (0, pi), of
-    the Fisher information of ``family``.
+def maximize_fisher(family: FringeFamily) -> FisherReport:
+    """Exact maximum over the period (0, pi) of the Fisher information of
+    ``family``.
 
     The class probabilities are rebuilt exactly as Fourier series from
     2N + 1 evaluations; the information sum d^2/p is scanned on a phase grid
@@ -302,15 +307,14 @@ def maximize_fisher(family: FringeFamily, theta_domain: tuple[float, float] = _H
     (see ``_ROUNDING``), where nested zooms replace the Newton steps.
     """
     coeff, harmonics = _family_coefficients(family)
-    return _fisher_report(_maximize_fourier_fisher(coeff[None], harmonics, theta_domain), family.n_photons)
+    return _fisher_report(_maximize_fourier_fisher(coeff[None], harmonics), family.n_photons)
 
 
 def small_angle_fisher(n: int, indist: float) -> float:
     """Zero-phase Fisher information 2(n + I n^2) of an |n,n> probe."""
     if n != int(n) or n < 1:
         raise ValueError("n must be a positive integer")
-    if not 0.0 <= indist <= 1.0:
-        raise ValueError(f"indist {indist} outside [0, 1]")
+    indist = _fraction("indist", indist)
     n = int(n)
     return 2.0 * (n + indist * n * n)
 
@@ -332,10 +336,7 @@ def _mixed_family(columns: Callable, classes: tuple[int, ...], n: int, zeta: flo
 
 def two_photon_family(iprime: float, zeta: float) -> FringeFamily:
     """Closed-form two-photon |delta| fringes with uniform background mixing."""
-    if not 0.0 <= iprime <= 1.0:
-        raise ValueError(f"iprime {iprime} outside [0, 1]")
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    iprime, zeta = _fraction("iprime", iprime), _zeta(zeta)
 
     def columns(thetas: np.ndarray) -> dict[int, np.ndarray]:
         c = np.cos(2.0 * np.asarray(thetas, dtype=float))
@@ -352,9 +353,10 @@ def counting_family(probe: MultimodeFockState | StateEnsemble, zeta: float = 0.0
     (``fock.PathSectors``).  Each evaluator call rotates every sector at all
     of its phases in one array pass and mixes the background into the class
     columns.  ``fock.apply_path_rotation`` is the one-phase reference that
-    the tests check the rotation against.  The family holds no phase window;
-    ``maximize_fisher`` takes one.
+    the tests check the rotation against.  ``zeta`` is checked here, before
+    any rotation.
     """
+    zeta = _zeta(zeta)
     sectors = PathSectors(probe)
     n = sectors.n_photons
     classes = tuple(range(n % 2, n + 1, 2))
@@ -376,10 +378,7 @@ def optimal_theta(iprime: float, zeta: float) -> float:
     At iprime = 1 with zeta = 0 the information is phase-independent (the
     0/0 corner); the zeta -> 0 limit pi/4 is returned there.
     """
-    if not 0.0 <= iprime <= 1.0:
-        raise ValueError(f"iprime {iprime} outside [0, 1]")
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    iprime, zeta = _fraction("iprime", iprime), _zeta(zeta)
     num = zeta * zeta - 2.0 * zeta
     den = iprime * iprime * (zeta - 1.0) ** 2 - 1.0
     if den == 0.0:
@@ -408,12 +407,13 @@ class OptimalFisherResult:
 def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult:
     """Maximum over phase of the two-photon Fisher information.
 
-    For zeta > 0 the maximum is interior and found by ``maximize_fisher``
-    on (0, pi/2).  For zeta = 0 the supremum is the zero-phase limit
-    2(1 + iprime), where the distinguishable class probability vanishes and
-    the rounding guard holds a numeric maximum about 4e-7 below it (see
-    ``_ROUNDING``); the analytic limit is returned and the numeric route,
-    nested zooms there, is exercised against it in the tests.
+    For zeta > 0 the maximum is interior and found by ``maximize_fisher``,
+    which reports the lower of the mirror maxima theta and pi - theta.  For
+    zeta = 0 the supremum is the zero-phase limit 2(1 + iprime), where the
+    distinguishable class probability vanishes and the rounding guard holds
+    a numeric maximum about 4e-7 below it (see ``_ROUNDING``); the analytic
+    limit is returned and the numeric route, nested zooms there, is
+    exercised against it in the tests.
     """
     family = two_photon_family(iprime, zeta)
     root2 = zeta * (zeta - 2.0) * (iprime * iprime * (zeta - 1.0) ** 2 - 1.0)
@@ -425,7 +425,7 @@ def optimal_fisher_two_photon(iprime: float, zeta: float) -> OptimalFisherResult
     if zeta == 0.0:
         value, theta = 2.0 * (1.0 + iprime), 0.0
     else:
-        report = maximize_fisher(family, (0.0, math.pi / 2.0))
+        report = maximize_fisher(family)
         value, theta = report.max_fisher, report.argmax_theta
 
     tol = 1e-6 * max(1.0, abs(value))
@@ -453,7 +453,8 @@ def predicted_fprime_curve(iprimes: Sequence[float], zeta: float) -> np.ndarray:
     symmetries: the closed form's negative branch, halved.  It shares no code
     with the phase maximiser; ``optimal_fisher_two_photon`` checks the two."""
     for iprime in iprimes:
-        two_photon_family(iprime, zeta)  # its range checks; nothing is evaluated
+        _fraction("iprime", iprime)
+    zeta = _zeta(zeta)
     ip = np.asarray(iprimes, dtype=float)
     radicand = zeta * (zeta - 2.0) * (ip * ip * (zeta - 1.0) ** 2 - 1.0)
     return 1.0 + ip * (zeta - 1.0) ** 2 - np.sqrt(np.maximum(radicand, 0.0))
@@ -499,9 +500,8 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     reproduces them exactly (verified against the expansion in the tests).
     """
     lam4 = _lambda4(lam4)
-    if not 0.0 <= cross_overlap <= 1.0:
-        raise ValueError(f"cross_overlap {cross_overlap} outside [0, 1]")
-    tau2 = float(cross_overlap) ** 2
+    cross_overlap = _fraction("cross_overlap", cross_overlap)
+    tau2 = cross_overlap**2
     w_single = 2.0 * lam4 / (1.0 + lam4)
     components: list[tuple[float, MultimodeFockState]] = [
         (w_single, dual_fock_mismatched(2, tau2))
@@ -529,11 +529,10 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
     (1 - zeta) times the weighted sum of its cached component rows plus
     zeta/3 on c0, maximized over phase in (0, pi) in one batched call.
     """
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"zeta {zeta} outside [0, 1)")
+    zeta = _zeta(zeta)
     lam4 = _lambda4(lam4)
     table = _four_photon_tables()
     coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * table[:, 0] + (1.0 - lam4) / (1.0 + lam4) * table[:, 1])
     coeff[..., 0] += zeta / 3.0
-    f_star = _maximize_fourier_fisher(coeff, (1, 2, 3, 4), _HALF_TURN)[3]
+    f_star = _maximize_fourier_fisher(coeff, (1, 2, 3, 4))[3]
     return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllPosedError
+from .fock import _fraction
 
 _NORM = 2.0 / math.gamma(0.25)
 
@@ -102,10 +103,7 @@ def quartic_gaussian_overlap(x: float | np.ndarray, sigma: float) -> float | np.
 
 def indistinguishability_from_coincidence(p_hom: float) -> float:
     """Exchange symmetry inferred from a balanced coincidence probability."""
-    p_hom = float(p_hom)
-    if not 0.0 <= p_hom <= 1.0:
-        raise ValueError(f"coincidence probability {p_hom} outside [0, 1]")
-    return 1.0 - 2.0 * p_hom
+    return 1.0 - 2.0 * _fraction("coincidence probability", float(p_hom))
 
 
 @dataclass(frozen=True)

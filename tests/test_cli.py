@@ -417,6 +417,9 @@ class TestFitCommand:
             f"fringe.csv:{cli.MAX_PHASES + 2}: more than {cli.MAX_PHASES} distinct phases",
             id="too-many-phases",
         ),
+        # Two keys that int() reads as one class.
+        ("0.1,0,12\n0.1,2,3\n", {"0": 1.0, "2": 0.75, "02": 0.1}, "eff.json: class '02' repeats class 2"),
+        ("0.1,0,12\n0.1,2,3\n", {"0": 1.0, "2": 0.75, " 2 ": 0.1}, "eff.json: class ' 2 ' repeats class 2"),
     ],
 )
 def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, where):

@@ -31,6 +31,7 @@ from fringelab.estimation import (
 from fringelab.fock import dual_fock_mismatched, four_photon_schmidt, spdc_two_photon
 from fringelab.metrology import (
     _basis,
+    _grid,
     _maximize_fourier_fisher,
     optimal_fisher_two_photon,
     two_photon_family,
@@ -752,7 +753,8 @@ class TestCoefficientBound:
             waves = rng.normal(size=2 * len(harmonics)) * rng.uniform(0.01, 0.5)
             row = np.concatenate([[0.0], waves])
             # The 36 samples a period are every 20th point of the scan grid.
-            period, scan, _ = estimation._minima_grid(harmonics)
+            period = 2 * math.pi / math.gcd(*harmonics)
+            scan = _grid(harmonics, estimation._SCAN_POINTS, -1.0, period / 720)[0]
             assert np.allclose(scan[1:-1:20], np.arange(36) * (period / 36), rtol=0, atol=1e-15)
             samples = row @ _basis(harmonics, scan[1:-1:20])
             bend = (np.hypot(waves[0::2], waves[1::2]) * np.square(harmonics)).sum() * (period / 36) ** 2 / 8
@@ -1014,7 +1016,7 @@ class TestBootstrap:
         batch_coefs, _, batch_converged = _fit_batch(geometry, draws, eta)
         assert np.abs(batch_coefs - coefs).max() <= 1e-10
         assert np.array_equal(batch_converged, converged)
-        batch_fs = _maximize_fourier_fisher(batch_coefs, harmonics, (0.0, math.pi))[3]
+        batch_fs = _maximize_fourier_fisher(batch_coefs, harmonics)[3]
         assert np.allclose(batch_fs, max_fs, rtol=1e-9, atol=0)
         # A trial's refit does not depend on the trials batched with it.
         part_coefs, _, part_converged = _fit_batch(geometry, draws[3:10], eta)

@@ -359,6 +359,7 @@ class TestPredictedCurve:
             ([0.5], 1.0, "zeta 1.0 outside [0, 1)"),
             ([0.5], -0.01, "zeta -0.01 outside [0, 1)"),
             ([0.5], math.nan, "zeta nan outside [0, 1)"),
+            ([], 1.0, "zeta 1.0 outside [0, 1)"),
         ],
     )
     def test_out_of_range_arguments(self, iprimes, zeta, message):
@@ -512,6 +513,15 @@ class TestFourPhotonPredictions:
 
 
 class TestReports:
+    @pytest.mark.parametrize("zeta", [math.nan, 2.0, -0.1])
+    def test_counting_family_checks_zeta_when_built(self, zeta):
+        # No evaluator call: the family is refused as two_photon_family's is.
+        message = re.escape(f"zeta {zeta} outside [0, 1)")
+        with pytest.raises(ValueError, match=message):
+            two_photon_family(0.6, zeta)
+        with pytest.raises(ValueError, match=message):
+            counting_family(spdc_two_photon(0.6), zeta)
+
     def test_counting_family_matches_analytic_family(self):
         sim = counting_family(spdc_two_photon(0.6), zeta=0.0119)
         closed = two_photon_family(0.6, 0.0119)
@@ -611,12 +621,12 @@ def reference_fisher(coeff, harmonics, thetas):
     return np.where(live, d * d / np.where(live, p + _ROUNDING, 1.0), 0.0).sum(axis=-2)
 
 
-def zoom_reference(coeff, harmonics, theta_domain):
+def zoom_reference(coeff, harmonics):
     """The maximiser before Newton polishing, kept as the oracle: a 256-cell
-    midpoint scan whose first maximal cell seeds three nested 129-point
-    zooms, each one spacing of the previous level on either side and
-    clipped to the domain.  Returns each trial's argmax and maximum."""
-    lo, hi = theta_domain
+    midpoint scan of (0, pi) whose first maximal cell seeds three nested
+    129-point zooms, each one spacing of the previous level on either side
+    and clipped to (0, pi).  Returns each trial's argmax and maximum."""
+    lo, hi = 0.0, math.pi
     h = (hi - lo) / 256
     grid = lo + (np.arange(256) + 0.5) * h
     values = reference_fisher(coeff, harmonics, grid)
@@ -655,9 +665,9 @@ def refit_coefficients(monkeypatch, dataset, seed):
     seen = []
     real = estimation._maximize_fourier_fisher
 
-    def capture(coeff, harmonics, theta_domain):
+    def capture(coeff, harmonics):
         seen.append(coeff)
-        return real(coeff, harmonics, theta_domain)
+        return real(coeff, harmonics)
 
     monkeypatch.setattr(estimation, "_maximize_fourier_fisher", capture)
     bootstrap_errors(fit_mle(dataset, [2]), dataset, 100, seed)
@@ -666,17 +676,13 @@ def refit_coefficients(monkeypatch, dataset, seed):
 
 
 def maximiser_corpus(monkeypatch):
-    """(label, coefficients, harmonics, domain): two-photon families on three
-    domains, four-photon ensembles and dual-Fock n = 1-4 at five noise
-    levels, and 100 bootstrap refits of two-photon data at 1e5 and 300
-    counts per point."""
+    """(label, coefficients, harmonics): two-photon families, four-photon
+    ensembles and dual-Fock n = 1-4 at five noise levels, and 100 bootstrap
+    refits of two-photon data at 1e5 and 300 counts per point.  Every
+    maximum is over the one window the maximiser has, (0, pi)."""
     corpus = []
     for zeta in (0.0, 0.005, 0.0119, 0.0282, 0.05):
-        families = [
-            (f"two I'={ip} {hi:.2f}", two_photon_family(ip, zeta), (0.0, hi))
-            for ip in (0.0, 0.3, 0.7, 1.0)
-            for hi in (math.pi / 2, math.pi, 2 * math.pi)
-        ]
+        families = [(f"two I'={ip}", two_photon_family(ip, zeta)) for ip in (0.0, 0.3, 0.7, 1.0)]
         probes = [
             (f"four L={lam} tau={tau}", four_photon_pair_ensemble(lam, tau))
             for lam in (0.1, 0.479, 1.0)
@@ -687,16 +693,16 @@ def maximiser_corpus(monkeypatch):
             for n in (1, 2, 3, 4)
             for indist in (0.0, 0.5, 1.0)
         ]
-        families += [(label, counting_family(probe, zeta), (0.0, math.pi)) for label, probe in probes]
-        for label, family, domain in families:
+        families += [(label, counting_family(probe, zeta)) for label, probe in probes]
+        for label, family in families:
             coeff, harmonics = _family_coefficients(family)
-            corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics, domain))
+            corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics))
     for seed, (total, iprime, zeta) in enumerate(
         (t, ip, z) for t in (1e5, 300) for ip in (0.0, 0.6, 1.0) for z in (0.0, 0.0119)
     ):
         dataset = two_photon_dataset(iprime, zeta, total, seed)
         coeff = refit_coefficients(monkeypatch, dataset, seed + 100)
-        corpus.append((f"refits {total} I'={iprime} zeta={zeta}", coeff, (2,), (0.0, math.pi)))
+        corpus.append((f"refits {total} I'={iprime} zeta={zeta}", coeff, (2,)))
     return corpus
 
 
@@ -735,11 +741,11 @@ class TestPhaseMaximiser:
         # noise, about 1e-16 / p relative, so it is held to 1e-9 there and
         # to 1e-12 elsewhere.
         trials = 0
-        for label, coeff, harmonics, domain in maximiser_corpus(monkeypatch):
-            grid, values, theta, f = _maximize_fourier_fisher(coeff, harmonics, domain)
-            ref_theta, ref_f = zoom_reference(coeff, harmonics, domain)
+        for label, coeff, harmonics in maximiser_corpus(monkeypatch):
+            grid, values, theta, f = _maximize_fourier_fisher(coeff, harmonics)
+            ref_theta, ref_f = zoom_reference(coeff, harmonics)
             assert values.shape == (len(coeff), 256), label
-            assert np.all((domain[0] <= theta) & (theta <= domain[1])), label
+            assert np.all((0.0 <= theta) & (theta <= math.pi)), label
             at_theta = reference_fisher(coeff, harmonics, theta[:, None])[:, 0]
             assert np.allclose(f, at_theta, rtol=1e-9, atol=0), label
             at_ref = (coeff @ np.moveaxis(_basis(harmonics, ref_theta), 0, -1)[..., None])[..., 0]
@@ -774,7 +780,7 @@ class TestPhaseMaximiser:
 
     def test_vanishing_class_takes_the_zooms(self, monkeypatch):
         calls = recording_polish(monkeypatch)
-        report = maximize_fisher(two_photon_family(0.6, 0.0), (0.0, math.pi / 2))
+        report = maximize_fisher(two_photon_family(0.6, 0.0))
         assert calls == [[False]]
         assert report.max_fisher == pytest.approx(3.2, rel=1e-6)
 
@@ -788,7 +794,7 @@ class TestPhaseMaximiser:
             for direction in (-np.inf, np.inf):
                 nudged = coeff.copy()
                 nudged[index] = np.nextafter(nudged[index], direction)
-                theta = _maximize_fourier_fisher(nudged[None], harmonics, (0.0, math.pi))[2][0]
+                theta = _maximize_fourier_fisher(nudged[None], harmonics)[2][0]
                 assert theta == pytest.approx(report.argmax_theta, abs=1e-6), index
 
     def test_extremes_are_one_batch_of_the_two_overlaps(self, monkeypatch):
@@ -799,7 +805,7 @@ class TestPhaseMaximiser:
         monkeypatch.undo()
         (coeff,) = rows
         for i, got in enumerate((full, zero)):
-            alone = _maximize_fourier_fisher(coeff[i : i + 1], (1, 2, 3, 4), (0.0, math.pi))[3]
+            alone = _maximize_fourier_fisher(coeff[i : i + 1], (1, 2, 3, 4))[3]
             assert got == float(alone[0]) / 4.0
 
     def test_scan_holds_little_more_than_its_rows(self, monkeypatch):
@@ -809,10 +815,10 @@ class TestPhaseMaximiser:
         # op's heap past the size at which malloc hands it back to the
         # system, and every op faulted about 470 pages in again.
         coeff = refit_coefficients(monkeypatch, two_photon_dataset(0.6, 0.0119, 1e5, 0), 100)
-        _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+        _maximize_fourier_fisher(coeff, (2,))
         tracemalloc.start()
         try:
-            _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+            _maximize_fourier_fisher(coeff, (2,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -822,7 +828,7 @@ class TestPhaseMaximiser:
         # A trial that finishes early must not take the rest of the batch's
         # steps: each refit's maximum alone is its maximum among the 100.
         coeff = refit_coefficients(monkeypatch, two_photon_dataset(0.6, 0.0119, 1e5, 0), 100)
-        _, _, theta, f = _maximize_fourier_fisher(coeff, (2,), (0.0, math.pi))
+        _, _, theta, f = _maximize_fourier_fisher(coeff, (2,))
         for i in range(len(coeff)):
-            _, _, one_theta, one_f = _maximize_fourier_fisher(coeff[i : i + 1], (2,), (0.0, math.pi))
+            _, _, one_theta, one_f = _maximize_fourier_fisher(coeff[i : i + 1], (2,))
             assert (one_theta[0], one_f[0]) == (theta[i], f[i]), i
