@@ -242,17 +242,24 @@ _FIG3 = {
 
 
 def _build_probe(probe: dict):
+    """A probe config's photon number and its class probabilities, shaped
+    (phases, classes), as a function of the background fraction and the
+    phases."""
     try:
-        if probe["type"] == "two_photon":
-            return fock.spdc_two_photon(probe["iprime"])
         if probe["type"] == "four_photon":
             # The purity-weighted pair mixture has the Schmidt state's
-            # counting statistics, with at most 4 internal modes.
+            # counting statistics; its rows come from a cached table.
             spectrum = spectral.SchmidtSpectrum(probe["lambdas"])
-            return metrology.four_photon_pair_ensemble(spectral.lambda4(spectrum), probe["tau"])
-        return fock.dual_fock_mismatched(probe["n"], probe["indist"])
+            return 4, metrology.four_photon_fringe(spectral.lambda4(spectrum), probe["tau"])
+        if probe["type"] == "two_photon":
+            state = fock.spdc_two_photon(probe["iprime"])
+        else:
+            state = fock.dual_fock_mismatched(probe["n"], probe["indist"])
     except (ValueError, OverflowError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
+    return state.total_photons, lambda zeta, phases: metrology.fringe_probabilities(
+        metrology.counting_family(state, zeta), phases
+    )
 
 
 def _experiment(cfg: dict, photons: int):
@@ -289,23 +296,31 @@ def _iprime_values(iprimes) -> np.ndarray:
 
 
 def _simulate_points(probe, noise, phases, expected, seed):
-    """Per-phase sampled class counts plus the ground-truth probabilities,
-    shaped (phases, classes) with columns in ``family.classes`` order.
+    """Per-phase sampled class counts of a Fock probe plus the ground-truth
+    probabilities, shaped (phases, classes) with columns in
+    ``family.classes`` order.
 
     The probabilities at every phase come from one exact Fourier table
     (``metrology.fringe_probabilities``, the probe rotated at 2N + 1 phases
-    in one pass).  Every count is drawn from one stream,
-    ``default_rng(seed)``: the counts are one ``poisson`` draw of the means
-    ``expected * p * eta``, shaped (phases, classes), as the bootstrap draws
-    its resamples.
+    in one pass); ``_draw_counts`` draws the counts.
     """
     family = metrology.counting_family(probe, noise.zeta)
-    etas = detection.class_efficiencies(family.n_photons, noise.bins_per_arm)
     table = metrology.fringe_probabilities(family, phases)
-    eta_row = np.array([etas[c] for c in family.classes])
-    counts = np.random.default_rng(seed).poisson(expected * (table * eta_row))
-    points = [(float(theta), dict(zip(family.classes, row))) for theta, row in zip(phases, counts.tolist())]
+    etas, points = _draw_counts(family.n_photons, table, noise, phases, expected, seed)
     return family, etas, points, table
+
+
+def _draw_counts(photons, table, noise, phases, expected, seed):
+    """The class efficiencies of a ``photons``-photon probe, and its counts
+    at each phase drawn from the class probabilities ``table`` (phases,
+    classes), columns in class order.  Every count is drawn from one stream,
+    ``default_rng(seed)``: the counts are one ``poisson`` draw of the means
+    ``expected * p * eta``, shaped (phases, classes), as the bootstrap draws
+    its resamples."""
+    etas = detection.class_efficiencies(photons, noise.bins_per_arm)
+    counts = np.random.default_rng(seed).poisson(expected * (table * np.array(list(etas.values()))))
+    points = [(float(theta), dict(zip(etas, row))) for theta, row in zip(phases, counts.tolist())]
+    return etas, points
 
 
 def _csv(header: str, rows) -> str:
@@ -383,16 +398,17 @@ def cmd_hom(cfg: dict) -> tuple[dict[str, str], str | None]:
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict[str, str], str | None]:
-    probe = _build_probe(cfg["probe"])
-    noise, phases = _experiment(cfg, probe.total_photons)
+    photons, fringe = _build_probe(cfg["probe"])
+    noise, phases = _experiment(cfg, photons)
     expected = cfg["expected_counts_per_point"]
-    family, etas, points, truth = _simulate_points(probe, noise, phases, expected, cfg["seed"])
+    truth = fringe(noise.zeta, phases)
+    etas, points = _draw_counts(photons, truth, noise, phases, expected, cfg["seed"])
     rows = [(_fmt(theta), str(c), str(counts[c])) for theta, counts in points for c in sorted(counts)]
     truth_payload = {
-        "classes": list(family.classes),
+        "classes": list(etas),
         "zeta": noise.zeta,
         "bins_per_arm": noise.bins_per_arm,
-        "efficiencies": {str(c): etas[c] for c in family.classes},
+        "efficiencies": {str(c): eta for c, eta in etas.items()},
         "expected_counts_per_point": expected,
         "theta": [theta for theta, _ in points],
         "probs": truth.tolist(),

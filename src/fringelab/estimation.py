@@ -334,6 +334,9 @@ class _FitProblem:
         # where a count was seen, the float below -_NEG_TOL on a wall, and
         # none (NaN, which no probability is at or below) elsewhere.
         self.floor = np.where(self.seen, 0.0, np.where(self.walls, np.nextafter(-_NEG_TOL, -np.inf), np.nan))
+        # ``objective`` reads these whole when it is asked for every trial.
+        for array in (self.counts, self.rate_scale, self.seen, self.floor):
+            array.flags.writeable = False
         self.offset = cells * geometry.cell_offset
         self.row_norms = cells * geometry.row_norms
         self.dip_rows = np.zeros((len(counts), 0, geometry.n_free * geometry.n_coef))
@@ -360,12 +363,16 @@ class _FitProblem:
         (b, n), with its gradient (b, n) and Hessian (b, n, n); the value is
         -inf, and the derivatives meaningless, unless lambda > 0 where a
         count was seen and lambda >= -_NEG_TOL (rounding) on the cell
-        walls."""
+        walls.  ``trials`` ascend without repeats, so as many as the
+        problem holds are all of them, and the per-trial arrays are then
+        read whole rather than gathered."""
         g = self.geometry
-        x, scale, seen = self.counts[trials], self.rate_scale[trials], self.seen[trials]
+        x, scale, seen, floor = self.counts, self.rate_scale, self.seen, self.floor
+        if trials.size < len(x):
+            x, scale, seen, floor = x[trials], scale[trials], seen[trials], floor[trials]
         p = _each(g.cell_rows, free)
         p += g.cell_offset
-        feasible = ~(p <= self.floor[trials]).any(axis=1)
+        feasible = ~(p <= floor).any(axis=1)
         lam = scale * p
         # log(tiny) only where no count was seen, so it is multiplied by 0.
         terms = np.maximum(lam, _TINY)
@@ -523,7 +530,9 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         if not idx.size:
             break
         active_i = active[idx]
-        size = active_i.sum(axis=1)
+        # Summing the boolean set casts it element by element; most solves
+        # hold no wall, which any() shows at a fraction of the cost.
+        size = active_i.sum(axis=1) if active_i.any() else np.zeros(idx.size, dtype=np.intp)
         # The slack of every constraint, where the KKT systems read it: the
         # trials holding a wall.  A moving trial's is added for its ratio test.
         holding = size.nonzero()[0]

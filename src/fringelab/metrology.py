@@ -255,7 +255,8 @@ def _family_coefficients(family: FringeFamily) -> tuple[np.ndarray, tuple[int, .
     ``maximize_fisher`` and ``fringe_probabilities`` make.  Keep it one call
     over exactly these phases: a ``PathSectors`` evaluator's bits at a phase
     depend on how many phases share its call, so these 2N + 1 phases fix the
-    bits that ``fringe_probabilities``, and every simulated count, see.
+    bits that ``fringe_probabilities`` sees, and so every count simulated
+    from a Fock probe (a four-photon probe's come from ``four_photon_fringe``).
     """
     m = 2 * family.n_photons + 1
     thetas = 2.0 * math.pi * np.arange(m) / m
@@ -273,15 +274,21 @@ def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.nd
 
     The family is evaluated only at the 2N + 1 phases of
     ``_family_coefficients``, and the exact Fourier series is summed at
-    ``thetas`` in one product, so the cost hardly grows with the number of
-    phases.  The sum carries rounding of order 1e-16 where a class
-    probability vanishes; values within ``_ROUNDING`` of zero are set to
-    exactly zero, so that a vanishing class takes no Poisson draw, and
-    anything lower raises ValueError as a defect of the family, as does a
-    value that is not finite, at a phase that the top harmonic carries past
-    the float range.  Columns follow ``family.classes``.
+    ``thetas`` by ``_fourier_probabilities``, so the cost hardly grows with
+    the number of phases.  Columns follow ``family.classes``.
     """
-    coeff, harmonics = _family_coefficients(family)
+    return _fourier_probabilities(*_family_coefficients(family), thetas)
+
+
+def _fourier_probabilities(coeff: np.ndarray, harmonics: Sequence[int], thetas: Sequence[float]) -> np.ndarray:
+    """The class rows ``coeff`` summed at every phase of ``thetas`` in one
+    product, shaped (phases, classes).  The sum carries rounding of order
+    1e-16 where a class probability vanishes; values within ``_ROUNDING`` of
+    zero are set to exactly zero, so that a vanishing class takes no Poisson
+    draw, and anything lower raises ValueError as a defect of the rows, as
+    does a value that is not finite, at a phase that the top harmonic carries
+    past the float range.
+    """
     thetas = np.asarray(thetas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         probs = (coeff @ _basis(harmonics, thetas)).T
@@ -498,6 +505,7 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     overlap ``cross_overlap``.  Counting statistics of the full Schmidt-state
     expansion depend on the spectrum only through L, so this mixture
     reproduces them exactly (verified against the expansion in the tests).
+    It is the reference route for ``four_photon_fringe``.
     """
     lam4 = _lambda4(lam4)
     cross_overlap = _fraction("cross_overlap", cross_overlap)
@@ -514,11 +522,41 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
 @functools.cache
 def _four_photon_tables() -> np.ndarray:
     """Read-only Fourier rows, without background, of the double pair and the
-    distinct pairs at overlap 1 and 0: (2, 2, 3 classes, 9 coefficients)."""
-    states = [(dual_fock_mismatched(2, tau * tau), two_distinct_pairs(tau)) for tau in (1.0, 0.0)]
+    distinct pairs at squared overlaps 0, 1/2 and 1: (3, 2, 3 classes, 9
+    coefficients).  Every row is quadratic in tau^2, so the three fix it."""
+    states = [(dual_fock_mismatched(2, tau2), two_distinct_pairs(math.sqrt(tau2))) for tau2 in (0.0, 0.5, 1.0)]
     table = np.array([[_family_coefficients(counting_family(s, 0.0))[0] for s in pair] for pair in states])
     table.flags.writeable = False
     return table
+
+
+def _pair_rows(components: np.ndarray, lam4: float, zeta: float) -> np.ndarray:
+    """The pair ensemble's class rows from its two components' rows,
+    ``components`` (..., 2, classes, coefficients): the purity weights, then
+    (1 - zeta) times that plus the uniform background zeta/3 on c0 of each of
+    the three |delta| classes."""
+    pure, distinct = components[..., 0, :, :], components[..., 1, :, :]
+    coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * pure + (1.0 - lam4) / (1.0 + lam4) * distinct)
+    coeff[..., 0] += zeta / 3.0
+    return coeff
+
+
+def four_photon_fringe(lam4: float, cross_overlap: float) -> Callable[[float, Sequence[float]], np.ndarray]:
+    """The class probabilities of ``four_photon_pair_ensemble(lam4,
+    cross_overlap)`` under background zeta, as a function of zeta and the
+    phases, shaped (phases, classes 0, 2, 4); equal to rounding to
+    ``fringe_probabilities`` of the ensemble's ``counting_family``, but built
+    from the cached table: the Lagrange interpolant in tau^2 through its
+    three nodes, mixed by ``_pair_rows``.  The arguments are checked as the
+    ensemble checks them, zeta at each call.
+    """
+    lam4 = _lambda4(lam4)
+    x = _fraction("cross_overlap", cross_overlap) ** 2
+    weights = (2.0 * (x - 0.5) * (x - 1.0), 4.0 * x * (1.0 - x), 2.0 * x * (x - 0.5))
+    components = sum(w * rows for w, rows in zip(weights, _four_photon_tables()))
+    return lambda zeta, thetas: _fourier_probabilities(
+        _pair_rows(components, lam4, _zeta(zeta)), (1, 2, 3, 4), thetas
+    )
 
 
 def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float]:
@@ -526,13 +564,11 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
 
     The purity weights, the uniform background over the three |delta|
     classes and the Fourier map are linear: each overlap's class rows are
-    (1 - zeta) times the weighted sum of its cached component rows plus
-    zeta/3 on c0, maximized over phase in (0, pi) in one batched call.
+    mixed from its cached component rows by ``_pair_rows``, maximized over
+    phase in (0, pi) in one batched call.
     """
     zeta = _zeta(zeta)
     lam4 = _lambda4(lam4)
-    table = _four_photon_tables()
-    coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * table[:, 0] + (1.0 - lam4) / (1.0 + lam4) * table[:, 1])
-    coeff[..., 0] += zeta / 3.0
+    coeff = _pair_rows(_four_photon_tables()[::-2], lam4, zeta)
     f_star = _maximize_fourier_fisher(coeff, (1, 2, 3, 4))[3]
     return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

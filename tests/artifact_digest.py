@@ -12,9 +12,12 @@ through ``perfbench/workloads.py``'s ``make_inputs``, ``run_op`` and
 one run each.  The digest covers each run's file names and bytes, its
 printed output, and its error and check result.  Prints one line per group
 of runs, ``group NAME: DIGEST  N runs``, for each workload, ``readme`` and
-``readme predict``, so that a moved digest shows where it moved; then, last,
-the digest of every run and the number of runs.  Exits 1 if any run fails
-its check or a README command exits nonzero.
+``readme predict``, so that a moved digest shows where it moved, each
+followed by one line per file name made in that group's runs,
+``file GROUP NAME: DIGEST``, over that file's bytes in every run, so that a
+moved group shows which files moved; then, last, the digest of every run and
+the number of runs.  Exits 1 if any run fails its check or a README command
+exits nonzero.
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ def _op(workload: str, op: dict):
     return error, workloads.check_op(workload, op) if error is None else None
 
 
-def _record(digests, failures: list, label: str, directory: Path, run) -> None:
+def _record(digests, files: dict, failures: list, label: str, directory: Path, run) -> None:
     """Call ``run`` in the new ``directory`` with its printed output captured,
     and add the label, error, check result and every file to each of
-    ``digests``."""
+    ``digests``, and the label and each file's bytes to its digest in
+    ``files``, by file name."""
     directory.mkdir(parents=True)
     os.chdir(directory)
     printed = io.StringIO()
@@ -115,7 +119,11 @@ def _record(digests, failures: list, label: str, directory: Path, run) -> None:
     Path("printed.txt").write_text(printed.getvalue())
     chunks = [f"{label}\0{error}\0{check}\0".encode()]
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
-        chunks += [f"{path.relative_to(directory)}\0".encode(), path.read_bytes()]
+        name, data = str(path.relative_to(directory)), path.read_bytes()
+        chunks += [f"{name}\0".encode(), data]
+        file_digest = files.setdefault(name, hashlib.sha256())
+        file_digest.update(f"{label}\0".encode())
+        file_digest.update(data)
     for digest in digests:
         for chunk in chunks:
             digest.update(chunk)
@@ -125,13 +133,13 @@ def _record(digests, failures: list, label: str, directory: Path, run) -> None:
 
 def main() -> int:
     digest, failures = hashlib.sha256(), []
-    groups: dict[str, list] = {}  # name: [digest, runs]
+    groups: dict[str, list] = {}  # name: [digest, runs, {file name: digest}]
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
 
         def record(group: str, label: str, run) -> None:
-            entry = groups.setdefault(group, [hashlib.sha256(), 0])
-            _record((digest, entry[0]), failures, label, Path(tmp, label.replace(" ", "_")), run)
+            entry = groups.setdefault(group, [hashlib.sha256(), 0, {}])
+            _record((digest, entry[0]), entry[2], failures, label, Path(tmp, label.replace(" ", "_")), run)
             entry[1] += 1
 
         try:
@@ -147,9 +155,11 @@ def main() -> int:
             os.chdir(home)
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
-    for name, (group_digest, runs) in groups.items():
+    for name, (group_digest, runs, files) in groups.items():
         print(f"group {name}: {group_digest.hexdigest()}  {runs} runs")
-    runs = sum(runs for _, runs in groups.values())
+        for file_name, file_digest in sorted(files.items()):
+            print(f"file {name} {file_name}: {file_digest.hexdigest()}")
+    runs = sum(entry[1] for entry in groups.values())
     print(f"{digest.hexdigest()}  {runs} runs, {len(failures)} failed")
     return 1 if failures else 0
 

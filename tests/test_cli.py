@@ -653,6 +653,33 @@ def test_metrology_import_builds_no_four_photon_table():
     assert _run_python(code).stdout.strip() == "0"
 
 
+def test_cli_import_builds_no_four_photon_table():
+    # The first four-photon simulate builds it, so that a traced run's cold
+    # four_photon_fit op records the fock and detection calls behind it.
+    code = "import fringelab.cli as c; print(c.metrology._four_photon_tables.cache_info().currsize)"
+    assert _run_python(code).stdout.strip() == "0"
+
+
+def test_warm_four_photon_simulate_builds_no_sectors(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path / "sim.json",
+        {"probe": {"type": "four_photon", "lambdas": [0.8, 0.6], "tau": 0.7}, "expected_counts_per_point": 1000},
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "cold")]) == 0
+    built = []
+    real = cli.metrology.PathSectors
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.metrology, "PathSectors", counted)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    assert built == []
+    for name in ("fringe.csv", "fringe_truth.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     # A blocked import raises ImportError, also from a function that
     # imports lazily, so each subcommand's whole path is covered.

@@ -474,7 +474,7 @@ class TestFourPhotonPredictions:
     def test_component_tables_are_read_only(self):
         table = metrology._four_photon_tables()
         before = table.copy()
-        assert table.shape == (2, 2, 3, 9) and not table.flags.writeable
+        assert table.shape == (3, 2, 3, 9) and not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0, 0, 0] = 1.0
         for lam4, zeta in ((0.479, 0.0282), (1.0, 0.0), (1e-9, 0.5)):
@@ -510,6 +510,59 @@ class TestFourPhotonPredictions:
                 two_distinct_pairs(tau)
             with pytest.raises(ValueError, match="cross_overlap"):
                 four_photon_schmidt(SchmidtSpectrum([1.0]), tau)
+
+
+class TestFourPhotonFringe:
+    def test_table_rows_match_the_pair_ensemble(self, monkeypatch):
+        # The rows summed by the table route against the reference route's,
+        # the pair ensemble rotated at 2N + 1 phases.
+        rows = []
+        real = metrology._fourier_probabilities
+
+        def recorded(coeff, *args):
+            rows.append(coeff.copy())
+            return real(coeff, *args)
+
+        monkeypatch.setattr(metrology, "_fourier_probabilities", recorded)
+        for lam4 in (1e-9, 0.3, 0.479, 1.0):
+            for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
+                fringe = metrology.four_photon_fringe(lam4, tau)
+                for zeta in (0.0, 0.0282, 0.5):
+                    rows.clear()
+                    fringe(zeta, [0.0])
+                    family = counting_family(four_photon_pair_ensemble(lam4, tau), zeta)
+                    want, harmonics = _family_coefficients(family)
+                    assert family.classes == (0, 2, 4) and harmonics == (1, 2, 3, 4)
+                    assert np.abs(rows[0] - want).max() <= 2e-15, (lam4, tau, zeta)
+
+    def test_counts_match_the_pair_ensemble_on_the_benchmark_draws(self):
+        # The benchmark's four_photon_fit ranges: lambda1 in [0.7, 0.95] and
+        # tau in [0.5, 1] at zeta = 0.0282, 32 phases, 1e5 counts a point,
+        # and its fixed cold op (0.8, 1.0).  A last-bit change in a mean
+        # moves no Poisson draw here.
+        noise = cli.detection.NoiseAndEfficiencyConfig(zeta=0.0282, bins_per_arm=4)
+        rng = np.random.default_rng(2016)
+        draws = [(0.8, 1.0, 20160302)] + [
+            (float(0.7 + 0.25 * u), float(0.5 + 0.5 * v), int(s))
+            for u, v, s in zip(rng.random(40), rng.random(40), rng.integers(0, 2**30, 40))
+        ]
+        for lam1, tau, seed in draws:
+            lam4 = lambda4(SchmidtSpectrum([lam1, math.sqrt(1.0 - lam1 * lam1)]))
+            _, etas, points, table = cli._simulate_points(
+                four_photon_pair_ensemble(lam4, tau), noise, DEFAULT_PHASES, 1e5, seed
+            )
+            probs = metrology.four_photon_fringe(lam4, tau)(noise.zeta, DEFAULT_PHASES)
+            assert np.abs(probs - table).max() <= 2e-15
+            assert cli._draw_counts(4, probs, noise, DEFAULT_PHASES, 1e5, seed) == (etas, points), (lam1, tau)
+
+    def test_bad_arguments_fail_as_the_ensemble_does(self):
+        for lam4, tau in ((0.5, -0.5), (0.5, 1.5), (0.5, math.nan), (0.0, 0.5), (1.5, 2.0)):
+            with pytest.raises(ValueError) as want:
+                four_photon_pair_ensemble(lam4, tau)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                metrology.four_photon_fringe(lam4, tau)
+        with pytest.raises(ValueError, match=re.escape("zeta 1.0 outside [0, 1)")):
+            metrology.four_photon_fringe(0.5, 0.5)(1.0, DEFAULT_PHASES)
 
 
 class TestReports:
