@@ -295,21 +295,6 @@ def _iprime_values(iprimes) -> np.ndarray:
     return np.array(iprimes)
 
 
-def _simulate_points(probe, noise, phases, expected, seed):
-    """Per-phase sampled class counts of a Fock probe plus the ground-truth
-    probabilities, shaped (phases, classes) with columns in
-    ``family.classes`` order.
-
-    The probabilities at every phase come from one exact Fourier table
-    (``metrology.fringe_probabilities``, the probe rotated at 2N + 1 phases
-    in one pass); ``_draw_counts`` draws the counts.
-    """
-    family = metrology.counting_family(probe, noise.zeta)
-    table = metrology.fringe_probabilities(family, phases)
-    etas, points = _draw_counts(family.n_photons, table, noise, phases, expected, seed)
-    return family, etas, points, table
-
-
 def _draw_counts(photons, table, noise, phases, expected, seed):
     """The class efficiencies of a ``photons``-photon probe, and its counts
     at each phase drawn from the class probabilities ``table`` (phases,
@@ -356,11 +341,10 @@ def _bootstrap_section(boot) -> dict:
 
 
 def _fit_pipeline(dataset, harmonics, trials, seed):
-    """The fit, its Fisher maximum and its bootstrap; the bootstrap
-    maximises the fit's model alongside its refits."""
+    """The fit and its bootstrap; the bootstrap maximises the fit's model
+    alongside its refits, as ``boot.fisher``."""
     fit = estimation.fit_mle(dataset, harmonics)
-    boot = estimation.bootstrap_errors(fit, dataset, trials=trials, seed=seed + 1)
-    return fit, boot.fisher, boot
+    return fit, estimation.bootstrap_errors(fit, dataset, trials=trials, seed=seed + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +453,7 @@ def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
         raise ParseError(f"{eff_path}: no efficiency for class {min(missing)} of {csv_path}")
     dataset = estimation.FringeDataset(tuple((t, by_theta[t]) for t in sorted(by_theta)), eff)
     try:
-        fit, fisher, boot = _fit_pipeline(dataset, harmonics, cfg["bootstrap_trials"], cfg["seed"])
+        fit, boot = _fit_pipeline(dataset, harmonics, cfg["bootstrap_trials"], cfg["seed"])
     except IllPosedError as exc:
         raise NonConvergence(f"fit is ill-posed: {exc}") from exc
     model = fit.model
@@ -491,7 +475,7 @@ def cmd_fit(cfg: dict) -> tuple[dict[str, str], str | None]:
             "log_likelihood": fit.log_likelihood,
             "converged": fit.converged,
         },
-        "fisher": _fisher_section(fisher),
+        "fisher": _fisher_section(boot.fisher),
         "bootstrap": _bootstrap_section(boot),
     }
     failure = None if fit.converged else "maximum-likelihood fit did not converge"
@@ -517,23 +501,20 @@ def cmd_predict(cfg: dict) -> tuple[dict[str, str], str | None]:
 
 
 def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
-    # Every point simulates a two-photon probe.
+    # Every point is a two-photon simulate, then a harmonics-[2] fit.
     noise, phases = _experiment(cfg, 2)
     grid = _iprime_values(cfg["iprimes"])
-    trials = cfg["bootstrap_trials"]
+    expected, trials = cfg["expected_counts_per_point"], cfg["bootstrap_trials"]
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     curve = metrology.predicted_fprime_curve(grid, noise.zeta).tolist()
     rows = []
     for point_seed, iprime, predicted in zip(seeds, grid, curve):
         iprime = float(iprime)
+        sim_seed, fit_seed = (int(s) for s in point_seed.generate_state(2))
         try:
-            probe = fock.spdc_two_photon(iprime)
-            sub_seeds = point_seed.generate_state(2)
-            _, etas, points, _ = _simulate_points(
-                probe, noise, phases, cfg["expected_counts_per_point"], int(sub_seeds[0])
-            )
-            dataset = estimation.FringeDataset(tuple(points), etas)
-            fit, fisher, boot = _fit_pipeline(dataset, [2], trials, int(sub_seeds[1]))
+            photons, fringe = _build_probe({"type": "two_photon", "iprime": iprime})
+            etas, points = _draw_counts(photons, fringe(noise.zeta, phases), noise, phases, expected, sim_seed)
+            fit, boot = _fit_pipeline(estimation.FringeDataset(tuple(points), etas), [2], trials, fit_seed)
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
         except (ValueError, RuntimeError) as exc:
@@ -541,7 +522,7 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
         rows.append(
             {
                 "iprime": iprime,
-                "fprime": fisher.per_photon,
+                "fprime": boot.fisher.per_photon,
                 "sigma": boot.sigma_per_photon,
                 "predicted": predicted,
             }

@@ -46,6 +46,8 @@ _SCAN_POINTS = 722
 # coefficient floor or its samples clear (``_possible_dips``) is never scanned,
 # but the block counts its scan, so the bound holds when every trial is.
 _BLOCK_CELLS = 2**18
+# The largest mean that numpy's Poisson sampler accepts.
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def _label(c) -> int:
@@ -192,6 +194,24 @@ def _rates(model_probs: np.ndarray | float, counts: np.ndarray, eta: np.ndarray)
     return lam_t[..., None, :] * model_probs * eta[:, None]
 
 
+def _check_totals(dataset: FringeDataset) -> None:
+    """Raise ``IllPosedError`` unless, at every phase, the efficiency-corrected
+    total sum_d x_d / eta_d is a float and each class seen there holds at
+    least 2^-52 of it: the fit solves for class probabilities that sum to 1,
+    and a smaller one is below their float resolution."""
+    thetas, counts, eta = dataset.arrays()
+    with np.errstate(over="ignore"):
+        corrected = counts / eta[:, None]
+        totals = corrected.sum(axis=0)
+    low = (counts > 0) & (corrected < np.finfo(float).eps * totals)
+    bad = ~np.isfinite(totals) | low.any(axis=0)
+    if bad.any():
+        raise IllPosedError(
+            f"efficiency-corrected total at phase {float(thetas[np.argmax(bad)])!r} is beyond the float "
+            "range, or a class seen there holds less than 2^-52 of it"
+        )
+
+
 def log_likelihood(model: FourierFringeModel, dataset: FringeDataset) -> float:
     """Poisson log-likelihood of the dataset under the model.
 
@@ -219,13 +239,16 @@ class _Geometry:
     flattened; a class probability is ``row @ free + offset`` (``affine``),
     with ``cell_rows`` at the data cells, class-major.  ``basis`` is the
     Fourier basis at the phases, and ``projector`` maps a series' values
-    there to its least-squares coefficients; it starts every fit.  Phases
-    that cannot identify the model raise ``IllPosedError``, checked first for
-    a phase that the top harmonic carries past the float range, where the
-    basis would be NaN.
+    there to its least-squares coefficients; it starts every fit.  Fewer
+    than two classes leave no free coefficient, and phases that cannot
+    identify the model raise ``IllPosedError``, checked first for a phase
+    that the top harmonic carries past the float range, where the basis
+    would be NaN.
     """
 
     def __init__(self, thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int, ...]):
+        if len(classes) < 2:
+            raise IllPosedError(f"a fringe model needs at least 2 classes, got {len(classes)}")
         top = float(np.abs(thetas).max(initial=0.0))
         if not math.isfinite(max(harmonics) * top):
             raise IllPosedError(f"phase {top!r} is beyond the float range at harmonic {max(harmonics)}")
@@ -706,6 +729,7 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     """
     harmonics = tuple(sorted(_harmonics(harmonics)))
     thetas, counts, eta = dataset.arrays()
+    _check_totals(dataset)
     coeff, ll, converged = _fit_batch(
         _geometry(thetas, dataset.classes, harmonics), counts[None], eta
     )
@@ -855,7 +879,10 @@ def bootstrap_errors(
     thetas, counts, eta = dataset.arrays()
     harmonics = fit.model.harmonics
     geometry = _geometry(thetas, dataset.classes, harmonics)
+    _check_totals(dataset)
     lam = np.maximum(_rates(fit.model.coefficients @ geometry.basis, counts, eta), 0.0)
+    if (top := float(lam.max())) > _POISSON_MAX:
+        raise IllPosedError(f"resampling mean {top!r} is above the Poisson limit {_POISSON_MAX!r}")
     rng = np.random.default_rng(seed)
     n_classes, n_photons = len(dataset.classes), max(dataset.classes)
     block = max(1, _BLOCK_CELLS // (n_classes * (thetas.size + _SCAN_POINTS)))

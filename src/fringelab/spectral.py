@@ -278,7 +278,9 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     mean), a rank-deficient normal matrix at the solution (for example
     b = 0, which leaves sigma free) or a fitted a + b outside [0, 1] marks
     the fit ill-posed instead of raising.  A |x| off zero outside [1e-100,
-    1e100], where |x|/sigma^2 could overflow, raises IllPosedError.
+    1e100], where |x|/sigma^2 could overflow, raises IllPosedError, as does a
+    |p| above 1e50 or a weight above 1e100, where a weighted sum of squares
+    could.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -299,6 +301,8 @@ def fit_hom_dip(points: Sequence[tuple[float, float, float]]) -> HomDipFit:
     off = ax > 0
     if not np.all((ax[off] >= 1e-100) & (ax[off] <= 1e100)):
         raise IllPosedError("every |x| off zero must lie within [1e-100, 1e100]")
+    if not (np.abs(p).max() <= 1e50 and w.max() <= 1e100):
+        raise IllPosedError("every |p| must be at most 1e50 and every weight at most 1e100")
     span = ax[off & weighted] if np.any(off & weighted) else ax[off]
     lo, hi = span.min() / 2.0, 2.0 * span.max()
     if np.count_nonzero(weighted) < 3:

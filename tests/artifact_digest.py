@@ -9,15 +9,16 @@ operation and the first 15 steady operations of every benchmark workload,
 through ``perfbench/workloads.py``'s ``make_inputs``, ``run_op`` and
 ``check_op``; then the README's ``simulate`` -> ``fit`` chain and its
 ``reproduce-fig3`` sweep, as one run, and its three ``predict`` commands,
-one run each.  The digest covers each run's file names and bytes, its
+one run each; then a ``simulate`` -> ``fit`` chain of a ``dual_fock`` probe,
+as one run.  The digest covers each run's file names and bytes, its
 printed output, and its error and check result.  Prints one line per group
-of runs, ``group NAME: DIGEST  N runs``, for each workload, ``readme`` and
-``readme predict``, so that a moved digest shows where it moved, each
-followed by one line per file name made in that group's runs,
+of runs, ``group NAME: DIGEST  N runs``, for each workload, ``readme``,
+``readme predict`` and ``probes``, so that a moved digest shows where it
+moved, each followed by one line per file name made in that group's runs,
 ``file GROUP NAME: DIGEST``, over that file's bytes in every run, so that a
 moved group shows which files moved; then, last, the digest of every run and
-the number of runs.  Exits 1 if any run fails its check or a README command
-exits nonzero.
+the number of runs.  Exits 1 if any run fails its check or a command of the
+README or ``probes`` runs exits nonzero.
 """
 
 from __future__ import annotations
@@ -73,17 +74,36 @@ README_PREDICTS = (
     {"mode": "small_angle", "n": 3, "indist": 1.0},
 )
 
+# The dual_fock probe, which no workload or README command simulates.
+PROBE_SIM = {
+    "probe": {"type": "dual_fock", "n": 2, "indist": 0.6},
+    "zeta": 0.0119,
+    "bins_per_arm": 8,
+    "phases": {"count": 20},
+    "expected_counts_per_point": 1e4,
+    "seed": 3,
+}
+PROBE_FIT = {
+    "fringe_csv": "run/fringe.csv",
+    "efficiency_json": "run/eff.json",
+    "harmonics": [2, 4],
+    "bootstrap_trials": 20,
+    "seed": 4,
+}
 
-def _readme_commands() -> tuple[str | None, None]:
-    """The README's commands in the current directory: (error or None, None)."""
-    for name, cfg in (("sim.json", README_SIM), ("fit.json", README_FIT), ("fig3.json", README_FIG3)):
+# simulate into run/, its efficiencies into run/eff.json, then fit.
+SIMULATE_FIT = [
+    ["simulate", "--config", "sim.json", "--out", "run"],
+    ["efficiencies"],
+    ["fit", "--config", "fit.json", "--out", "run"],
+]
+
+
+def _commands(configs: dict, steps: list) -> tuple[str | None, None]:
+    """Write ``configs`` by file name, then run ``steps`` in the current
+    directory: (error or None, None)."""
+    for name, cfg in configs.items():
         Path(name).write_text(json.dumps(cfg))
-    steps = [
-        ["simulate", "--config", "sim.json", "--out", "run"],
-        ["efficiencies"],
-        ["fit", "--config", "fit.json", "--out", "run"],
-        ["reproduce-fig3", "--config", "fig3.json", "--out", "sweep"],
-    ]
     for step in steps:
         if step == ["efficiencies"]:
             truth = json.loads(Path("run/fringe_truth.json").read_text())
@@ -148,9 +168,13 @@ def main() -> int:
                     cold, steady = workloads.make_inputs(workload, seed, Path(tmp, "inputs", f"{workload}_{seed}"))
                     for i, op in enumerate([cold, *steady[:STEADY_OPS]]):
                         record(workload, f"{workload} seed {seed} op {i}", functools.partial(_op, workload, op))
-            record("readme", "readme", _readme_commands)
+            readme = {"sim.json": README_SIM, "fit.json": README_FIT, "fig3.json": README_FIG3}
+            fig3 = ["reproduce-fig3", "--config", "fig3.json", "--out", "sweep"]
+            record("readme", "readme", functools.partial(_commands, readme, [*SIMULATE_FIT, fig3]))
             for cfg in README_PREDICTS:
                 record("readme predict", f"readme predict {cfg['mode']}", functools.partial(_readme_predict, cfg))
+            probes = {"sim.json": PROBE_SIM, "fit.json": PROBE_FIT}
+            record("probes", "probes dual_fock", functools.partial(_commands, probes, SIMULATE_FIT))
         finally:
             os.chdir(home)
     for failure in failures:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fringelab import cli, detection, estimation, fock
+from fringelab import cli, detection, estimation, fock, metrology
 from fringelab.cli import main
 from fringelab.spectral import HomDipFit, quartic_gaussian_overlap
 
@@ -106,9 +106,9 @@ class TestSimulate:
         # phase k's counts, in class order.
         noise = detection.NoiseAndEfficiencyConfig(zeta=0.0119, bins_per_arm=4)
         phases = 2 * math.pi * np.arange(12) / 12
-        family, etas, points, table = cli._simulate_points(
-            fock.dual_fock_mismatched(2, 0.7), noise, phases, 2000.0, 31
-        )
+        family = metrology.counting_family(fock.dual_fock_mismatched(2, 0.7), noise.zeta)
+        table = metrology.fringe_probabilities(family, phases)
+        etas, points = cli._draw_counts(family.n_photons, table, noise, phases, 2000.0, 31)
         eta_row = np.array([etas[c] for c in family.classes])
         draw = np.random.default_rng(31).poisson(2000.0 * (table * eta_row))
         assert [theta for theta, _ in points] == phases.tolist()
@@ -263,7 +263,8 @@ class TestFitCommand:
         cfg = self._fit_config(tmp_path, "fringe", _FRINGE_CSV, 10)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "fit_report.json").read_text())
-        (fit, fisher, boot), = results
+        (fit, boot), = results
+        fisher = boot.fisher
 
         assert list(report) == ["fit", "fisher", "bootstrap"]
         assert list(report["fit"]) == ["model", "log_likelihood", "converged"]
@@ -437,6 +438,37 @@ def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, whe
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: {tmp_path}/{where}")
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "counts,efficiencies,reason",
+    [
+        # One class holds probability 1 at every phase: nothing to fit.
+        ({0: 50}, {"0": 1.0}, "a fringe model needs at least 2 classes, got 1"),
+        # 50 / 5e-324 overflows; at 1e-200, class 2 holds 4e-201 of the total.
+        ({0: 50, 2: 20}, {"0": 5e-324, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
+        ({0: 50, 2: 20}, {"0": 1e-200, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
+    ],
+    ids=["one-class", "total-overflows", "fraction-below-resolution"],
+)
+def test_ill_posed_fit_data_exits_4(tmp_path, capsys, counts, efficiencies, reason):
+    rows = [f"{t!r},{c},{x}\n" for t in np.linspace(0, 4, 9).tolist() for c, x in counts.items()]
+    (tmp_path / "fringe.csv").write_text("theta,class,count\n" + "".join(rows))
+    (tmp_path / "eff.json").write_text(json.dumps(efficiencies))
+    cfg = write_config(
+        tmp_path / "fit.json",
+        {
+            "fringe_csv": str(tmp_path / "fringe.csv"),
+            "efficiency_json": str(tmp_path / "eff.json"),
+            "harmonics": [2],
+            "bootstrap_trials": 10,
+        },
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith(f"non-convergence: fit is ill-posed: {reason}")
     assert not (tmp_path / "fit_report.json").exists()
 
 
@@ -629,6 +661,22 @@ class TestHomCommand:
         assert err.startswith("non-convergence: dip fit is ill-posed")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("p,weight", [(1e308, 1.0), (-1e308, 1.0), (None, 1e308)])
+    def test_overflowing_sums_exit_4_writing_nothing(self, tmp_path, capsys, p, weight):
+        # Each would overflow a weighted sum of the fit, and NaN is no JSON.
+        xs = np.linspace(-8.0, 8.0, 17).tolist()
+        dip = [0.5 - 0.4 * float(quartic_gaussian_overlap(x, 2.0)) for x in xs]
+        rows = [f"{x!r},{dip[i] if p is None or i % 2 else p!r},{weight!r}" for i, x in enumerate(xs)]
+        (tmp_path / "dip.csv").write_text("x,p,weight\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path / "hom.json", {"input": str(tmp_path / "dip.csv")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["hom", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "non-convergence: dip fit is ill-posed: every |p| must be at most 1e50 and every weight at most 1e100\n"
+        )
+        assert not list((tmp_path / "out").iterdir())
+
 
 def _run_python(code, cwd=None):
     src = Path(cli.__file__).resolve().parents[1]
@@ -792,8 +840,43 @@ def test_reproduce_fig3_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("fig3*"))
 
 
+def test_reproduce_fig3_points_are_simulate_then_fit(tmp_path):
+    # Point i is a two_photon simulate, then a harmonics-[2] fit, at the
+    # two seeds that point i's spawned SeedSequence generates.
+    experiment = {"zeta": 0.0119, "phases": {"count": 16}, "expected_counts_per_point": 5000}
+    cfg = write_config(
+        tmp_path / "fig3.json", {**experiment, "iprimes": [0.3, 0.9], "bootstrap_trials": 30, "seed": 11}
+    )
+    assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 0
+    points = json.loads((tmp_path / "fig3_summary.json").read_text())["points"]
+    seeds = np.random.SeedSequence(11).spawn(2)
+    for i, iprime in enumerate([0.3, 0.9]):
+        sim_seed, fit_seed = (int(s) for s in seeds[i].generate_state(2))
+        run = tmp_path / f"point{i}"
+        probe = {"type": "two_photon", "iprime": iprime}
+        sim = write_config(tmp_path / f"sim{i}.json", {**experiment, "probe": probe, "seed": sim_seed})
+        assert main(["simulate", "--config", sim, "--out", str(run)]) == 0
+        truth = json.loads((run / "fringe_truth.json").read_text())
+        (run / "eff.json").write_text(json.dumps(truth["efficiencies"]))
+        fit = write_config(
+            tmp_path / f"fit{i}.json",
+            {
+                "fringe_csv": str(run / "fringe.csv"),
+                "efficiency_json": str(run / "eff.json"),
+                "harmonics": [2],
+                "bootstrap_trials": 30,
+                "seed": fit_seed,
+            },
+        )
+        assert main(["fit", "--config", fit, "--out", str(run)]) == 0
+        report = json.loads((run / "fit_report.json").read_text())
+        assert points[i]["iprime"] == iprime
+        assert points[i]["fprime"] == report["fisher"]["per_photon"]
+        assert points[i]["sigma"] == report["bootstrap"]["sigma_per_photon"]
+
+
 @pytest.mark.parametrize(
-    "iprimes", [{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], [], [0.5] * 1001]
+    "iprimes",[{"count": -3}, {"count": 0}, {"count": "x"}, ["a"], [1.5], [], [0.5] * 1001]
 )
 @pytest.mark.parametrize(
     "command,config",

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus
 
 from fringelab import estimation
-from fringelab.cli import _bootstrap_section, _simulate_points
+from fringelab.cli import _bootstrap_section, _draw_counts
 from fringelab.detection import NoiseAndEfficiencyConfig, class_efficiencies
 from fringelab.errors import IllPosedError
 from fringelab.estimation import (
+    FitResult,
     FourierFringeModel,
     FringeDataset,
     _FitProblem,
@@ -33,6 +34,8 @@ from fringelab.metrology import (
     _basis,
     _grid,
     _maximize_fourier_fisher,
+    counting_family,
+    fringe_probabilities,
     optimal_fisher_two_photon,
     two_photon_family,
 )
@@ -68,7 +71,8 @@ def cli_dataset(probe, zeta, total, n_phases, seed):
     """The dataset ``fringelab simulate`` writes: n phases from theta = 0."""
     noise = NoiseAndEfficiencyConfig(zeta=zeta, bins_per_arm=4)
     phases = 2 * math.pi * np.arange(n_phases) / n_phases
-    _, etas, points, _ = _simulate_points(probe, noise, phases, total, seed)
+    table = fringe_probabilities(counting_family(probe, zeta), phases)
+    etas, points = _draw_counts(probe.total_photons, table, noise, phases, total, seed)
     return FringeDataset(tuple(points), etas)
 
 
@@ -340,7 +344,8 @@ class TestFitMle:
         # would set its coefficient.
         noise = NoiseAndEfficiencyConfig(zeta=0.0119, bins_per_arm=6)
         phases = 2 * math.pi * np.arange(12) / 12
-        _, etas, points, _ = _simulate_points(dual_fock_mismatched(3, 0.5), noise, phases, 300, 5)
+        family = counting_family(dual_fock_mismatched(3, 0.5), noise.zeta)
+        etas, points = _draw_counts(family.n_photons, fringe_probabilities(family, phases), noise, phases, 300, 5)
         with pytest.raises(IllPosedError, match="12 phases alias harmonics"):
             fit_mle(FringeDataset(tuple(points), etas), [2, 4, 6])
 
@@ -355,6 +360,35 @@ class TestFitMle:
                 fit_mle(far, [2])
             with pytest.raises(IllPosedError, match="beyond the float range at harmonic 2"):
                 bootstrap_errors(fit, far, trials=10, seed=3)
+
+    def test_one_class_is_ill_posed(self):
+        # Its probability is 1 at every phase, so no coefficient is free.
+        points = tuple((float(t), {0: 50}) for t in np.linspace(0, 4, 9))
+        with pytest.raises(IllPosedError, match="at least 2 classes, got 1"):
+            fit_mle(FringeDataset(points, {0: 1.0}), [2])
+
+    def test_extreme_efficiencies_are_ill_posed(self):
+        points = tuple((float(t), {0: 50, 2: 20}) for t in np.linspace(0, 4, 9))
+        fit = fit_mle(FringeDataset(points, {0: 1.0, 2: 1.0}), [2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 50 / 5e-324 overflows; at 1e-200, class 2 holds 4e-201 of the total.
+            for eta in (5e-324, 1e-200):
+                dataset = FringeDataset(points, {0: eta, 2: 1.0})
+                with pytest.raises(IllPosedError, match="total at phase 0.0 is beyond the float range, or"):
+                    fit_mle(dataset, [2])
+                with pytest.raises(IllPosedError, match="total at phase 0.0 is beyond the float range, or"):
+                    bootstrap_errors(fit, dataset, trials=10, seed=3)
+
+    def test_resampling_mean_above_the_poisson_limit_is_ill_posed(self):
+        # Class 0's 1e8 counts at efficiency 1e-12 make a total of 1e20, and
+        # a model with class 2 at 1/2 asks 5e19 of it: numpy draws no
+        # Poisson count from a mean above about 9.2e18.
+        points = tuple((float(t), {0: 10**8, 2: 10**6}) for t in np.linspace(0, 4, 9))
+        dataset = FringeDataset(points, {0: 1e-12, 2: 1.0})
+        half = FourierFringeModel((0, 2), (2,), [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        with pytest.raises(IllPosedError, match="above the Poisson limit 9.223372006484771e"):
+            bootstrap_errors(FitResult(half, 0.0, True), dataset, trials=10, seed=3)
 
     def test_low_count_corpus_fits_carry_their_certificates(self):
         # Datasets 0-59 of each corpus; ``python tests/corpus.py`` fits all

@@ -548,9 +548,9 @@ class TestFourPhotonFringe:
         ]
         for lam1, tau, seed in draws:
             lam4 = lambda4(SchmidtSpectrum([lam1, math.sqrt(1.0 - lam1 * lam1)]))
-            _, etas, points, table = cli._simulate_points(
-                four_photon_pair_ensemble(lam4, tau), noise, DEFAULT_PHASES, 1e5, seed
-            )
+            family = counting_family(four_photon_pair_ensemble(lam4, tau), noise.zeta)
+            table = fringe_probabilities(family, DEFAULT_PHASES)
+            etas, points = cli._draw_counts(4, table, noise, DEFAULT_PHASES, 1e5, seed)
             probs = metrology.four_photon_fringe(lam4, tau)(noise.zeta, DEFAULT_PHASES)
             assert np.abs(probs - table).max() <= 2e-15
             assert cli._draw_counts(4, probs, noise, DEFAULT_PHASES, 1e5, seed) == (etas, points), (lam1, tau)
@@ -645,7 +645,9 @@ class TestReports:
         noise = cli.detection.NoiseAndEfficiencyConfig(zeta=0.0282, bins_per_arm=4)
         for probe in (spdc_two_photon(0.6), four_photon_schmidt(SchmidtSpectrum([0.8, 0.6]), 0.7)):
             seen.clear()
-            cli._simulate_points(probe, noise, DEFAULT_PHASES, 1e5, 3)
+            family = cli.metrology.counting_family(probe, noise.zeta)
+            table = fringe_probabilities(family, DEFAULT_PHASES)
+            cli._draw_counts(family.n_photons, table, noise, DEFAULT_PHASES, 1e5, 3)
             assert len(seen) == 2 * probe.total_photons + 1
 
     def test_fisher_report_json(self):
