@@ -1,10 +1,11 @@
 """End-to-end pipeline: simulate fringe counts, fit, and report information.
 
-Mirrors what `fringelab reproduce-fig3` does per point: synthesize Poisson
-counts for a two-photon probe under background noise and multiplexed
-detection, fit the class fringes by Poisson maximum likelihood with walls
-that keep every class probability nonnegative, evaluate the fitted model's
-information, and attach a parametric-bootstrap error bar.
+Mirrors what `fringelab reproduce-fig3` does per point: draw Poisson counts
+for a two-photon probe under background noise and multiplexed detection as
+one draw from one stream, as `fringelab simulate` does, fit the class
+fringes by Poisson maximum likelihood with walls that keep every class
+probability nonnegative, and run the parametric bootstrap, which reports the
+fitted model's information maximum (`boot.fisher`) with its error bar.
 """
 
 import math
@@ -16,11 +17,9 @@ from fringelab import (
     bootstrap_errors,
     class_efficiencies,
     counting_family,
-    fisher_from_model,
     fit_mle,
     fringe_probabilities,
     optimal_fisher_two_photon,
-    sample_counts,
     spdc_two_photon,
 )
 
@@ -35,16 +34,14 @@ phases = np.arange(N_PHASES) * 2 * math.pi / N_PHASES
 
 # Five rotations fix the degree-2 fringes exactly; every phase is read off them.
 table = fringe_probabilities(family, phases)
-children = np.random.SeedSequence(2024).spawn(N_PHASES)
-points = []
-for child, theta, probs in zip(children, phases, table):
-    means = {c: p * etas[c] for c, p in zip(family.classes, probs)}
-    points.append((float(theta), sample_counts(means, COUNTS_PER_POINT, child)))
+eta = np.array([etas[c] for c in family.classes])
+counts = np.random.default_rng(2024).poisson(COUNTS_PER_POINT * (table * eta))
+points = [(float(theta), dict(zip(family.classes, row))) for theta, row in zip(phases, counts.tolist())]
 dataset = FringeDataset(tuple(points), etas)
 
 fit = fit_mle(dataset, harmonics=[2])
-report = fisher_from_model(fit.model)
 boot = bootstrap_errors(fit, dataset, trials=200, seed=6)
+report = boot.fisher
 
 truth = optimal_fisher_two_photon(IPRIME, ZETA)
 print(f"probe: two photons with exchange symmetry {IPRIME}, zeta = {ZETA}")

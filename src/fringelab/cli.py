@@ -517,6 +517,8 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
             fit, boot = _fit_pipeline(estimation.FringeDataset(tuple(points), etas), [2], trials, fit_seed)
             if not fit.converged:
                 raise NonConvergence("fit did not converge")
+            if not boot.sigma_per_photon > 0:
+                raise NonConvergence("bootstrap spread is zero")
         except (ValueError, RuntimeError) as exc:
             raise NonConvergence(f"stage failure at iprime={iprime}: {exc}") from exc
         rows.append(
@@ -528,10 +530,7 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
             }
         )
     table = _csv("iprime,fprime,sigma,predicted", ([_fmt(v) for v in r.values()] for r in rows))
-    deviations = [
-        abs(r["fprime"] - r["predicted"]) / r["sigma"] if r["sigma"] > 0 else math.inf
-        for r in rows
-    ]
+    deviations = [abs(r["fprime"] - r["predicted"]) / r["sigma"] for r in rows]
     summary = {
         "points": rows,
         "max_abs_deviation_sigma": max(deviations),

@@ -195,14 +195,17 @@ def _rates(model_probs: np.ndarray | float, counts: np.ndarray, eta: np.ndarray)
 
 
 def _check_totals(dataset: FringeDataset) -> None:
-    """Raise ``IllPosedError`` unless, at every phase, the efficiency-corrected
-    total sum_d x_d / eta_d is a float and each class seen there holds at
-    least 2^-52 of it: the fit solves for class probabilities that sum to 1,
-    and a smaller one is below their float resolution."""
+    """Raise ``IllPosedError`` unless some phase holds a count and, at every
+    phase, the efficiency-corrected total sum_d x_d / eta_d is a float and
+    each class seen there holds at least 2^-52 of it: the fit solves for
+    class probabilities that sum to 1, and a smaller one is below their
+    float resolution."""
     thetas, counts, eta = dataset.arrays()
     with np.errstate(over="ignore"):
         corrected = counts / eta[:, None]
         totals = corrected.sum(axis=0)
+    if not totals.any():
+        raise IllPosedError("no phase holds a count")
     low = (counts > 0) & (corrected < np.finfo(float).eps * totals)
     bad = ~np.isfinite(totals) | low.any(axis=0)
     if bad.any():
@@ -422,11 +425,6 @@ class _FitProblem:
         dips = (self.dip_rows[trials] * vectors[:, None, :]).sum(axis=-1)
         return np.concatenate([cells, dips], axis=1)
 
-    def slack(self, free: np.ndarray, trials: np.ndarray) -> np.ndarray:
-        """Every constraint's level (b, constraints) of each of ``trials`` at
-        ``free`` (b, n): its class probability, nonnegative where it holds."""
-        return self.apply(free, trials) + self.offset[trials]
-
     def rows(self, trials: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Constraint rows (b, k, n) at the indices ``held`` (b, k) of each
         of ``trials``."""
@@ -533,10 +531,8 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
     stack per active-set size, rank-revealingly (see ``_kkt_solve``), so
     nearly parallel walls neither blow up the multipliers nor stall the
     line search.  A trial still running after ``_MAX_ITER``
-    steps has not converged.  The constraint slack is computed only for the
-    trials that read it, those holding a wall and those that move, and the
-    ratio test only for a moving trial with a cell near enough to stop it
-    (``_near``); a trial with neither pays for neither.
+    steps has not converged.  The ratio test runs only for a moving trial
+    with a cell near enough to stop it (``_near``).
     """
     z = np.array(free0, dtype=float)
     n_trials, n = z.shape
@@ -556,16 +552,11 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         # Summing the boolean set casts it element by element; most solves
         # hold no wall, which any() shows at a fraction of the cost.
         size = active_i.sum(axis=1) if active_i.any() else np.zeros(idx.size, dtype=np.intp)
-        # The slack of every constraint, where the KKT systems read it: the
-        # trials holding a wall.  A moving trial's is added for its ratio test.
-        holding = size.nonzero()[0]
-        if holding.size:
-            held_by = slice(None) if holding.size == idx.size else holding
-            levels = np.empty((idx.size, candidates.shape[1]))
-            levels[held_by] = problem.slack(z[idx[held_by]], idx[held_by])
+        # The slack of every constraint, for the KKT systems and the ratio test.
+        levels = problem.apply(z[idx], idx) + problem.offset[idx]
         # Each trial's active walls first; only a trial holding a wall can
         # release one.
-        order = np.argsort(~active_i, axis=1, kind="stable") if holding.size else None
+        order = np.argsort(~active_i, axis=1, kind="stable") if size.any() else None
         curvature, tol_i = hess[idx], tol[idx]
         ridge = 1e-12 * (1.0 + np.abs(np.diagonal(curvature, axis1=1, axis2=2)).max(axis=1))
         curvature.reshape(idx.size, n * n)[:, :: n + 1] -= ridge[:, None]
@@ -601,14 +592,7 @@ def _newton(problem: _FitProblem, free0: np.ndarray) -> tuple[np.ndarray, np.nda
         if not move.size:
             continue
         trials, step = idx[move], step[move]
-        if holding.size:
-            if holding.size < idx.size:
-                fresh = move[size[move] == 0]
-                levels[fresh] = problem.slack(z[idx[fresh]], idx[fresh])
-            level = levels[move]
-        else:
-            level = problem.slack(z[trials], trials)
-        np.maximum(level, 0.0, out=level)
+        level = np.maximum(levels[move], 0.0)
         slope = problem.apply(step, trials)
         # Only a trial with a near cell runs the ratio test; the rest go the
         # whole step, as the test would send them.
@@ -806,8 +790,9 @@ def _samples_clear(coeff: np.ndarray, harmonics: tuple[int, ...]) -> np.ndarray:
     20th point of ``_local_minima``'s scan), less (h^2 / 8) sum_k k^2 |(a_k, b_k)|, is above _NEG_TOL."""
     period = 2.0 * math.pi / math.gcd(*harmonics)
     basis = _grid(tuple(harmonics), _SCAN_POINTS, -1.0, period / 720)[1]
+    k2 = np.square(np.asarray(harmonics, dtype=float))  # as floats: an int64 square can wrap
     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf, only where a trial is not finite
-        bend = np.hypot(coeff[..., 1::2], coeff[..., 2::2]) @ np.square(harmonics) * (period / 36) ** 2 / 8
+        bend = np.hypot(coeff[..., 1::2], coeff[..., 2::2]) @ k2 * (period / 36) ** 2 / 8
         low = (coeff @ basis[:, 1:-1:20]).min(axis=-1) - bend
     return np.isfinite(coeff).all(axis=(1, 2)) & (low > _NEG_TOL).all(axis=-1)
 

@@ -17,8 +17,10 @@ of runs, ``group NAME: DIGEST  N runs``, for each workload, ``readme``,
 moved, each followed by one line per file name made in that group's runs,
 ``file GROUP NAME: DIGEST``, over that file's bytes in every run, so that a
 moved group shows which files moved; then, last, the digest of every run and
-the number of runs.  Exits 1 if any run fails its check or a command of the
-README or ``probes`` runs exits nonzero.
+the number of runs.  Exits 1 if any run fails its check, a command of the
+README or ``probes`` runs exits nonzero, or a ``*.json`` file a run made is
+not strict JSON: ``json.dumps`` writes ``NaN`` and ``Infinity``, which no
+JSON parser has to read.  That check leaves every digest as it is.
 """
 
 from __future__ import annotations
@@ -126,11 +128,16 @@ def _op(workload: str, op: dict):
     return error, workloads.check_op(workload, op) if error is None else None
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _record(digests, files: dict, failures: list, label: str, directory: Path, run) -> None:
     """Call ``run`` in the new ``directory`` with its printed output captured,
     and add the label, error, check result and every file to each of
     ``digests``, and the label and each file's bytes to its digest in
-    ``files``, by file name."""
+    ``files``, by file name.  The run fails if it errs, fails its check, or
+    made a ``*.json`` file that is not strict JSON."""
     directory.mkdir(parents=True)
     os.chdir(directory)
     printed = io.StringIO()
@@ -138,8 +145,14 @@ def _record(digests, files: dict, failures: list, label: str, directory: Path, r
         error, check = run()
     Path("printed.txt").write_text(printed.getvalue())
     chunks = [f"{label}\0{error}\0{check}\0".encode()]
+    loose = []
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
         name, data = str(path.relative_to(directory)), path.read_bytes()
+        if path.suffix == ".json":
+            try:
+                json.loads(data, parse_constant=_reject_constant)
+            except ValueError as exc:
+                loose.append(f"{name}: {exc}")
         chunks += [f"{name}\0".encode(), data]
         file_digest = files.setdefault(name, hashlib.sha256())
         file_digest.update(f"{label}\0".encode())
@@ -147,8 +160,8 @@ def _record(digests, files: dict, failures: list, label: str, directory: Path, r
     for digest in digests:
         for chunk in chunks:
             digest.update(chunk)
-    if error or check:
-        failures.append(f"{label}: {error or check}")
+    if error or check or loose:
+        failures.append(f"{label}: {error or check or '; '.join(loose)}")
 
 
 def main() -> int:

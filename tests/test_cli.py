@@ -449,8 +449,10 @@ def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, whe
         # 50 / 5e-324 overflows; at 1e-200, class 2 holds 4e-201 of the total.
         ({0: 50, 2: 20}, {"0": 5e-324, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
         ({0: 50, 2: 20}, {"0": 1e-200, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
+        # Every model is as likely under no counts at all.
+        ({0: 0, 2: 0}, {"0": 0.75, "2": 0.5625}, "no phase holds a count"),
     ],
-    ids=["one-class", "total-overflows", "fraction-below-resolution"],
+    ids=["one-class", "total-overflows", "fraction-below-resolution", "no-counts"],
 )
 def test_ill_posed_fit_data_exits_4(tmp_path, capsys, counts, efficiencies, reason):
     rows = [f"{t!r},{c},{x}\n" for t in np.linspace(0, 4, 9).tolist() for c, x in counts.items()]
@@ -837,6 +839,33 @@ def test_reproduce_fig3_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "non-convergence: stage failure at iprime=0.5: fit did not converge\n"
     )
+    assert not list(tmp_path.glob("fig3*"))
+
+
+@pytest.mark.parametrize(
+    "expected,reason",
+    [(0.05, "bootstrap spread is zero"), (1e-9, "no phase holds a count")],
+    ids=["zero-spread", "no-counts"],
+)
+def test_reproduce_fig3_degenerate_point_exits_4(tmp_path, capsys, expected, reason):
+    # At 0.05 expected counts a point one count is drawn, and both
+    # bootstrap refits give the same information maximum; the zero sigma
+    # once wrote the deviation in sigmas as Infinity, which is not JSON.
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "iprimes": [0.5],
+            "zeta": 0.0,
+            "phases": {"count": 16},
+            "expected_counts_per_point": expected,
+            "seed": 0,
+            "bootstrap_trials": 2,
+        },
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"non-convergence: stage failure at iprime=0.5: {reason}\n"
     assert not list(tmp_path.glob("fig3*"))
 
 

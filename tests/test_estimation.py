@@ -283,6 +283,17 @@ class TestModelValidation:
         given[0, 0] = 5.0  # the caller's array stays its own
         assert model.coefficients[0, 0] != 5.0
 
+    def test_dips_are_found_at_harmonics_whose_square_passes_int64(self):
+        # 3.1e9 squared is past 2^63: squared as integers it wrapped to
+        # -8.8e18, and the samples' bend bound cleared this model.  Class 0
+        # is 0.3 - 0.3504 + 0.05 = -4e-4 at theta = pi / k, as it is at
+        # harmonics (1, 2), which were refused.
+        coeff = [[0.3, 0.3504, 0, 0.05, 0], [0.7, -0.3504, 0, -0.05, 0]]
+        k = 3_100_000_000
+        for harmonics in [(1, 2), (k, 2 * k)]:
+            with pytest.raises(ValueError, match="model probabilities are negative at some phase"):
+                FourierFringeModel((0, 2), harmonics, coeff)
+
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_coefficients_must_be_finite(self, bad, column):
@@ -379,6 +390,16 @@ class TestFitMle:
                     fit_mle(dataset, [2])
                 with pytest.raises(IllPosedError, match="total at phase 0.0 is beyond the float range, or"):
                     bootstrap_errors(fit, dataset, trials=10, seed=3)
+
+    def test_no_counts_is_ill_posed(self):
+        # With every count 0 each phase's total is 0, so the likelihood is
+        # flat in the model and any model fits.
+        points = tuple((float(t), {0: 0, 2: 0}) for t in np.linspace(0, 4, 9))
+        dataset = FringeDataset(points, {0: 0.75, 2: 0.5625})
+        with pytest.raises(IllPosedError, match="no phase holds a count"):
+            fit_mle(dataset, [2])
+        with pytest.raises(IllPosedError, match="no phase holds a count"):
+            bootstrap_errors(FitResult(two_photon_model(0.5), 0.0, True), dataset, trials=10, seed=3)
 
     def test_resampling_mean_above_the_poisson_limit_is_ill_posed(self):
         # Class 0's 1e8 counts at efficiency 1e-12 make a total of 1e20, and
@@ -668,9 +689,9 @@ class TestNewtonWork:
             _, nearest = estimation._nearest(level, slope, crossing, seen)
         assert not (~(nearest >= 1.0) & ~estimation._near(level, slope)).any()
 
-    def test_certificate_iteration_applies_no_constraint_row(self, monkeypatch):
-        # A one-trial fit with no wall: each moving iteration takes its cells'
-        # slack and slopes; the last, which only certifies, computes neither.
+    def test_each_iteration_takes_one_slack(self, monkeypatch):
+        # A one-trial fit with no wall: every iteration takes its cells' slack
+        # and each moving one their slopes; the last only certifies.
         ds = synth_dataset(0.4, 0.0119, 100_000, 32, seed=6)
         log, problems = [], []
         apply, objective = _FitProblem.apply, _FitProblem.objective
@@ -690,8 +711,8 @@ class TestNewtonWork:
         assert fit.converged and len({id(p) for p in problems}) == 1
         assert not problems[0].walls.any() and not problems[0].dip_rows.shape[1]
         moves = log.count("objective") - 1
-        assert moves >= 1 and log.count("apply") == 2 * moves
-        assert log[-1] == "objective"
+        assert moves >= 1 and log.count("apply") == 2 * moves + 1
+        assert log[-1] == "apply"
 
 
 class TestLocalMinima:
