@@ -255,7 +255,7 @@ def _build_probe(probe: dict):
             state = fock.spdc_two_photon(probe["iprime"])
         else:
             state = fock.dual_fock_mismatched(probe["n"], probe["indist"])
-    except (ValueError, OverflowError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
     return state.total_photons, lambda zeta, phases: metrology.fringe_probabilities(
         metrology.counting_family(state, zeta), phases

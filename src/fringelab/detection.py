@@ -11,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import MultimodeFockState, StateEnsemble
+from .fock import MultimodeFockState, StateEnsemble, _whole
 
 
 def _zeta(zeta: float) -> float:
@@ -30,14 +30,12 @@ class OutcomeDistribution:
     probs: dict[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        n = int(self.total_photons)
-        if n != self.total_photons or n < 0:
-            raise ValueError(f"total_photons must be an integer >= 0, got {self.total_photons!r}")
+        total = self.total_photons
+        n = _whole(total, "total_photons must be an integer >= 0, got {!r}", total, least=0)
         clean: dict[tuple[int, int], float] = {}
+        bad = "outcome ({},{}) is not a pair of photon numbers"
         for (n1, n2), p in self.probs.items():
-            key = (int(n1), int(n2))
-            if key != (n1, n2) or min(key) < 0:
-                raise ValueError(f"outcome ({n1},{n2}) is not a pair of photon numbers")
+            key = (_whole(n1, bad, n1, n2, least=0), _whole(n2, bad, n1, n2, least=0))
             if n1 + n2 != n:
                 raise ValueError(f"outcome ({n1},{n2}) does not sum to {n}")
             if p < 0:
@@ -59,10 +57,9 @@ class NoiseAndEfficiencyConfig:
 
     def __post_init__(self) -> None:
         zeta = _zeta(self.zeta)
-        if self.bins_per_arm != int(self.bins_per_arm) or self.bins_per_arm < 1:
-            raise ValueError("bins_per_arm must be a positive integer")
+        bins = _whole(self.bins_per_arm, "bins_per_arm must be a positive integer", least=1)
         object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "bins_per_arm", int(self.bins_per_arm))
+        object.__setattr__(self, "bins_per_arm", bins)
 
 
 def outcome_distribution(
@@ -127,9 +124,7 @@ def background_fraction(matched_rate: float, accidental_rate: float) -> float:
 
 def multiplex_efficiency(n: int, m: int) -> float:
     """Probability that n photons spread over m equal bins stay in distinct bins."""
-    if n != int(n) or m != int(m) or n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
-    n, m = int(n), int(m)
+    n, m = _whole(n, "need n >= 0 and m >= 1", least=0), _whole(m, "need n >= 0 and m >= 1", least=1)
     if n > m:
         raise ValueError(f"{n} photons cannot occupy distinct bins among {m}")
     return math.perm(m, n) / m**n
@@ -137,9 +132,8 @@ def multiplex_efficiency(n: int, m: int) -> float:
 
 def class_efficiencies(total_photons: int, bins_per_arm: int) -> dict[int, float]:
     """Detection efficiency of each |n1 - n2| class for N total photons."""
-    n = int(total_photons)
-    if n != total_photons or n < 0:
-        raise ValueError(f"total_photons must be a nonnegative integer, got {total_photons!r}")
+    bad = "total_photons must be a nonnegative integer, got {!r}"
+    n = _whole(total_photons, bad, total_photons, least=0)
     out = {}
     for d in range(n % 2, n + 1, 2):
         n1 = (n + d) // 2

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllPosedError
+from .fock import _whole
 from .metrology import FisherReport, _basis, _fisher_report, _grid, _maximize_fourier_fisher
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
@@ -52,10 +53,7 @@ _POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).ma
 
 def _label(c) -> int:
     """Class label ``c`` as an int; a ValueError unless it is integral."""
-    label = int(c)
-    if label != c:
-        raise ValueError(f"class labels must be integers, got {c!r}")
-    return label
+    return _whole(c, "class labels must be integers, got {!r}", c)
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,7 @@ class FringeDataset:
                 c = _label(c)
                 if c not in effs:
                     raise ValueError(f"class {c} has no efficiency entry")
-                xi = int(x)
-                if xi != x or xi < 0:
-                    raise ValueError(f"counts must be nonnegative integers, got {x}")
-                clean[c] = xi
+                clean[c] = _whole(x, "counts must be nonnegative integers, got {}", x, least=0)
             pts.append((theta, clean))
         if not pts:
             raise ValueError("dataset has no points")
@@ -109,9 +104,10 @@ def _harmonics(harmonics: Sequence[int]) -> tuple[int, ...]:
     """``harmonics`` as ints, in the order given; a ValueError unless they are
     non-empty, integral, unique and positive."""
     given = tuple(harmonics)
-    ints = tuple(int(k) for k in given)
-    if not ints or ints != given or min(ints) <= 0 or len(set(ints)) < len(ints):
-        raise ValueError(f"harmonics must be non-empty, integral, unique and positive, got {given!r}")
+    bad = "harmonics must be non-empty, integral, unique and positive, got {!r}"
+    ints = tuple(_whole(k, bad, given, least=1) for k in given)
+    if not ints or len(set(ints)) < len(ints):
+        raise ValueError(bad.format(given))
     return ints
 
 
@@ -324,6 +320,20 @@ def _geometry(thetas: np.ndarray, classes: tuple[int, ...], harmonics: tuple[int
     build it once.  Only the last one is kept, since one of 10,000 phases and
     five classes holds about 14 MB."""
     return _cached_geometry(np.asarray(thetas, dtype=float).tobytes(), classes, harmonics)
+
+
+def _checked_geometry(dataset: FringeDataset, harmonics: tuple[int, ...]) -> _Geometry:
+    """The shared ``_Geometry`` of a fit of ``dataset``, after the data checks
+    of ``fit_mle`` and ``bootstrap_errors``: ``_check_totals``, then the
+    geometry's own rules on every phase and, since a phase with no count adds
+    nothing to the likelihood, on the phases that hold a count."""
+    thetas, counts, _ = dataset.arrays()
+    _check_totals(dataset)
+    geometry = _geometry(thetas, dataset.classes, harmonics)
+    held = counts.any(axis=0)
+    if not held.all():
+        _Geometry(thetas[held], dataset.classes, harmonics)
+    return geometry
 
 
 @functools.lru_cache(maxsize=1)
@@ -712,11 +722,8 @@ def fit_mle(dataset: FringeDataset, harmonics: Sequence[int]) -> FitResult:
     the log(x!) constant that the solve leaves out.
     """
     harmonics = tuple(sorted(_harmonics(harmonics)))
-    thetas, counts, eta = dataset.arrays()
-    _check_totals(dataset)
-    coeff, ll, converged = _fit_batch(
-        _geometry(thetas, dataset.classes, harmonics), counts[None], eta
-    )
+    _, counts, eta = dataset.arrays()
+    coeff, ll, converged = _fit_batch(_checked_geometry(dataset, harmonics), counts[None], eta)
     return FitResult(
         model=FourierFringeModel(dataset.classes, harmonics, coeff[0]),
         log_likelihood=float(ll[0]) - _log_factorials(counts),
@@ -856,15 +863,12 @@ def bootstrap_errors(
     maximum rides as one more trial in the first block's maximiser call, the
     same bits as ``fisher_from_model(fit.model)``.
     """
-    if not (math.isfinite(trials) and int(trials) == trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
+    trials = _whole(trials, "trials must be an integer, got {!r}", trials)
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     thetas, counts, eta = dataset.arrays()
     harmonics = fit.model.harmonics
-    geometry = _geometry(thetas, dataset.classes, harmonics)
-    _check_totals(dataset)
+    geometry = _checked_geometry(dataset, harmonics)
     lam = np.maximum(_rates(fit.model.coefficients @ geometry.basis, counts, eta), 0.0)
     if (top := float(lam.max())) > _POISSON_MAX:
         raise IllPosedError(f"resampling mean {top!r} is above the Poisson limit {_POISSON_MAX!r}")

@@ -41,6 +41,23 @@ def _fraction(name: str, value: float) -> float:
     return float(value)
 
 
+def _whole(value, message: str, *args, least: float = -math.inf) -> int:
+    """``value`` as an int; a ValueError with ``message.format(*args)`` unless it
+    is a whole number of at least ``least``.  A non-number keeps int()'s TypeError."""
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise ValueError(message.format(*args))
+    return whole
+
+
+def _photon_limit(n: int) -> None:
+    if n > MAX_PHOTONS:
+        raise ResourceLimitError(f"{n} photons exceeds the supported {MAX_PHOTONS}")
+
+
 def _canonical(entries: Iterable[tuple[int, int, int]]) -> Occupation:
     return tuple(sorted((int(p), int(i), int(c)) for p, i, c in entries if c != 0))
 
@@ -67,11 +84,9 @@ class MultimodeFockState:
 
     def __post_init__(self) -> None:
         clean: dict[Occupation, complex] = {}
+        bad = "paths, internal indices and counts must be integers, got {}"
         for occ, amp in self.amplitudes.items():
-            key = _canonical(occ)
-            # A key canonicalization left unchanged holds integers already.
-            if key != occ and any(v != int(v) for entry in occ for v in entry):
-                raise ValueError(f"paths, internal indices and counts must be integers, got {occ}")
+            key = _canonical([_whole(v, bad, occ) for v in entry] for entry in occ)
             amp = complex(amp)
             if amp != 0:
                 clean[key] = clean.get(key, 0.0) + amp
@@ -81,8 +96,7 @@ class MultimodeFockState:
         if len(totals) != 1:
             raise ValueError(f"occupations mix photon numbers: {sorted(totals)}")
         n = totals.pop()
-        if n > MAX_PHOTONS:
-            raise ResourceLimitError(f"{n} photons exceeds the supported {MAX_PHOTONS}")
+        _photon_limit(n)
         labels = {(p, i) for occ in clean for p, i, _ in occ}
         if len(labels) > MAX_MODE_LABELS:
             raise ResourceLimitError(
@@ -292,10 +306,9 @@ def dual_fock_mismatched(n: int, indist: float) -> MultimodeFockState:
     path-1 mode (internal label 0) and the rest on an orthogonal mode
     (internal label 1); the binomial amplitude decomposition is exact.
     """
-    if n != int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer", least=1)
     indist = _fraction("indist", indist)
-    n = int(n)
+    _photon_limit(2 * n)
     amps: dict[Occupation, complex] = {}
     for k in range(n + 1):
         weight = math.comb(n, n - k) * indist ** (n - k) * (1.0 - indist) ** k

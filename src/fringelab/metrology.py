@@ -19,6 +19,7 @@ from .fock import (
     PathSectors,
     StateEnsemble,
     _fraction,
+    _whole,
     apply_path_rotation,  # noqa: F401  (bound here for perfbench's tracer test)
     dual_fock_mismatched,
     two_distinct_pairs,
@@ -319,10 +320,8 @@ def maximize_fisher(family: FringeFamily) -> FisherReport:
 
 def small_angle_fisher(n: int, indist: float) -> float:
     """Zero-phase Fisher information 2(n + I n^2) of an |n,n> probe."""
-    if n != int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _whole(n, "n must be a positive integer", least=1)
     indist = _fraction("indist", indist)
-    n = int(n)
     return 2.0 * (n + indist * n * n)
 
 

@@ -146,6 +146,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "probe" in capsys.readouterr().err
 
+    def test_oversized_dual_fock_probe_is_config_error(self, tmp_path, capsys):
+        # The binomial weights of n = 2000 once overflowed the float range
+        # before the photon cap was checked.
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"probe": {"type": "dual_fock", "n": 2000, "indist": 0.5}, "expected_counts_per_point": 100},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: probe: 4000 photons exceeds the supported 8\n"
+
     def test_bootstrap_trials_is_unknown(self, tmp_path, capsys):
         # simulate draws no bootstrap, so the key is rejected, not ignored.
         cfg = write_config(tmp_path / "sim.json", {**_SIMULATE, "bootstrap_trials": 100})
@@ -442,20 +452,25 @@ def test_bad_fit_data_is_parse_error(tmp_path, capsys, fringe, efficiencies, whe
 
 
 @pytest.mark.parametrize(
-    "counts,efficiencies,reason",
+    "counts,held,efficiencies,reason",
     [
         # One class holds probability 1 at every phase: nothing to fit.
-        ({0: 50}, {"0": 1.0}, "a fringe model needs at least 2 classes, got 1"),
+        ({0: 50}, 9, {"0": 1.0}, "a fringe model needs at least 2 classes, got 1"),
         # 50 / 5e-324 overflows; at 1e-200, class 2 holds 4e-201 of the total.
-        ({0: 50, 2: 20}, {"0": 5e-324, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
-        ({0: 50, 2: 20}, {"0": 1e-200, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
+        ({0: 50, 2: 20}, 9, {"0": 5e-324, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
+        ({0: 50, 2: 20}, 9, {"0": 1e-200, "2": 1.0}, "efficiency-corrected total at phase 0.0 is beyond"),
         # Every model is as likely under no counts at all.
-        ({0: 0, 2: 0}, {"0": 0.75, "2": 0.5625}, "no phase holds a count"),
+        ({0: 0, 2: 0}, 9, {"0": 0.75, "2": 0.5625}, "no phase holds a count"),
+        # A phase with no count adds nothing to the likelihood, so counts at
+        # 2 of the 9 phases leave the model's coefficients free.
+        ({0: 50, 2: 20}, 2, {"0": 0.75, "2": 0.5625}, "2 distinct phases cannot identify a fringe model"),
     ],
-    ids=["one-class", "total-overflows", "fraction-below-resolution", "no-counts"],
+    ids=["one-class", "total-overflows", "fraction-below-resolution", "no-counts", "two-counted-phases"],
 )
-def test_ill_posed_fit_data_exits_4(tmp_path, capsys, counts, efficiencies, reason):
-    rows = [f"{t!r},{c},{x}\n" for t in np.linspace(0, 4, 9).tolist() for c, x in counts.items()]
+def test_ill_posed_fit_data_exits_4(tmp_path, capsys, counts, held, efficiencies, reason):
+    # The counts at the first ``held`` phases, zeros at the others.
+    thetas = np.linspace(0, 4, 9).tolist()
+    rows = [f"{t!r},{c},{x if i < held else 0}\n" for i, t in enumerate(thetas) for c, x in counts.items()]
     (tmp_path / "fringe.csv").write_text("theta,class,count\n" + "".join(rows))
     (tmp_path / "eff.json").write_text(json.dumps(efficiencies))
     cfg = write_config(
@@ -844,13 +859,11 @@ def test_reproduce_fig3_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "expected,reason",
-    [(0.05, "bootstrap spread is zero"), (1e-9, "no phase holds a count")],
-    ids=["zero-spread", "no-counts"],
+    [(0.05, "1 distinct phases cannot identify a fringe model"), (1e-9, "no phase holds a count")],
+    ids=["one-counted-phase", "no-counts"],
 )
 def test_reproduce_fig3_degenerate_point_exits_4(tmp_path, capsys, expected, reason):
-    # At 0.05 expected counts a point one count is drawn, and both
-    # bootstrap refits give the same information maximum; the zero sigma
-    # once wrote the deviation in sigmas as Infinity, which is not JSON.
+    # At 0.05 expected counts a point one count is drawn, at one phase.
     cfg = write_config(
         tmp_path / "c.json",
         {
@@ -866,6 +879,24 @@ def test_reproduce_fig3_degenerate_point_exits_4(tmp_path, capsys, expected, rea
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 4
     assert capsys.readouterr().err == f"non-convergence: stage failure at iprime=0.5: {reason}\n"
+    assert not list(tmp_path.glob("fig3*"))
+
+
+def test_reproduce_fig3_zero_bootstrap_spread_exits_4(tmp_path, capsys, monkeypatch):
+    # A zero sigma once wrote the deviation in sigmas as Infinity, which is
+    # not JSON.  Only equal refits give it, and data that identify the
+    # model make those vanishingly rare, so the spread is zeroed here.
+    real = estimation.bootstrap_errors
+
+    def no_spread(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), sigma_per_photon=0.0)
+
+    monkeypatch.setattr(estimation, "bootstrap_errors", no_spread)
+    cfg = write_config(tmp_path / "c.json", {**_FIG3, "bootstrap_trials": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["reproduce-fig3", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "non-convergence: stage failure at iprime=0.5: bootstrap spread is zero\n"
     assert not list(tmp_path.glob("fig3*"))
 
 

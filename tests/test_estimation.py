@@ -425,6 +425,23 @@ class TestFitMle:
                     failures[name, i] = found
         assert failures == {}
 
+    def test_point_order_does_not_move_a_fit(self):
+        # The likelihood is a sum over the points, so reversing their order
+        # must leave every fitted class probability where it was.  Datasets
+        # 0-19 of each corpus moved by at most 5.7e-12 (dual-Fock), 2.2e-12
+        # (four-photon) and 3.3e-16 (two-photon).  Dual-Fock dataset 81,
+        # whose loose tangent dip moves by about 5e-7, is outside the slice.
+        grid = np.linspace(0, 2 * math.pi, 721)
+        moved = {}
+        for name, corpus, _, harmonics in CORPORA:
+            for i, dataset in enumerate(corpus(range(20))):
+                reversed_ = FringeDataset(dataset.points[::-1], dataset.efficiencies)
+                fits = [fit_mle(data, harmonics) for data in (dataset, reversed_)]
+                assert all(fit.converged for fit in fits), (name, i)
+                moved[name, i] = np.abs(fits[0].model.probs_at(grid) - fits[1].model.probs_at(grid)).max()
+        worst = max(moved, key=moved.get)
+        assert moved[worst] <= 1e-9, (worst, moved[worst])
+
     def test_normalization_holds_identically(self):
         ds = synth_dataset(0.5, 0.0119, total=5000, n_phases=16, seed=5)
         fit = fit_mle(ds, [2])

@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from fringelab.detection import aggregate_by_abs_delta, outcome_distribution
+from fringelab.detection import (
+    NoiseAndEfficiencyConfig,
+    OutcomeDistribution,
+    aggregate_by_abs_delta,
+    class_efficiencies,
+    multiplex_efficiency,
+    outcome_distribution,
+)
 from fringelab.errors import ResourceLimitError
+from fringelab.estimation import FringeDataset, bootstrap_errors, fit_mle
 from fringelab.fock import (
     MultimodeFockState,
     PathSectors,
@@ -17,6 +25,7 @@ from fringelab.fock import (
     state_from_poly,
     two_distinct_pairs,
 )
+from fringelab.metrology import small_angle_fisher
 from fringelab.spectral import SchmidtSpectrum
 
 
@@ -135,6 +144,9 @@ class TestDualFock:
         with pytest.raises(ValueError, match="n must be a positive integer"):
             dual_fock_mismatched(2.5, 0.5)  # int() built a four-photon state
         assert dual_fock_mismatched(2.0, 0.5) == dual_fock_mismatched(2, 0.5)
+        # The cap is checked before the binomial weights overflow the floats.
+        with pytest.raises(ResourceLimitError, match="^4000 photons exceeds the supported 8$"):
+            dual_fock_mismatched(2000, 0.5)
 
 
 class TestSpdcTwoPhoton:
@@ -435,3 +447,81 @@ class TestSerialization:
         spread = {((1, i, 1),): 1.0 / 5.0 for i in range(25)}  # 25 labels in superposition
         with pytest.raises(ResourceLimitError):
             MultimodeFockState(spread)
+
+
+def _fit_and_data():
+    data = FringeDataset(tuple((t, {0: 30, 2: 10}) for t in np.linspace(0, 4, 9).tolist()), {0: 1.0, 2: 1.0})
+    return fit_mle(data, [2]), data
+
+
+# Each whole-number argument of the library: a call that passes it the
+# value, the message it raises for the value, and a value below its least
+# (None where a lower value has a message of its own).
+_WHOLE_ARGUMENTS = {
+    "occupation": (
+        lambda v: MultimodeFockState({((1, 0, v),): 1.0}),
+        lambda v: f"paths, internal indices and counts must be integers, got {((1, 0, v),)}",
+        None,
+    ),
+    "dual_fock_mismatched": (lambda v: dual_fock_mismatched(v, 0.5), lambda v: "n must be a positive integer", 0),
+    "small_angle_fisher": (lambda v: small_angle_fisher(v, 0.5), lambda v: "n must be a positive integer", 0),
+    "total_photons": (
+        lambda v: OutcomeDistribution(v, {(1, 1): 1.0}),
+        lambda v: f"total_photons must be an integer >= 0, got {v!r}",
+        -1,
+    ),
+    "outcome": (
+        lambda v: OutcomeDistribution(2, {(v, 1): 1.0}),
+        lambda v: f"outcome ({v},1) is not a pair of photon numbers",
+        -1,
+    ),
+    "bins_per_arm": (
+        lambda v: NoiseAndEfficiencyConfig(bins_per_arm=v),
+        lambda v: "bins_per_arm must be a positive integer",
+        0,
+    ),
+    "multiplex_photons": (lambda v: multiplex_efficiency(v, 4), lambda v: "need n >= 0 and m >= 1", -1),
+    "multiplex_bins": (lambda v: multiplex_efficiency(1, v), lambda v: "need n >= 0 and m >= 1", 0),
+    "class_efficiencies": (
+        lambda v: class_efficiencies(v, 4),
+        lambda v: f"total_photons must be a nonnegative integer, got {v!r}",
+        -1,
+    ),
+    "class_label": (
+        lambda v: FringeDataset(((0.0, {0: 1}),), {0: 1.0, v: 1.0}),
+        lambda v: f"class labels must be integers, got {v!r}",
+        None,
+    ),
+    "count": (
+        lambda v: FringeDataset(((0.0, {0: v}),), {0: 1.0}),
+        lambda v: f"counts must be nonnegative integers, got {v}",
+        -1,
+    ),
+    "harmonic": (
+        lambda v: fit_mle(_fit_and_data()[1], [2, v]),
+        lambda v: f"harmonics must be non-empty, integral, unique and positive, got {(2, v)!r}",
+        0,
+    ),
+    "bootstrap_trials": (
+        lambda v: bootstrap_errors(*_fit_and_data(), trials=v, seed=0),
+        lambda v: f"trials must be an integer, got {v!r}",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [
+        (site, value)
+        for site, (_, _, below) in _WHOLE_ARGUMENTS.items()
+        for value in (math.inf, math.nan, 2.5) + (() if below is None else (below,))
+    ],
+)
+def test_whole_number_arguments_raise_their_own_message(site, value):
+    # inf once raised int()'s OverflowError and NaN its "cannot convert"
+    # ValueError at every site but the bootstrap's.
+    call, message, _ = _WHOLE_ARGUMENTS[site]
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == message(value)
