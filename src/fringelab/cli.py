@@ -241,25 +241,22 @@ _FIG3 = {
 # checks across config fields.
 
 
-def _build_probe(probe: dict):
-    """A probe config's photon number and its class probabilities, shaped
-    (phases, classes), as a function of the background fraction and the
-    phases."""
+def _build_probe(probe: dict) -> tuple[int, np.ndarray]:
+    """A probe config's photon number and the Fourier rows of its class
+    probabilities without background (``metrology.FringeFamily.rows``)."""
     try:
         if probe["type"] == "four_photon":
             # The purity-weighted pair mixture has the Schmidt state's
             # counting statistics; its rows come from a cached table.
             spectrum = spectral.SchmidtSpectrum(probe["lambdas"])
-            return 4, metrology.four_photon_fringe(spectral.lambda4(spectrum), probe["tau"])
+            return 4, metrology.four_photon_rows(spectral.lambda4(spectrum), probe["tau"])
         if probe["type"] == "two_photon":
             state = fock.spdc_two_photon(probe["iprime"])
         else:
             state = fock.dual_fock_mismatched(probe["n"], probe["indist"])
     except (ValueError, ResourceLimitError) as exc:
         raise ConfigError(f"probe: {exc}") from exc
-    return state.total_photons, lambda zeta, phases: metrology.fringe_probabilities(
-        metrology.counting_family(state, zeta), phases
-    )
+    return state.total_photons, metrology.counting_family(state).rows
 
 
 def _experiment(cfg: dict, photons: int):
@@ -382,10 +379,10 @@ def cmd_hom(cfg: dict) -> tuple[dict[str, str], str | None]:
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict[str, str], str | None]:
-    photons, fringe = _build_probe(cfg["probe"])
+    photons, coeff = _build_probe(cfg["probe"])
     noise, phases = _experiment(cfg, photons)
     expected = cfg["expected_counts_per_point"]
-    truth = fringe(noise.zeta, phases)
+    truth = metrology._fourier_probabilities(metrology._mix_uniform(coeff, noise.zeta), phases)
     etas, points = _draw_counts(photons, truth, noise, phases, expected, cfg["seed"])
     rows = [(_fmt(theta), str(c), str(counts[c])) for theta, counts in points for c in sorted(counts)]
     truth_payload = {
@@ -512,8 +509,9 @@ def cmd_reproduce_fig3(cfg: dict) -> tuple[dict[str, str], str | None]:
         iprime = float(iprime)
         sim_seed, fit_seed = (int(s) for s in point_seed.generate_state(2))
         try:
-            photons, fringe = _build_probe({"type": "two_photon", "iprime": iprime})
-            etas, points = _draw_counts(photons, fringe(noise.zeta, phases), noise, phases, expected, sim_seed)
+            photons, coeff = _build_probe({"type": "two_photon", "iprime": iprime})
+            truth = metrology._fourier_probabilities(metrology._mix_uniform(coeff, noise.zeta), phases)
+            etas, points = _draw_counts(photons, truth, noise, phases, expected, sim_seed)
             fit, boot = _fit_pipeline(estimation.FringeDataset(tuple(points), etas), [2], trials, fit_seed)
             if not fit.converged:
                 raise NonConvergence("fit did not converge")

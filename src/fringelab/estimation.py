@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import IllPosedError
 from .fock import _whole
-from .metrology import FisherReport, _basis, _fisher_report, _grid, _maximize_fourier_fisher
+from .metrology import FisherReport, _basis, _fisher_report, _grid, _maximize_fourier_fisher, _mix_uniform
 
 _NEG_TOL = 1e-9  # slack on the nonnegativity of fitted probabilities
 _MAX_ITER = 200  # Newton steps per solve
@@ -805,16 +805,13 @@ def _samples_clear(coeff: np.ndarray, harmonics: tuple[int, ...]) -> np.ndarray:
 
 
 def _toward_uniform(coeff: np.ndarray, worst: np.ndarray, floor: float = 1e-15) -> np.ndarray:
-    """Each trial's (1-t)*model + t*uniform, with t lifting its lowest class
+    """Each trial's ``_mix_uniform`` by the t that lifts its lowest class
     probability ``worst`` (<= 0) to ``floor``, by default 1e-15, past the
     rounding of evaluating the series; ``coeff`` is (trials, classes,
     coefficients).  The mixture keeps both sum constraints, and the lowest
     point stays where it is."""
     n_classes = coeff.shape[1]
-    t = np.minimum(1.0, (floor - worst) / (1.0 / n_classes - worst))
-    mixed = coeff * (1.0 - t)[:, None, None]
-    mixed[:, :, 0] += t[:, None] / n_classes
-    return mixed
+    return _mix_uniform(coeff, np.minimum(1.0, (floor - worst) / (1.0 / n_classes - worst)))
 
 
 def fisher_from_model(model: FourierFringeModel) -> FisherReport:

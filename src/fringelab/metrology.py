@@ -36,13 +36,39 @@ class FringeFamily:
     most ``n_photons`` in theta, as rotating an N-photon probe gives: the
     half-angle rotation makes every amplitude a degree-N polynomial in
     cos(theta/2) and sin(theta/2), and background mixing is linear.
-    ``maximize_fisher`` and the fixed step of ``fisher_at`` rely on this.
-    Every Fisher maximum is over the period (0, pi), ``_HALF_TURN``.
+    ``rows`` and the fixed step of ``fisher_at`` rely on this.  Every Fisher
+    maximum is over the period (0, pi), ``_HALF_TURN``.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     classes: tuple[int, ...]
     n_photons: int
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Read-only Fourier rows of the class probabilities, exact from 2N + 1
+        phases, built at first use.
+
+        Each class probability is a trigonometric polynomial of degree at most
+        N = ``n_photons``, so its samples at 2N + 1 equally spaced phases fix
+        its coefficients for harmonics 1..N without aliasing.  The rows are
+        [c0, cos 1, sin 1, ..., cos N, sin N] in ``classes`` order; ``_basis``
+        evaluates them at any phase.  One evaluator call over these 2N + 1
+        phases is the only one that ``maximize_fisher`` and
+        ``fringe_probabilities`` make.  Keep it one call over exactly these
+        phases: a ``PathSectors`` evaluator's bits at a phase depend on how
+        many phases share its call, so these 2N + 1 phases fix the bits of
+        every count simulated from a probe.
+        """
+        m = 2 * self.n_photons + 1
+        thetas = 2.0 * math.pi * np.arange(m) / m
+        probs = np.asarray(self.evaluator(thetas), dtype=float).T
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite class probability in the fringe family")
+        coeff = probs @ _basis(range(1, self.n_photons + 1), thetas).T * (2.0 / m)
+        coeff[:, 0] /= 2.0
+        coeff.flags.writeable = False
+        return coeff
 
 
 @dataclass(frozen=True)
@@ -244,55 +270,29 @@ def _fisher_report(maxima: tuple, n_photons: int) -> FisherReport:
     )
 
 
-def _family_coefficients(family: FringeFamily) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Fourier rows of the class probabilities, exact from 2N + 1 phases.
-
-    Each class probability is a trigonometric polynomial of degree at most
-    N = ``family.n_photons``, so its samples at 2N + 1 equally spaced phases
-    fix its coefficients for harmonics 1..N without aliasing.  Returns the
-    rows [c0, cos 1, sin 1, ..., cos N, sin N] in ``family.classes`` order
-    with the harmonics 1..N; ``_basis`` evaluates them at any phase.  One
-    evaluator call over these 2N + 1 phases is the only one that
-    ``maximize_fisher`` and ``fringe_probabilities`` make.  Keep it one call
-    over exactly these phases: a ``PathSectors`` evaluator's bits at a phase
-    depend on how many phases share its call, so these 2N + 1 phases fix the
-    bits that ``fringe_probabilities`` sees, and so every count simulated
-    from a Fock probe (a four-photon probe's come from ``four_photon_fringe``).
-    """
-    m = 2 * family.n_photons + 1
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    probs = np.asarray(family.evaluator(thetas), dtype=float).T
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("non-finite class probability in the fringe family")
-    harmonics = tuple(range(1, family.n_photons + 1))
-    coeff = probs @ _basis(harmonics, thetas).T * (2.0 / m)
-    coeff[:, 0] /= 2.0
-    return coeff, harmonics
-
-
 def fringe_probabilities(family: FringeFamily, thetas: Sequence[float]) -> np.ndarray:
     """Class probabilities at every phase, shaped (phases, classes).
 
-    The family is evaluated only at the 2N + 1 phases of
-    ``_family_coefficients``, and the exact Fourier series is summed at
-    ``thetas`` by ``_fourier_probabilities``, so the cost hardly grows with
-    the number of phases.  Columns follow ``family.classes``.
+    The family is evaluated only at the 2N + 1 phases of ``family.rows``,
+    and the exact Fourier series is summed at ``thetas`` by
+    ``_fourier_probabilities``, so the cost hardly grows with the number of
+    phases.  Columns follow ``family.classes``.
     """
-    return _fourier_probabilities(*_family_coefficients(family), thetas)
+    return _fourier_probabilities(family.rows, thetas)
 
 
-def _fourier_probabilities(coeff: np.ndarray, harmonics: Sequence[int], thetas: Sequence[float]) -> np.ndarray:
-    """The class rows ``coeff`` summed at every phase of ``thetas`` in one
-    product, shaped (phases, classes).  The sum carries rounding of order
-    1e-16 where a class probability vanishes; values within ``_ROUNDING`` of
-    zero are set to exactly zero, so that a vanishing class takes no Poisson
-    draw, and anything lower raises ValueError as a defect of the rows, as
-    does a value that is not finite, at a phase that the top harmonic carries
-    past the float range.
+def _fourier_probabilities(coeff: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
+    """The class rows ``coeff``, of harmonics 1..N by their width, summed at
+    every phase of ``thetas`` in one product, shaped (phases, classes).  The
+    sum carries rounding of order 1e-16 where a class probability vanishes;
+    values within ``_ROUNDING`` of zero are set to exactly zero, so that a
+    vanishing class takes no Poisson draw, and anything lower raises
+    ValueError as a defect of the rows, as does a value that is not finite,
+    at a phase that the top harmonic carries past the float range.
     """
     thetas = np.asarray(thetas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = (coeff @ _basis(harmonics, thetas)).T
+        probs = (coeff @ _basis(range(1, coeff.shape[-1] // 2 + 1), thetas)).T
     finite = np.isfinite(probs).all(axis=1)
     if not finite.all():
         raise ValueError(f"class probability is not finite at phase {float(thetas[np.argmin(finite)])!r}")
@@ -304,18 +304,29 @@ def _fourier_probabilities(coeff: np.ndarray, harmonics: Sequence[int], thetas: 
     return np.where(probs > _ROUNDING, probs, 0.0)
 
 
+def _mix_uniform(coeff: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """The background map p -> (1 - t) p + t / C on class rows ``coeff``
+    (..., C classes, coefficients): (1 - t) times the rows, plus t / C on
+    each c0.  ``t`` is one fraction, or one per leading index of ``coeff``.
+    The mixture keeps both sum constraints of the rows."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    mixed = coeff * (1.0 - t)
+    mixed[..., 0] += t[..., 0] / coeff.shape[-2]
+    return mixed
+
+
 def maximize_fisher(family: FringeFamily) -> FisherReport:
     """Exact maximum over the period (0, pi) of the Fisher information of
     ``family``.
 
-    The class probabilities are rebuilt exactly as Fourier series from
-    2N + 1 evaluations; the information sum d^2/p is scanned on a phase grid
-    and polished by Newton steps on its exact derivatives.  Rounding is kept
-    from inflating the information next to a zero of a class probability
-    (see ``_ROUNDING``), where nested zooms replace the Newton steps.
+    The class probabilities are the exact Fourier series ``family.rows``;
+    the information sum d^2/p is scanned on a phase grid and polished by
+    Newton steps on its exact derivatives.  Rounding is kept from inflating
+    the information next to a zero of a class probability (see
+    ``_ROUNDING``), where nested zooms replace the Newton steps.
     """
-    coeff, harmonics = _family_coefficients(family)
-    return _fisher_report(_maximize_fourier_fisher(coeff[None], harmonics), family.n_photons)
+    harmonics = tuple(range(1, family.n_photons + 1))
+    return _fisher_report(_maximize_fourier_fisher(family.rows[None], harmonics), family.n_photons)
 
 
 def small_angle_fisher(n: int, indist: float) -> float:
@@ -504,7 +515,7 @@ def four_photon_pair_ensemble(lam4: float, cross_overlap: float) -> StateEnsembl
     overlap ``cross_overlap``.  Counting statistics of the full Schmidt-state
     expansion depend on the spectrum only through L, so this mixture
     reproduces them exactly (verified against the expansion in the tests).
-    It is the reference route for ``four_photon_fringe``.
+    It is the reference route for ``four_photon_rows``.
     """
     lam4 = _lambda4(lam4)
     cross_overlap = _fraction("cross_overlap", cross_overlap)
@@ -524,38 +535,24 @@ def _four_photon_tables() -> np.ndarray:
     distinct pairs at squared overlaps 0, 1/2 and 1: (3, 2, 3 classes, 9
     coefficients).  Every row is quadratic in tau^2, so the three fix it."""
     states = [(dual_fock_mismatched(2, tau2), two_distinct_pairs(math.sqrt(tau2))) for tau2 in (0.0, 0.5, 1.0)]
-    table = np.array([[_family_coefficients(counting_family(s, 0.0))[0] for s in pair] for pair in states])
+    table = np.array([[counting_family(s).rows for s in pair] for pair in states])
     table.flags.writeable = False
     return table
 
 
-def _pair_rows(components: np.ndarray, lam4: float, zeta: float) -> np.ndarray:
-    """The pair ensemble's class rows from its two components' rows,
-    ``components`` (..., 2, classes, coefficients): the purity weights, then
-    (1 - zeta) times that plus the uniform background zeta/3 on c0 of each of
-    the three |delta| classes."""
-    pure, distinct = components[..., 0, :, :], components[..., 1, :, :]
-    coeff = (1.0 - zeta) * (2.0 * lam4 / (1.0 + lam4) * pure + (1.0 - lam4) / (1.0 + lam4) * distinct)
-    coeff[..., 0] += zeta / 3.0
-    return coeff
-
-
-def four_photon_fringe(lam4: float, cross_overlap: float) -> Callable[[float, Sequence[float]], np.ndarray]:
-    """The class probabilities of ``four_photon_pair_ensemble(lam4,
-    cross_overlap)`` under background zeta, as a function of zeta and the
-    phases, shaped (phases, classes 0, 2, 4); equal to rounding to
-    ``fringe_probabilities`` of the ensemble's ``counting_family``, but built
-    from the cached table: the Lagrange interpolant in tau^2 through its
-    three nodes, mixed by ``_pair_rows``.  The arguments are checked as the
-    ensemble checks them, zeta at each call.
+def four_photon_rows(lam4: float, cross_overlap: float) -> np.ndarray:
+    """The Fourier rows, without background, of the class probabilities of
+    ``four_photon_pair_ensemble(lam4, cross_overlap)``, shaped (classes 0, 2,
+    4; coefficients of harmonics 0..4); equal to rounding to the ensemble's
+    ``counting_family(...).rows``, but built from the cached table: the
+    Lagrange interpolant in tau^2 through its three nodes, then the purity
+    weights.  The arguments are checked as the ensemble checks them.
     """
     lam4 = _lambda4(lam4)
     x = _fraction("cross_overlap", cross_overlap) ** 2
-    weights = (2.0 * (x - 0.5) * (x - 1.0), 4.0 * x * (1.0 - x), 2.0 * x * (x - 0.5))
-    components = sum(w * rows for w, rows in zip(weights, _four_photon_tables()))
-    return lambda zeta, thetas: _fourier_probabilities(
-        _pair_rows(components, lam4, _zeta(zeta)), (1, 2, 3, 4), thetas
-    )
+    low, mid, high = _four_photon_tables()
+    pure, distinct = 2.0 * (x - 0.5) * (x - 1.0) * low + 4.0 * x * (1.0 - x) * mid + 2.0 * x * (x - 0.5) * high
+    return 2.0 * lam4 / (1.0 + lam4) * pure + (1.0 - lam4) / (1.0 + lam4) * distinct
 
 
 def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float]:
@@ -563,11 +560,10 @@ def predict_four_photon_extremes(lam4: float, zeta: float) -> tuple[float, float
 
     The purity weights, the uniform background over the three |delta|
     classes and the Fourier map are linear: each overlap's class rows are
-    mixed from its cached component rows by ``_pair_rows``, maximized over
-    phase in (0, pi) in one batched call.
+    ``four_photon_rows`` mixed by ``_mix_uniform``, maximized over phase in
+    (0, pi) in one batched call.
     """
     zeta = _zeta(zeta)
-    lam4 = _lambda4(lam4)
-    coeff = _pair_rows(_four_photon_tables()[::-2], lam4, zeta)
+    coeff = _mix_uniform(np.array([four_photon_rows(lam4, 1.0), four_photon_rows(lam4, 0.0)]), zeta)
     f_star = _maximize_fourier_fisher(coeff, (1, 2, 3, 4))[3]
     return float(f_star[0]) / 4.0, float(f_star[1]) / 4.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus
+from corpus import CORPORA, HARMONICS, certificate_failures, checked_fit, dual_fock_corpus, move
 
 from fringelab import estimation
 from fringelab.cli import _bootstrap_section, _draw_counts
@@ -426,19 +426,47 @@ class TestFitMle:
         assert failures == {}
 
     def test_point_order_does_not_move_a_fit(self):
-        # The likelihood is a sum over the points, so reversing their order
-        # must leave every fitted class probability where it was.  Datasets
-        # 0-19 of each corpus moved by at most 5.7e-12 (dual-Fock), 2.2e-12
-        # (four-photon) and 3.3e-16 (two-photon).  Dual-Fock dataset 81,
-        # whose loose tangent dip moves by about 5e-7, is outside the slice.
-        grid = np.linspace(0, 2 * math.pi, 721)
+        # The likelihood is a sum over the points, and each relation below
+        # leaves every point's term as it was but for its labels: reversing
+        # the points, shifting every phase by delta, reflecting theta to
+        # -theta, relabelling the classes c -> m - c (which reverses their
+        # order, and so changes the class the fit eliminates), scaling every
+        # efficiency by 0.7 and every count by 3.  None may move a fitted
+        # class probability, read at the related phase and class.  Datasets
+        # 0-19 of each corpus moved by at most 5.7e-12 under reversal, and
+        # 4.2e-12 (shift), 3.0e-12 (reflection), 4.4e-12 (relabelling),
+        # 2.3e-12 (efficiencies) and 5.5e-12 (counts) under the others.
+        # Dual-Fock dataset 81, whose loose tangent dip moves by about 5e-7
+        # under every relation, is outside the slice.
+        delta = 0.3711
+
+        def related(data, phase=lambda t: t, label=lambda c: c, scale=1, eta=1.0):
+            """``data`` with its phases, labels, counts and efficiencies
+            mapped, and how to read its fit: ``move``'s arguments."""
+            points = tuple((phase(t), {label(c): scale * n for c, n in row.items()}) for t, row in data.points)
+            return FringeDataset(points, {label(c): eta * e for c, e in data.efficiencies.items()}), {
+                "phase": phase,
+                "label": label,
+            }
+
+        relations = {
+            "reversal": lambda d: (FringeDataset(d.points[::-1], d.efficiencies), {}),
+            "shift": lambda d: related(d, phase=lambda t: t + delta),
+            "reflection": lambda d: related(d, phase=np.negative),
+            "relabelling": lambda d: related(d, label=lambda c: max(d.classes) - c),
+            "efficiencies x 0.7": lambda d: related(d, eta=0.7),
+            "counts x 3": lambda d: related(d, scale=3),
+        }
         moved = {}
         for name, corpus, _, harmonics in CORPORA:
             for i, dataset in enumerate(corpus(range(20))):
-                reversed_ = FringeDataset(dataset.points[::-1], dataset.efficiencies)
-                fits = [fit_mle(data, harmonics) for data in (dataset, reversed_)]
-                assert all(fit.converged for fit in fits), (name, i)
-                moved[name, i] = np.abs(fits[0].model.probs_at(grid) - fits[1].model.probs_at(grid)).max()
+                fit = fit_mle(dataset, harmonics)
+                assert fit.converged, (name, i)
+                for relation, transform in relations.items():
+                    data, read = transform(dataset)
+                    other = fit_mle(data, harmonics)
+                    assert other.converged, (relation, name, i)
+                    moved[relation, name, i] = move(fit, other, **read)
         worst = max(moved, key=moved.get)
         assert moved[worst] <= 1e-9, (worst, moved[worst])
 

@@ -29,7 +29,6 @@ from fringelab.metrology import (
     FringeFamily,
     _basis,
     _derivative,
-    _family_coefficients,
     _maximize_fourier_fisher,
     counting_family,
     fisher_at,
@@ -59,6 +58,11 @@ def rotated_probabilities(probe, zeta, thetas):
         classes = add_background(aggregate_by_abs_delta(outcome_distribution(rotated)), zeta)
         rows.append([classes[c] for c in sorted(classes)])
     return np.array(rows)
+
+
+def fourier_rows(family):
+    """The family's Fourier rows and their harmonics 1..N."""
+    return family.rows, tuple(range(1, family.n_photons + 1))
 
 
 # Probes and noise of the Fourier reference tests: dual-Fock n = 1-4 at two
@@ -150,7 +154,7 @@ class TestFisherAt:
         # 4p/theta = 1.1e-10, so the term it would add is p'^2/p = 1.2e-6,
         # below the 1e-4 under which a vanishing class is dropped.
         family = counting_family(four_photon_pair_ensemble(0.479, 1.0), 0.0)
-        coeff, harmonics = _family_coefficients(family)
+        coeff, harmonics = fourier_rows(family)
         theta = 3.5059e-4
         exact = reference_fisher(coeff, harmonics, np.array([theta]))[0]
         assert fisher_at(family, theta) == pytest.approx(exact, rel=1e-6)
@@ -173,7 +177,7 @@ class TestFisherAt:
         families = [counting_family(probe, zeta) for probe, zeta in REFERENCE_PROBES]
         raised = dead_returned = 0
         for family in families + [two_photon_family(0.3, 0.0)]:
-            coeff, harmonics = _family_coefficients(family)
+            coeff, harmonics = fourier_rows(family)
             basis = _basis(harmonics, thetas)
             probs, derivs = coeff @ basis, np.abs(_derivative(coeff, harmonics) @ basis)
             for theta, p, d in zip(thetas.tolist(), probs.T, derivs.T):
@@ -448,7 +452,7 @@ class TestFourPhotonPredictions:
                 (coeff,) = rows
                 for i, tau in enumerate((1.0, 0.0)):
                     family = counting_family(four_photon_pair_ensemble(lam4, tau), zeta)
-                    want = _family_coefficients(family)[0]
+                    want = family.rows
                     assert np.abs(coeff[i] - want).max() <= 1e-15, (lam4, zeta, tau)
                     reference = maximize_fisher(family).per_photon
                     if zeta > 0:
@@ -513,27 +517,17 @@ class TestFourPhotonPredictions:
 
 
 class TestFourPhotonFringe:
-    def test_table_rows_match_the_pair_ensemble(self, monkeypatch):
-        # The rows summed by the table route against the reference route's,
-        # the pair ensemble rotated at 2N + 1 phases.
-        rows = []
-        real = metrology._fourier_probabilities
-
-        def recorded(coeff, *args):
-            rows.append(coeff.copy())
-            return real(coeff, *args)
-
-        monkeypatch.setattr(metrology, "_fourier_probabilities", recorded)
+    def test_table_rows_match_the_pair_ensemble(self):
+        # The table route's rows, mixed with background as simulate mixes
+        # them, against the reference route's, the pair ensemble rotated at
+        # 2N + 1 phases with the background mixed in at each phase.
         for lam4 in (1e-9, 0.3, 0.479, 1.0):
             for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-                fringe = metrology.four_photon_fringe(lam4, tau)
+                rows = metrology.four_photon_rows(lam4, tau)
                 for zeta in (0.0, 0.0282, 0.5):
-                    rows.clear()
-                    fringe(zeta, [0.0])
                     family = counting_family(four_photon_pair_ensemble(lam4, tau), zeta)
-                    want, harmonics = _family_coefficients(family)
-                    assert family.classes == (0, 2, 4) and harmonics == (1, 2, 3, 4)
-                    assert np.abs(rows[0] - want).max() <= 2e-15, (lam4, tau, zeta)
+                    assert family.classes == (0, 2, 4) and rows.shape == family.rows.shape == (3, 9)
+                    assert np.abs(metrology._mix_uniform(rows, zeta) - family.rows).max() <= 2e-15, (lam4, tau, zeta)
 
     def test_counts_match_the_pair_ensemble_on_the_benchmark_draws(self):
         # The benchmark's four_photon_fit ranges: lambda1 in [0.7, 0.95] and
@@ -551,7 +545,8 @@ class TestFourPhotonFringe:
             family = counting_family(four_photon_pair_ensemble(lam4, tau), noise.zeta)
             table = fringe_probabilities(family, DEFAULT_PHASES)
             etas, points = cli._draw_counts(4, table, noise, DEFAULT_PHASES, 1e5, seed)
-            probs = metrology.four_photon_fringe(lam4, tau)(noise.zeta, DEFAULT_PHASES)
+            mixed = metrology._mix_uniform(metrology.four_photon_rows(lam4, tau), noise.zeta)
+            probs = metrology._fourier_probabilities(mixed, DEFAULT_PHASES)
             assert np.abs(probs - table).max() <= 2e-15
             assert cli._draw_counts(4, probs, noise, DEFAULT_PHASES, 1e5, seed) == (etas, points), (lam1, tau)
 
@@ -560,9 +555,77 @@ class TestFourPhotonFringe:
             with pytest.raises(ValueError) as want:
                 four_photon_pair_ensemble(lam4, tau)
             with pytest.raises(ValueError, match=re.escape(str(want.value))):
-                metrology.four_photon_fringe(lam4, tau)
+                metrology.four_photon_rows(lam4, tau)
+        # The rows carry no background; simulate checks zeta where it builds
+        # the detector.
         with pytest.raises(ValueError, match=re.escape("zeta 1.0 outside [0, 1)")):
-            metrology.four_photon_fringe(0.5, 0.5)(1.0, DEFAULT_PHASES)
+            cli.detection.NoiseAndEfficiencyConfig(zeta=1.0, bins_per_arm=4)
+
+
+# The README's simulate config and the dual-Fock one of tests/artifact_digest.py.
+README_SIMULATE = {
+    "probe": {"type": "two_photon", "iprime": 0.8},
+    "zeta": 0.0119,
+    "bins_per_arm": 4,
+    "phases": {"count": 32},
+    "expected_counts_per_point": 100000,
+    "seed": 7,
+}
+DUAL_FOCK_SIMULATE = {
+    "probe": {"type": "dual_fock", "n": 2, "indist": 0.6},
+    "zeta": 0.0119,
+    "bins_per_arm": 8,
+    "phases": {"count": 20},
+    "expected_counts_per_point": 1e4,
+    "seed": 3,
+}
+
+
+def simulate_routes(config):
+    """A simulate config's photon number, detector, phases and class
+    probabilities: by simulate's route, the probe's background-free rows
+    mixed by ``_mix_uniform``, and by the reference route, the background
+    mixed into each phase's class probabilities before the Fourier map."""
+    cfg = cli._read(config, cli._COMMANDS["simulate"][1])
+    probe = cfg["probe"]
+    photons, coeff = cli._build_probe(probe)
+    noise, phases = cli._experiment(cfg, photons)
+    truth = json.loads(cli.cmd_simulate(cfg)[0]["fringe_truth.json"])
+    if probe["type"] == "two_photon":
+        state = spdc_two_photon(probe["iprime"])
+    else:
+        state = dual_fock_mismatched(probe["n"], probe["indist"])
+    reference = fringe_probabilities(counting_family(state, noise.zeta), phases)
+    assert truth["theta"] == phases.tolist() and truth["zeta"] == noise.zeta
+    return photons, coeff, noise, phases, np.array(truth["probs"]), reference
+
+
+class TestSimulateRoute:
+    @pytest.mark.parametrize(
+        "probe",
+        [{"type": "two_photon", "iprime": ip} for ip in (0.0, 0.6, 1.0)]
+        + [{"type": "dual_fock", "n": n, "indist": 0.6} for n in (2, 3)],
+        ids=["two-0", "two-0.6", "two-1", "dual-2", "dual-3"],
+    )
+    @pytest.mark.parametrize("zeta", [0.0, 0.0119, 0.5])
+    def test_truth_matches_the_per_phase_background(self, probe, zeta):
+        _, coeff, _, _, truth, reference = simulate_routes(
+            {"probe": probe, "zeta": zeta, "bins_per_arm": 8, "expected_counts_per_point": 1e4}
+        )
+        assert np.abs(truth - reference).max() <= 2e-15
+        # The background map keeps the rows' column sums at [1, 0, ...]: it
+        # scales their rounding by 1 - zeta and adds at most one ulp of 1.
+        target = np.eye(1, coeff.shape[1])[0]
+        off = np.abs(metrology._mix_uniform(coeff, zeta).sum(axis=0) - target)
+        assert np.all(off <= (1.0 - zeta) * np.abs(coeff.sum(axis=0) - target) + 2.0**-52)
+
+    @pytest.mark.parametrize("config", [README_SIMULATE, DUAL_FOCK_SIMULATE], ids=["readme", "dual-fock"])
+    def test_counts_match_the_per_phase_background(self, config):
+        photons, _, noise, phases, truth, reference = simulate_routes(config)
+        expected, seed = config["expected_counts_per_point"], config["seed"]
+        assert cli._draw_counts(photons, truth, noise, phases, expected, seed) == cli._draw_counts(
+            photons, reference, noise, phases, expected, seed
+        )
 
 
 class TestReports:
@@ -586,7 +649,7 @@ class TestReports:
     def test_fourier_samples_reproduce_rotation(self):
         for probe, zeta in REFERENCE_PROBES:
             family = counting_family(probe, zeta)
-            coeff, harmonics = _family_coefficients(family)
+            coeff, harmonics = fourier_rows(family)
             fourier = coeff @ _basis(harmonics, REFERENCE_THETAS)
             direct = rotated_probabilities(probe, zeta, REFERENCE_THETAS)
             assert np.max(np.abs(fourier.T - direct)) < 1e-12
@@ -750,7 +813,7 @@ def maximiser_corpus(monkeypatch):
         ]
         families += [(label, counting_family(probe, zeta)) for label, probe in probes]
         for label, family in families:
-            coeff, harmonics = _family_coefficients(family)
+            coeff, harmonics = fourier_rows(family)
             corpus.append((f"{label} zeta={zeta}", coeff[None], harmonics))
     for seed, (total, iprime, zeta) in enumerate(
         (t, ip, z) for t in (1e5, 300) for ip in (0.0, 0.6, 1.0) for z in (0.0, 0.0119)
@@ -844,7 +907,7 @@ class TestPhaseMaximiser:
         family = counting_family(four_photon_pair_ensemble(0.479, 0.0), 0.0282)
         report = maximize_fisher(family)
         assert report.argmax_theta == pytest.approx(0.27614, abs=1e-5)
-        coeff, harmonics = _family_coefficients(family)
+        coeff, harmonics = fourier_rows(family)
         for index in np.ndindex(coeff.shape):
             for direction in (-np.inf, np.inf):
                 nudged = coeff.copy()
